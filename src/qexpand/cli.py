@@ -47,7 +47,6 @@ from .packing import (
     packing_upper_bound,
     subgaussian_tail_check,
 )
-from .parallel import set_workers
 from .randmat import (
     bootstrap_mean_ci,
     chi_n_estimate,
@@ -260,10 +259,7 @@ def _cmd_mix(cfg, out):
 
 
 def _cmd_separate(cfg, out):
-    u = _load(cfg, "u")
-    v = load_tuple(cfg.params["v"]) if "v" in cfg.params else None
-    if v is None:
-        raise ConfigError("command 'separate' requires param 'v'")
+    u, v = _load(cfg, "u"), _load(cfg, "v")
     rep = separation(u, v, method=_get(cfg, "method", "auto"), rng=cfg.seed.generator())
     path = out / "separation.json"
     _write_json(path, rep.to_json())
@@ -271,7 +267,7 @@ def _cmd_separate(cfg, out):
 
 
 def _cmd_orbit_dist(cfg, out):
-    u, v = load_tuple(_need(cfg, "u")[0]), load_tuple(_need(cfg, "v")[0])
+    u, v = _load(cfg, "u"), _load(cfg, "v")
     rep = orbit_distance(
         u, v, restarts=_get(cfg, "restarts", 20), rng=cfg.seed.generator()
     )
@@ -281,7 +277,7 @@ def _cmd_orbit_dist(cfg, out):
 
 
 def _cmd_strong_sep(cfg, out):
-    u, v = load_tuple(_need(cfg, "u")[0]), load_tuple(_need(cfg, "v")[0])
+    u, v = _load(cfg, "u"), _load(cfg, "v")
     est = strong_separation_estimate(
         u, v, restarts=_get(cfg, "restarts", 20), rng=cfg.seed.generator()
     )
@@ -292,7 +288,6 @@ def _cmd_strong_sep(cfg, out):
         "qualifier": "estimated (lower bound on the supremum; not a certificate)",
     }
     _write_json(path, payload)
-    print("strong-sep: estimated value (ascent lower bound, not a certificate)")
     return [path], payload
 
 
@@ -551,7 +546,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument("--stream-id", type=int, default=0, help="RNG stream id")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap")
     parser.add_argument("--out", type=str, default="out", help="output directory")
     parser.add_argument("--config", type=str, default=None, help="JSON config overriding flags")
     sub = parser.add_subparsers(dest="command")
@@ -599,8 +593,6 @@ def config_from_args(args) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads != 1:
-        set_workers(args.threads)
     try:
         config = config_from_args(args)
         record = run(config)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import TupleFormatError
 from .linalg import MatrixTuple, as_generator, as_square_matrix, sample_haar_unitary
-from .superop import GapReport, center, spectral_gap
+from .superop import GapReport, SuperOperator, _applier, center, spectral_gap
 
 __all__ = [
     "PAULI",
@@ -230,8 +230,9 @@ def mixing_curve(u: MatrixTuple, x0, steps: int) -> np.ndarray:
     y = center(x)
     out = np.empty(steps + 1)
     n, N = u.n, u.dim
+    step = _applier(SuperOperator(u, u))
     for k in range(steps + 1):
         out[k] = float(np.linalg.norm(y)) / math.sqrt(N)
         if k < steps:
-            y = np.einsum("jab,jcb->ac", u.mats @ y, u.mats.conj()) / n
+            y = step(y) / n
     return out

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BoundViolation, DimensionMismatch, InfeasibleOverlap, NormingOrbitError
 from .linalg import MatrixTuple, as_generator, polar_unitary, sample_haar_unitary
-from .superop import SuperOperator, apply, operator_norm, spectral_gap
+from .superop import SuperOperator, _applier, apply, operator_norm, spectral_gap
 
 __all__ = [
     "SeparationReport",
@@ -142,26 +142,19 @@ class OrbitDistanceReport:
         }
 
 
-def _orbit_ascent(u, v, U0, V0, iters, inc_tol):
+def _orbit_ascent(uv, vu, U0, V0, iters, inc_tol):
     """Alternating maximization of F(U, V) = Re sum_j tr(U u_j V v_j*)/N.
 
+    ``uv`` and ``vu`` evaluate V -> sum_j u_j V v_j* and U -> sum_j v_j* U u_j.
     Each half-step takes the adjoint polar factor of the relevant trace
     matrix, the exact block maximizer, so F is non-decreasing.
     """
-    n, N = u.n, u.dim
-    u_stack = np.ascontiguousarray(u.mats.reshape(n * N, N))
-    v_adj_stack = np.ascontiguousarray(v.mats.conj().transpose(0, 2, 1).reshape(n * N, N))
+    N = U0.shape[0]
     U, V = U0, V0
     f = -math.inf
     for _ in range(iters):
-        # m = sum_j u_j V v_j*
-        w = (u_stack @ V).reshape(n, N, N).transpose(1, 0, 2).reshape(N, n * N)
-        m = w @ v_adj_stack
-        U = polar_unitary(m).conj().T
-        # m2 = sum_j v_j* U u_j
-        w2 = (v_adj_stack @ U).reshape(n, N, N).transpose(1, 0, 2).reshape(N, n * N)
-        m2 = w2 @ u_stack
-        p, s, qh = np.linalg.svd(m2)
+        U = polar_unitary(uv(V)).conj().T
+        p, s, qh = np.linalg.svd(vu(U))
         V = (p @ qh).conj().T
         f_new = float(s.sum()) / N
         if f_new - f < inc_tol:
@@ -194,6 +187,8 @@ def orbit_distance(
     v.require_unitary()
     gen = as_generator(rng)
     N = u.dim
+    uv = _applier(SuperOperator(u, v))
+    vu = _applier(SuperOperator(v.adjoint(), u.adjoint()))
     best = (-math.inf, None, None)
     f_values = []
     for r in range(max(restarts, 1)):
@@ -203,7 +198,7 @@ def orbit_distance(
         else:
             U0 = sample_haar_unitary(N, gen)
             V0 = sample_haar_unitary(N, gen)
-        f, U, V = _orbit_ascent(u, v, U0, V0, iters, inc_tol)
+        f, U, V = _orbit_ascent(uv, vu, U0, V0, iters, inc_tol)
         f_values.append(f)
         if f > best[0]:
             best = (f, U, V)
@@ -312,6 +307,29 @@ def mix_tuple(w: np.ndarray, t: MatrixTuple) -> MatrixTuple:
     return MatrixTuple(np.einsum("ij,jab->iab", w, t.mats))
 
 
+def _polar_ascent(operator, polar, p, xi, iters, inc_tol, norm_method, norm_tol, gen):
+    """Alternate the top singular pair (xi, eta) of operator(p) with p = polar(xi, eta).
+
+    Each norm solve is warm-started from the previous xi; the ascent stops
+    once the value gains less than inc_tol. Returns the last value and the
+    parameter p whose operator attained it.
+    """
+    val = -math.inf
+    for step in range(iters):
+        if step:
+            image = apply(T, xi)
+            nrm = np.linalg.norm(image)
+            if nrm == 0:
+                break
+            p = polar(xi, image / nrm)
+        T = operator(p)
+        rep = operator_norm(T, method=norm_method, tol=norm_tol, rng=gen, start=xi)
+        gain, val, xi = rep.value - val, rep.value, rep.top_vector
+        if gain < inc_tol:
+            break
+    return val, p
+
+
 def strong_separation_estimate(
     u: MatrixTuple,
     v: MatrixTuple,
@@ -354,22 +372,11 @@ def strong_separation_estimate(
             w = np.eye(n, dtype=complex)
         else:
             w = sample_haar_unitary(n, gen)
-        val_prev = -math.inf
-        val = 0.0
-        xi = None
-        for _ in range(iters):
-            T = SuperOperator(mix_tuple(w, u), v)
-            rep = operator_norm(T, method=norm_method, tol=norm_tol, rng=gen, start=xi)
-            val, xi = rep.value, rep.top_vector
-            best = max(best, val)
-            if val - val_prev < inc_tol:
-                break
-            val_prev = val
-            image = apply(T, xi)
-            nrm = np.linalg.norm(image)
-            if nrm == 0:
-                break
-            w = w_step(xi, image / nrm)
+        val, _ = _polar_ascent(
+            lambda w: SuperOperator(mix_tuple(w, u), v),
+            w_step, w, None, iters, inc_tol, norm_method, norm_tol, gen,
+        )
+        best = max(best, val)
     return best / n
 
 
@@ -431,6 +438,11 @@ def find_norming_tuple(
     x.require_unitary()
     gen = as_generator(rng)
     N = x.dim
+
+    def polar(xi, eta):
+        stack = np.einsum("ba,jbc,cd->jad", eta.conj(), x.mats, xi)
+        return MatrixTuple(np.stack([polar_unitary(m) for m in stack]), unitary=True)
+
     best_val = -math.inf
     best_v = None
     for r in range(max(restarts, 1)):
@@ -442,25 +454,10 @@ def find_norming_tuple(
             xi /= np.linalg.norm(xi)
             eta = gen.standard_normal((N, N)) + 1j * gen.standard_normal((N, N))
             eta /= np.linalg.norm(eta)
-        val_prev = -math.inf
-        val = 0.0
-        v = None
-        for _ in range(iters):
-            stack = np.einsum("ba,jbc,cd->jad", eta.conj(), x.mats, xi)
-            v = MatrixTuple(
-                np.stack([polar_unitary(m) for m in stack]), unitary=True
-            )
-            T = SuperOperator(x, v)
-            rep = operator_norm(T, method=norm_method, tol=norm_tol, rng=gen, start=xi)
-            val, xi = rep.value, rep.top_vector
-            image = apply(T, xi)
-            nrm = np.linalg.norm(image)
-            if nrm == 0:
-                break
-            eta = image / nrm
-            if val - val_prev < inc_tol:
-                break
-            val_prev = val
+        val, v = _polar_ascent(
+            lambda v: SuperOperator(x, v),
+            polar, polar(xi, eta), xi, iters, inc_tol, norm_method, norm_tol, gen,
+        )
         if val > best_val:
             best_val, best_v = val, v
     if check_orbit is None:

@@ -114,8 +114,8 @@ def spectral_norm(m) -> float:
 class RngSpec:
     """Deterministic random stream: (seed, stream_id) -> bit-identical samples.
 
-    Parallel workers each take their own ``stream_id`` (or a ``substream``)
-    so no mutable RNG state is ever shared.
+    Per-sample substreams (``substream``) and separate ``stream_id`` values
+    keep draws independent, so no mutable RNG state is ever shared.
     """
 
     seed: int
@@ -236,11 +236,13 @@ class MatrixTuple:
         a.setflags(write=False)
         object.__setattr__(self, "mats", a)
         if self.unitary:
-            res = self.unitarity_residual()
+            residuals = self.member_residuals()
+            worst = int(np.argmax(residuals))
             tol = self.n * self.dim * UNITARY_TOL
-            if res > tol:
+            if residuals[worst] > tol:
                 raise UnitarityError(
-                    f"tuple flagged unitary but residual {res:.3e} exceeds {tol:.3e}"
+                    f"member {worst} fails unitarity: residual "
+                    f"{residuals[worst]:.3e} > {tol:.3e}"
                 )
 
     @property
@@ -257,16 +259,14 @@ class MatrixTuple:
     def __iter__(self):
         return iter(self.mats)
 
+    def member_residuals(self) -> np.ndarray:
+        """Per-member unitarity residuals ||m* m - I||_F."""
+        prods = np.einsum("jba,jbc->jac", self.mats.conj(), self.mats)
+        return np.linalg.norm(prods - np.eye(self.dim), axis=(1, 2))
+
     def unitarity_residual(self) -> float:
         """Max over members of ||m* m - I||_F."""
-        eye = np.eye(self.dim)
-        prods = np.einsum("jba,jbc->jac", self.mats.conj(), self.mats)
-        return float(max(np.linalg.norm(p - eye) for p in prods))
-
-    def member_residuals(self) -> np.ndarray:
-        eye = np.eye(self.dim)
-        prods = np.einsum("jba,jbc->jac", self.mats.conj(), self.mats)
-        return np.array([np.linalg.norm(p - eye) for p in prods])
+        return float(self.member_residuals().max())
 
     def require_unitary(self):
         if not self.unitary:
@@ -310,38 +310,32 @@ class MatrixTuple:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MatrixTuple":
+        if not isinstance(obj, dict):
+            raise TupleFormatError("top level must be a JSON object")
         for key in ("n", "N", "matrices"):
             if key not in obj:
                 raise TupleFormatError(f"tuple file missing field '{key}'")
-        n, N = int(obj["n"]), int(obj["N"])
-        mats = np.empty((n, N, N), dtype=complex)
-        raw = obj["matrices"]
-        if len(raw) != n:
+        n, N, unitary = obj["n"], obj["N"], obj.get("unitary", False)
+        for key, val in (("n", n), ("N", N)):
+            if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+                raise TupleFormatError(f"field '{key}' must be a positive integer, got {val!r}")
+        if not isinstance(unitary, bool):
+            raise TupleFormatError(f"field 'unitary' must be true or false, got {unitary!r}")
+        try:
+            raw = np.array(obj["matrices"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise TupleFormatError(f"field 'matrices' is not a numeric array: {exc}") from exc
+        if raw.shape != (n, N * N, 2):
             raise TupleFormatError(
-                f"field 'matrices' has {len(raw)} members, expected n={n}"
+                f"field 'matrices' has shape {raw.shape}, "
+                f"expected (n, N*N, 2) = {(n, N * N, 2)} of [re, im] pairs"
             )
-        for j, flat in enumerate(raw):
-            if len(flat) != N * N:
-                raise TupleFormatError(
-                    f"member {j} has {len(flat)} entries, expected N*N={N * N}"
-                )
-            for k, pair in enumerate(flat):
-                if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-                    raise TupleFormatError(
-                        f"member {j}, entry {k}: expected [re, im] pair, got {pair!r}"
-                    )
-                mats[j, k // N, k % N] = complex(pair[0], pair[1])
-        unitary = bool(obj.get("unitary", False))
-        if unitary:
-            t = cls(mats, unitary=False)
-            residuals = t.member_residuals()
-            tol = n * N * UNITARY_TOL
-            worst = int(np.argmax(residuals))
-            if residuals[worst] > tol:
-                raise UnitarityError(
-                    f"member {worst} fails unitarity: residual "
-                    f"{residuals[worst]:.3e} > {tol:.3e}"
-                )
+        if raw.dtype.kind not in "iuf":
+            raise TupleFormatError(f"field 'matrices' has non-numeric entries ({raw.dtype})")
+        # the view keeps every bit of each [re, im] pair, -0.0 included
+        mats = np.ascontiguousarray(raw, dtype=float).view(complex).reshape(n, N, N)
+        if not np.all(np.isfinite(mats)):
+            raise TupleFormatError("field 'matrices' has NaN or infinite entries")
         return cls(mats, unitary=unitary)
 
 
@@ -356,15 +350,17 @@ def save_tuple(path, t: MatrixTuple) -> None:
 
 def load_tuple(path) -> MatrixTuple:
     """Read and validate a tuple file, with parse context on failure."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise TupleFormatError(f"{path}: cannot read tuple file: {reason}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TupleFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(obj, dict):
-        raise TupleFormatError(f"{path}: top level must be a JSON object")
     try:
         return MatrixTuple.from_json(obj)
     except TupleFormatError as exc:

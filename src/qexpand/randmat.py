@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DenseCapExceeded
 from .linalg import MatrixTuple, RngSpec, sample_ginibre, sample_haar_unitary
-from .parallel import ordered_map
 from .superop import SuperOperator, dense_cap, operator_norm
 
 __all__ = [
@@ -67,15 +66,37 @@ class MomentReport:
         return out
 
 
-def _coeff_l2(coeffs) -> float:
-    return math.sqrt(sum(abs(a) ** 2 for a in coeffs))
+def _sum_norm_report(coeffs, N, samples, rng, method, tol, draw) -> MomentReport:
+    """Norm statistics of one random superoperator per sample index.
 
-
-def _validate_coeffs(coeffs) -> tuple:
-    coeffs = tuple(complex(a) for a in coeffs)
+    ``draw(s, a)`` builds sample s's operator from the coefficients ``a``
+    (shape (n, 1, 1)) out of its own RNG substreams and returns it with the
+    generator its norm solver draws from.
+    """
+    coeffs = tuple(complex(c) for c in coeffs)
     if not coeffs:
         raise ValueError("coeffs must be nonempty")
-    return coeffs
+    if samples < 10:
+        raise ValueError(f"need at least 10 samples, got {samples}")
+    n = len(coeffs)
+    a = np.asarray(coeffs).reshape(n, 1, 1)
+    vals = []
+    for s in range(samples):
+        T, gen = draw(s, a)
+        vals.append(operator_norm(T, method=method, tol=tol, rng=gen, witness=False).value)
+    vals = np.array(vals)
+    l2 = math.sqrt(sum(abs(c) ** 2 for c in coeffs))
+    return MomentReport(
+        n=n,
+        N=N,
+        coeffs=coeffs,
+        samples=samples,
+        mean_norm=float(vals.mean()),
+        std_norm=float(vals.std(ddof=1)),
+        values=tuple(float(v) for v in vals),
+        ratio=float(vals.mean() / l2) if l2 > 0 else None,
+        seed=rng,
+    )
 
 
 def unitary_sum_norm(
@@ -87,33 +108,16 @@ def unitary_sum_norm(
     tol: float = 1e-8,
 ) -> MomentReport:
     """Norm statistics of sum_j a_j U_j (x) conj(U_j) on the trace-zero space."""
-    coeffs = _validate_coeffs(coeffs)
-    if samples < 10:
-        raise ValueError(f"need at least 10 samples, got {samples}")
-    n = len(coeffs)
-    a = np.asarray(coeffs).reshape(n, 1, 1)
 
-    def one(s: int) -> float:
+    def draw(s, a):
         gen = rng.substream(2, s)
-        u = np.stack([sample_haar_unitary(N, gen) for _ in range(n)])
+        u = np.stack([sample_haar_unitary(N, gen) for _ in range(len(a))])
         T = SuperOperator(
             MatrixTuple(a * u), MatrixTuple(u, unitary=True), restrict_h0=True
         )
-        return operator_norm(T, method=method, tol=tol, rng=gen, witness=False).value
+        return T, gen
 
-    vals = np.array(ordered_map(one, range(samples)))
-    l2 = _coeff_l2(coeffs)
-    return MomentReport(
-        n=n,
-        N=N,
-        coeffs=coeffs,
-        samples=samples,
-        mean_norm=float(vals.mean()),
-        std_norm=float(vals.std(ddof=1)),
-        values=tuple(float(v) for v in vals),
-        ratio=float(vals.mean() / l2) if l2 > 0 else None,
-        seed=rng,
-    )
+    return _sum_norm_report(coeffs, N, samples, rng, method, tol, draw)
 
 
 def gaussian_decoupled_norm(
@@ -125,33 +129,15 @@ def gaussian_decoupled_norm(
     tol: float = 1e-8,
 ) -> MomentReport:
     """Norm statistics of the decoupled Gaussian sum sum_j a_j Y_j (x) conj(Y'_j)."""
-    coeffs = _validate_coeffs(coeffs)
-    if samples < 10:
-        raise ValueError(f"need at least 10 samples, got {samples}")
-    n = len(coeffs)
-    a = np.asarray(coeffs).reshape(n, 1, 1)
 
-    def one(s: int) -> float:
+    def draw(s, a):
         gen_y = rng.substream(0, s)
         gen_yp = rng.substream(1, s)
-        y = np.stack([sample_ginibre(N, gen_y) for _ in range(n)])
-        yp = np.stack([sample_ginibre(N, gen_yp) for _ in range(n)])
-        T = SuperOperator(MatrixTuple(a * y), MatrixTuple(yp))
-        return operator_norm(T, method=method, tol=tol, rng=gen_y, witness=False).value
+        y = np.stack([sample_ginibre(N, gen_y) for _ in range(len(a))])
+        yp = np.stack([sample_ginibre(N, gen_yp) for _ in range(len(a))])
+        return SuperOperator(MatrixTuple(a * y), MatrixTuple(yp)), gen_y
 
-    vals = np.array(ordered_map(one, range(samples)))
-    l2 = _coeff_l2(coeffs)
-    return MomentReport(
-        n=n,
-        N=N,
-        coeffs=coeffs,
-        samples=samples,
-        mean_norm=float(vals.mean()),
-        std_norm=float(vals.std(ddof=1)),
-        values=tuple(float(v) for v in vals),
-        ratio=float(vals.mean() / l2) if l2 > 0 else None,
-        seed=rng,
-    )
+    return _sum_norm_report(coeffs, N, samples, rng, method, tol, draw)
 
 
 def bootstrap_mean_ci(
@@ -208,7 +194,7 @@ def chi_n_estimate(N: int, samples: int, rng: RngSpec) -> ChiReport:
         total = d.sum()
         return float((total * total - np.dot(d, d)) / (N * (N - 1)))
 
-    vals = np.array(ordered_map(one, range(samples)))
+    vals = np.array([one(s) for s in range(samples)])
     lo, hi = bootstrap_mean_ci(vals, rng.substream(1))
     return ChiReport(float(vals.mean()), lo, hi, N, samples)
 
@@ -302,7 +288,7 @@ def matrix_coefficient_sum(
             total += np.kron(a, ku)
         return float(np.linalg.svd(total, compute_uv=False)[0])
 
-    vals = np.array(ordered_map(one, range(samples)))
+    vals = np.array([one(s) for s in range(samples)])
     sq1 = np.linalg.svd(sum(a.conj().T @ a for a in mats), compute_uv=False)[0]
     sq2 = np.linalg.svd(sum(a @ a.conj().T for a in mats), compute_uv=False)[0]
     rhs = math.sqrt(max(float(sq1), float(sq2)))

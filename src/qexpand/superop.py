@@ -227,7 +227,8 @@ def operator_norm(
     the norm estimate increment drops below ``tol``, then restarts once from
     an orthogonalized random vector and keeps the max (the spectral edge of
     random instances is often near-degenerate). "auto" picks dense for
-    N^2 <= 1024 and power above.
+    N^2 <= min(AUTO_DENSE_DIM, dense_cap()), which is N^2 <= 256 by default,
+    and power above.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")

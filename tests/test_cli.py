@@ -227,19 +227,21 @@ class TestRun:
         )
         assert rec3.summary["mean_norm"] <= 8 * rec3.summary["rhs"] + 1e-9
 
-    def test_norming_and_strong_sep(self, tmp_path):
+    def test_norming_and_strong_sep(self, tmp_path, capsys):
         gen = RngSpec(6, 0).generator()
         u = qx.haar_tuple(2, 4, gen)
         v = qx.haar_tuple(2, 4, gen)
         up, vp = tmp_path / "u.json", tmp_path / "v.json"
         qx.save_tuple(up, u)
         qx.save_tuple(vp, v)
-        rec = run(
-            make_config(
-                "strong-sep", {"u": str(up), "v": str(vp), "restarts": 3}, tmp_path / "s"
-            )
+        code = main(
+            ["--out", str(tmp_path / "s"), "strong-sep",
+             "-p", f"u={up}", "-p", f"v={vp}", "-p", "restarts=3"]
         )
-        assert "estimated" in rec.summary["qualifier"]
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1  # stdout carries the JSON result line only
+        assert "estimated" in json.loads(lines[0])["summary"]["qualifier"]
         rec2 = run(
             make_config("norming", {"tuple": str(up), "restarts": 3}, tmp_path / "n")
         )
@@ -285,17 +287,26 @@ class TestMain:
         cpath.write_text('{"command": "gap"')
         assert main(["--config", str(cpath)]) == 1
 
-    def test_threads_flag(self, tmp_path):
-        from qexpand.parallel import get_workers, set_workers
-
-        tpath = tmp_path / "pauli.json"
-        qx.save_tuple(tpath, qx.pauli_tuple())
-        code = main(
-            ["--threads", "2", "--out", str(tmp_path / "o"), "validate", "-p", f"tuple={tpath}"]
-        )
-        assert code == 0
-        assert get_workers() == 2
-        set_workers(1)
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 1, "N": 1, "matrices": [[["1", "0"]]]}',
+            '{"n": 1, "N": 1, "matrices": [[[NaN, 0]]]}',
+            None,
+            '{"n": 0, "N": 1, "matrices": []}',
+            '{"n": -1, "N": 1, "matrices": [[[1, 0]]]}',
+        ],
+        ids=["string-entries", "nan-entries", "missing-file", "n-zero", "n-negative"],
+    )
+    def test_bad_tuple_file_is_one_line_error(self, tmp_path, capsys, text):
+        tpath = tmp_path / "t.json"
+        if text is not None:
+            tpath.write_text(text)
+        code = main(["--out", str(tmp_path / "o"), "validate", "-p", f"tuple={tpath}"])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(tpath) in err[0]
 
     def test_dense_cap_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QEX_DENSE_CAP", "3")

@@ -256,6 +256,13 @@ class TestTupleFiles:
         with pytest.raises(TupleFormatError):
             qx.load_tuple(p)
 
+    def test_unitary_flag_must_be_boolean(self, tmp_path):
+        # bool("false") is True: a string flag must not be coerced
+        p = tmp_path / "t.json"
+        p.write_text('{"n": 1, "N": 1, "unitary": "false", "matrices": [[[1, 0]]]}')
+        with pytest.raises(TupleFormatError, match="unitary"):
+            qx.load_tuple(p)
+
 
 def test_hs_inner_consistency(rng):
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
