@@ -13,7 +13,7 @@ class DenseCapExceeded(QexError, ValueError):
     """Materializing the superoperator would exceed the configured dense cap.
 
     Callers hitting this should switch to the matrix-free path
-    (``operator_norm(..., method="power")``).
+    (``operator_norm(..., method="lanczos")``).
     """
 
 

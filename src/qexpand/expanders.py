@@ -206,10 +206,9 @@ def certify(
     tol: float = 1e-10,
     method: str = "auto",
     rng=None,
-    restarts: int = 1,
 ) -> ExpanderCertificate:
     u.require_unitary()
-    rep = spectral_gap(u, method=method, tol=tol, rng=rng, restarts=restarts)
+    rep = spectral_gap(u, method=method, tol=tol, rng=rng)
     eps = min(max(1.0 - rep.value / u.n, 0.0), 1.0)
     slack = rep.value - 2.0 * math.sqrt(u.n - 1)
     return ExpanderCertificate(u, eps, slack, rep)

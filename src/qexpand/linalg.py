@@ -312,6 +312,9 @@ class MatrixTuple:
     def from_json(cls, obj: dict) -> "MatrixTuple":
         if not isinstance(obj, dict):
             raise TupleFormatError("top level must be a JSON object")
+        unknown = set(obj) - {"n", "N", "unitary", "matrices"}
+        if unknown:
+            raise TupleFormatError(f"unknown tuple keys: {sorted(unknown)}")
         for key in ("n", "N", "matrices"):
             if key not in obj:
                 raise TupleFormatError(f"tuple file missing field '{key}'")

@@ -5,6 +5,8 @@ cost O(n N^3); an explicit N^2 x N^2 matrix is only built on request (and
 under a size cap) as the dense oracle. ``restrict_h0`` composes the action
 with the projection onto the trace-zero subspace on both sides, which is
 applied analytically as xi -> xi - tr(xi)/N * I, never as a matrix.
+``operator_norm`` takes the dense SVD for small N and otherwise runs
+thick-restart Lanczos on T*T through the matrix-free action.
 """
 from __future__ import annotations
 
@@ -30,9 +32,17 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_CAP = 4096
-# Above this dimension "auto" switches from the dense SVD to power iteration.
+# Above this dimension "auto" switches from the dense SVD to Lanczos.
 AUTO_DENSE_DIM = 256
 DEFAULT_MAX_ITER = 100_000
+# Lanczos basis size and the Ritz vectors kept at a thick restart. A larger
+# basis costs more per step (one eigh of the projected matrix per apply) and
+# more memory than it saves in applies.
+LANCZOS_BASIS = 24
+LANCZOS_KEEP = 6
+# beta below this multiple of the largest ||T*T q|| seen is rounding noise:
+# the basis spans an invariant subspace.
+_BREAKDOWN = 1e-13
 
 
 def dense_cap() -> int:
@@ -136,7 +146,7 @@ def materialize(T: SuperOperator, cap: Optional[int] = None) -> np.ndarray:
     if d > limit:
         raise DenseCapExceeded(
             f"N^2 = {d} exceeds dense cap {limit}; "
-            "use operator_norm(..., method='power') instead"
+            "use operator_norm(..., method='lanczos') instead"
         )
     # sum_j kron(x_j, conj(y_j)): rows indexed (a, b), columns (c, d)
     m = np.einsum("jac,jbd->abcd", T.left.mats, T.right.mats.conj()).reshape(d, d)
@@ -151,9 +161,11 @@ def materialize(T: SuperOperator, cap: Optional[int] = None) -> np.ndarray:
 class GapReport:
     """Certified value of a superoperator norm with its witness.
 
-    ``value`` is exact for the dense method and a converged lower bound for
-    the power method, with ``residual`` = ||T*T(xi) - lambda xi||_F for the
-    normalized witness xi.
+    ``value`` is exact for the dense method; for the Lanczos method it is the
+    square root of the top Ritz value theta of T*T, a lower bound on the norm.
+    ``residual`` = ||T*T(xi) - theta xi||_F for the normalized witness xi,
+    recomputed explicitly; ``iterations`` counts the applies of T*T (1 for
+    dense).
     """
 
     value: float
@@ -190,24 +202,54 @@ def _start_vector(T: SuperOperator, gen: np.random.Generator) -> np.ndarray:
     return z / nz
 
 
-def _power_run(fwd, adj, z, tol, max_iter):
-    """Power iteration on T*T from start z; returns (value, z, residual, iters, ok)."""
-    lam = 0.0
-    prev = -math.inf
-    for k in range(1, max_iter + 1):
-        w = adj(fwd(z))
-        lam = float(np.real(np.vdot(z, w)))
-        val = math.sqrt(max(lam, 0.0))
-        nw = _frob(w)
-        if nw == 0.0:
-            return 0.0, z, 0.0, k, True
-        if abs(val - prev) < tol:
-            resid = _frob(w - lam * z)
-            return val, z, resid, k, True
-        prev = val
-        z = w / nw
-    resid = _frob(adj(fwd(z)) - lam * z)
-    return math.sqrt(max(lam, 0.0)), z, resid, max_iter, False
+def _lanczos(op, z, tol, max_iter):
+    """Top eigenpair of the Hermitian PSD map ``op`` by thick-restart Lanczos.
+
+    Runs from the unit vector z with full reorthogonalization (two classical
+    Gram-Schmidt passes against the stacked basis). When the basis holds
+    LANCZOS_BASIS vectors it restarts Krylov-Schur style from the top
+    LANCZOS_KEEP Ritz vectors plus the residual vector. Stops when the Ritz
+    residual bound beta * |y_last| falls to tol * theta, on breakdown (beta
+    negligible: the basis spans an invariant subspace), or after max_iter
+    applies. Returns (theta, x, applies, converged) with x the unit Ritz vector.
+    """
+    shape = z.shape
+    m, keep = LANCZOS_BASIS, LANCZOS_KEEP
+    Q = np.empty((m + 1, z.size), dtype=complex)
+    Q[0] = z.ravel()
+    H = np.zeros((m, m))
+    k = applies = 0
+    scale = 0.0
+    while True:
+        for j in range(k, m):
+            w = op(Q[j].reshape(shape)).ravel()
+            applies += 1
+            scale = max(scale, _frob(w))
+            basis = Q[: j + 1]
+            h = (basis @ w.conj()).conj()
+            w -= h @ basis
+            h2 = (basis @ w.conj()).conj()
+            w -= h2 @ basis
+            H[j, j] = (h[j] + h2[j]).real
+            beta = _frob(w)
+            theta, Y = np.linalg.eigh(H[: j + 1, : j + 1])
+            y = Y[:, -1]
+            converged = beta * abs(y[-1]) <= tol * theta[-1] or beta <= _BREAKDOWN * scale
+            if converged or applies >= max_iter:
+                x = y @ basis
+                return float(theta[-1]), (x / _frob(x)).reshape(shape), applies, converged
+            Q[j + 1] = w / beta
+            if j + 1 < m:
+                H[j + 1, j] = H[j, j + 1] = beta
+        # Thick restart: A Q_keep = Q_keep diag(theta) + q_m (beta Y[-1])^T.
+        theta, Y = np.linalg.eigh(H)
+        Y = Y[:, -keep:]
+        Q[:keep] = Y.T @ Q[:m]
+        Q[keep] = Q[m]
+        H[:] = 0.0
+        H[np.arange(keep), np.arange(keep)] = theta[-keep:]
+        H[keep, :keep] = H[:keep, keep] = beta * Y[-1]
+        k = keep
 
 
 def operator_norm(
@@ -215,7 +257,6 @@ def operator_norm(
     method: str = "auto",
     tol: float = 1e-10,
     max_iter: int = DEFAULT_MAX_ITER,
-    restarts: int = 1,
     rng=None,
     start: Optional[np.ndarray] = None,
     witness: bool = True,
@@ -223,17 +264,18 @@ def operator_norm(
     """Operator norm of T on Hilbert-Schmidt space.
 
     method "dense" computes the exact top singular value of the materialized
-    matrix; "power" runs matrix-free power iteration on T*T, stopping when
-    the norm estimate increment drops below ``tol``, then restarts once from
-    an orthogonalized random vector and keeps the max (the spectral edge of
-    random instances is often near-degenerate). "auto" picks dense for
-    N^2 <= min(AUTO_DENSE_DIM, dense_cap()), which is N^2 <= 256 by default,
-    and power above.
+    matrix; "lanczos" runs matrix-free thick-restart Lanczos on T*T from
+    ``start`` (or a random vector drawn from ``rng``). There ``tol`` is a
+    relative Ritz residual bound on T*T: the run stops once the top Ritz pair
+    (theta, x) has ||T*T x - theta x|| <= tol * theta, or after ``max_iter``
+    applies of T*T, when the method reads "lanczos-unconverged". "auto" picks
+    dense for N^2 <= min(AUTO_DENSE_DIM, dense_cap()), which is N^2 <= 256 by
+    default, and lanczos above.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if method == "auto":
-        method = "dense" if T.dim * T.dim <= min(AUTO_DENSE_DIM, dense_cap()) else "power"
+        method = "dense" if T.dim * T.dim <= min(AUTO_DENSE_DIM, dense_cap()) else "lanczos"
     if method == "dense":
         m = materialize(T)
         if witness:
@@ -245,37 +287,28 @@ def operator_norm(
             return GapReport(val, "dense", 1, resid, xi)
         s = np.linalg.svd(m, compute_uv=False)
         return GapReport(float(s[0]), "dense", 1, 0.0, None)
-    if method != "power":
+    if method != "lanczos":
         raise ValueError(f"unknown method {method!r}")
 
-    gen = as_generator(rng)
+    z = None
+    if start is not None:
+        z = np.asarray(start, dtype=complex)
+        if T.restrict_h0:
+            z = center(z)
+        nz = _frob(z)
+        z = z / nz if nz > 0 else None
+    if z is None:
+        z = _start_vector(T, as_generator(rng))
     fwd = _applier(T)
     adj = _applier(T.adjoint())
-    best = (-math.inf, None, math.inf)
-    total_iters = 0
-    converged = True
-    z0 = start
-    for r in range(restarts + 1):
-        if z0 is None:
-            z0 = _start_vector(T, gen)
-            if best[1] is not None:  # orthogonalize restarts against the found vector
-                z0 = z0 - np.vdot(best[1], z0) * best[1]
-                nz = _frob(z0)
-                z0 = z0 / nz if nz > 0 else _start_vector(T, gen)
-        else:
-            z0 = np.asarray(z0, dtype=complex)
-            if T.restrict_h0:
-                z0 = center(z0)
-            nz = _frob(z0)
-            z0 = z0 / nz if nz > 0 else _start_vector(T, gen)
-        val, z, resid, iters, ok = _power_run(fwd, adj, z0, tol, max_iter)
-        total_iters += iters
-        converged = converged and ok
-        if val > best[0]:
-            best = (val, z, resid)
-        z0 = None
-    tag = "power" if converged else "power-unconverged"
-    return GapReport(best[0], tag, total_iters, best[2], best[1] if witness else None)
+
+    def op(a):
+        return adj(fwd(a))
+
+    theta, x, applies, converged = _lanczos(op, z, tol, max_iter)
+    resid = _frob(op(x) - theta * x)
+    tag = "lanczos" if converged else "lanczos-unconverged"
+    return GapReport(math.sqrt(max(theta, 0.0)), tag, applies, resid, x if witness else None)
 
 
 def spectral_gap(
@@ -283,7 +316,6 @@ def spectral_gap(
     method: str = "auto",
     tol: float = 1e-10,
     max_iter: int = DEFAULT_MAX_ITER,
-    restarts: int = 1,
     rng=None,
 ) -> GapReport:
     """Norm of xi -> sum_j u_j xi u_j* on the trace-zero subspace.
@@ -292,6 +324,4 @@ def spectral_gap(
     """
     u.require_unitary()
     T = SuperOperator.conjugation(u, restrict_h0=True)
-    return operator_norm(
-        T, method=method, tol=tol, max_iter=max_iter, restarts=restarts, rng=rng
-    )
+    return operator_norm(T, method=method, tol=tol, max_iter=max_iter, rng=rng)

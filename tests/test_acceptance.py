@@ -33,7 +33,7 @@ def hastings_gaps():
     for s in range(20):
         u = qx.haar_tuple(4, 100, RngSpec(1234, s).generator())
         rep = qx.spectral_gap(
-            u, method="power", tol=1e-6, rng=RngSpec(1234, s).substream(1)
+            u, method="lanczos", tol=1e-6, rng=RngSpec(1234, s).substream(1)
         )
         gaps.append(rep.value)
     return np.array(gaps), time.monotonic() - start
@@ -51,8 +51,8 @@ def test_criterion_1_oracle_equivalence():
             restrict_h0=bool(gen.integers(2)),
         )
         dense = qx.operator_norm(T, method="dense", witness=False).value
-        power = qx.operator_norm(T, method="power", tol=1e-12, rng=gen, restarts=2).value
-        assert abs(dense - power) <= 1e-6 * n
+        lanczos = qx.operator_norm(T, method="lanczos", tol=1e-12, rng=gen).value
+        assert abs(dense - lanczos) <= 1e-6 * n
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     _report(1, f"oracle equivalence, 200 instances in {elapsed:.1f}s")
@@ -76,7 +76,7 @@ def _criterion3_instances():
     Pairs (n=2) have gap exactly 2; regular-representation, common-base-phase
     and block-diagonal tuples have gap exactly n. Generic Haar tuples are
     excluded: their measured gap sits up to ~4e-3 BELOW 2 sqrt(n-1) even at
-    N=100 (converged power values), so the bound is not a per-sample truth
+    N=100 (converged Lanczos values), so the bound is not a per-sample truth
     for them; criterion 4 covers that regime from above.
     """
     # 200 Haar pairs
@@ -163,10 +163,10 @@ def test_criterion_6_separation_bound_validation():
         gen = RngSpec(6001, s).generator()
         u = qx.haar_tuple(8, 32, gen)
         v = qx.haar_tuple(8, 32, gen)
-        gu = qx.spectral_gap(u, method="power", tol=1e-8, rng=gen).value
-        gv = qx.spectral_gap(v, method="power", tol=1e-8, rng=gen).value
+        gu = qx.spectral_gap(u, method="lanczos", tol=1e-8, rng=gen).value
+        gv = qx.spectral_gap(v, method="lanczos", tol=1e-8, rng=gen).value
         eps = max(gu, gv) / 8
-        s_pair = qx.separation(u, v, method="power", tol=1e-8, rng=gen).norm_value / 8
+        s_pair = qx.separation(u, v, method="lanczos", tol=1e-8, rng=gen).norm_value / 8
         bound = qx.separation_bound(eps, s_pair, two_sided=True)
         if s_pair > bound + 1e-6:
             violations += 1
@@ -177,10 +177,10 @@ def test_criterion_6_separation_bound_validation():
     for s in range(20):
         gen = RngSpec(6002, s).generator()
         x = qx.haar_tuple(8, 32, gen)
-        gap = qx.spectral_gap(x, method="power", tol=1e-8, rng=gen).value
+        gap = qx.spectral_gap(x, method="lanczos", tol=1e-8, rng=gen).value
         eps = gap / 8
         v, attained = qx.find_norming_tuple(
-            x, restarts=2, rng=gen, norm_method="power", norm_tol=1e-9,
+            x, restarts=2, rng=gen, norm_method="lanczos", norm_tol=1e-9,
             check_orbit=False,
         )
         delta = 1e-4

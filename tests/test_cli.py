@@ -295,8 +295,10 @@ class TestMain:
             None,
             '{"n": 0, "N": 1, "matrices": []}',
             '{"n": -1, "N": 1, "matrices": [[[1, 0]]]}',
+            '{"n": 1, "N": 1, "unitray": true, "matrices": [[[1, 0]]]}',
         ],
-        ids=["string-entries", "nan-entries", "missing-file", "n-zero", "n-negative"],
+        ids=["string-entries", "nan-entries", "missing-file", "n-zero", "n-negative",
+             "unknown-key"],
     )
     def test_bad_tuple_file_is_one_line_error(self, tmp_path, capsys, text):
         tpath = tmp_path / "t.json"

@@ -62,7 +62,7 @@ class TestSeparation:
             gen = RngSpec(555, s).generator()
             u = qx.haar_tuple(8, 32, gen)
             v = qx.haar_tuple(8, 32, gen)
-            rep = qx.separation(u, v, method="power", tol=1e-8, rng=gen)
+            rep = qx.separation(u, v, method="lanczos", tol=1e-8, rng=gen)
             hits += rep.delta > 0.2
         assert hits >= 9
 
@@ -184,13 +184,13 @@ class TestBoundFormulas:
         gen = RngSpec(43, 0).generator()
         u = qx.haar_tuple(8, 32, gen)
         v = qx.haar_tuple(8, 32, gen)
-        gu = qx.certify(u, tol=1e-8, method="power", rng=gen).gap.value
-        gv = qx.certify(v, tol=1e-8, method="power", rng=gen).gap.value
+        gu = qx.certify(u, tol=1e-8, method="lanczos", rng=gen).gap.value
+        gv = qx.certify(v, tol=1e-8, method="lanczos", rng=gen).gap.value
         eps = max(gu, gv) / 8
-        s = qx.separation(u, v, method="power", tol=1e-8, rng=gen).norm_value / 8
+        s = qx.separation(u, v, method="lanczos", tol=1e-8, rng=gen).norm_value / 8
         # the converse direction certifies d' >= sqrt(2n(1-s))
         bound = qx.separation_from_distance(
-            u, v, eps=eps, eps_prime=s, method="power", tol=1e-8, rng=gen
+            u, v, eps=eps, eps_prime=s, method="lanczos", tol=1e-8, rng=gen
         )
         assert s <= bound + 1e-6
 

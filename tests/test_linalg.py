@@ -263,6 +263,13 @@ class TestTupleFiles:
         with pytest.raises(TupleFormatError, match="unitary"):
             qx.load_tuple(p)
 
+    def test_unknown_key_rejected(self, tmp_path):
+        # a misspelt flag must not load silently as unitary=False
+        p = tmp_path / "t.json"
+        p.write_text('{"n": 1, "N": 1, "unitray": true, "matrices": [[[1, 0]]]}')
+        with pytest.raises(TupleFormatError, match=r"unknown tuple keys: \['unitray'\]"):
+            qx.load_tuple(p)
+
 
 def test_hs_inner_consistency(rng):
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

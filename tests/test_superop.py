@@ -6,7 +6,7 @@ import pytest
 import qexpand as qx
 from qexpand.errors import DenseCapExceeded, DimensionMismatch
 from qexpand.linalg import RngSpec
-from qexpand.superop import center, dense_cap
+from qexpand.superop import LANCZOS_BASIS, center, dense_cap
 
 from conftest import identity_tuple, random_tuple
 
@@ -84,18 +84,28 @@ class TestOperatorNorm:
         assert rep.value == pytest.approx(2.0, abs=1e-10)
 
     def test_pauli_restricted_zero(self, pauli):
-        for method in ("dense", "power"):
+        for method in ("dense", "lanczos"):
             T = qx.SuperOperator.conjugation(pauli)
             assert qx.operator_norm(T, method=method).value < 1e-10
 
-    def test_power_matches_dense_haar(self):
+    def test_lanczos_matches_dense_haar(self):
         u = qx.haar_tuple(8, 32, RngSpec(21, 0).generator())
         T = qx.SuperOperator.conjugation(u)
         dense = qx.operator_norm(T, method="dense", witness=False).value
-        power = qx.operator_norm(
-            T, method="power", tol=1e-10, rng=RngSpec(21, 1).generator(), restarts=2
-        ).value
-        assert abs(dense - power) < 1e-6
+        tol = 1e-10
+        rep = qx.operator_norm(T, method="lanczos", tol=tol, rng=RngSpec(21, 1).generator())
+        assert abs(dense - rep.value) < 1e-9
+        assert rep.iterations > LANCZOS_BASIS  # the thick restart ran
+        assert rep.residual <= 10 * tol * rep.value**2
+
+    def test_lanczos_warm_start_from_witness(self):
+        u = qx.haar_tuple(8, 32, RngSpec(21, 0).generator())
+        T = qx.SuperOperator.conjugation(u)
+        rep = qx.operator_norm(T, method="lanczos", rng=RngSpec(21, 1).generator())
+        warm = qx.operator_norm(T, method="lanczos", start=rep.top_vector)
+        assert warm.method == "lanczos"
+        assert warm.iterations <= 2
+        assert warm.value == pytest.approx(rep.value, abs=1e-12)
 
     def test_oracle_equivalence_batch(self):
         gen = np.random.default_rng(77)
@@ -106,20 +116,20 @@ class TestOperatorNorm:
             t2 = random_tuple(n, N, gen)
             T = qx.SuperOperator(t1, t2, restrict_h0=bool(gen.integers(2)))
             d = qx.operator_norm(T, method="dense", witness=False).value
-            p = qx.operator_norm(T, method="power", tol=1e-12, rng=gen, restarts=2).value
+            p = qx.operator_norm(T, method="lanczos", tol=1e-12, rng=gen).value
             assert abs(d - p) <= 1e-6 * n
 
     def test_witness_reproduces_value(self, rng):
         T = qx.SuperOperator(random_tuple(3, 4, rng), random_tuple(3, 4, rng), restrict_h0=True)
-        rep = qx.operator_norm(T, method="power", tol=1e-12, rng=rng)
+        rep = qx.operator_norm(T, method="lanczos", tol=1e-12, rng=rng)
         xi = rep.top_vector
         attained = np.linalg.norm(qx.apply(T, xi)) / np.linalg.norm(xi)
         assert attained >= rep.value - rep.residual - 1e-9
 
     def test_unconverged_tag(self, rng):
         T = qx.SuperOperator(random_tuple(2, 6, rng), random_tuple(2, 6, rng))
-        rep = qx.operator_norm(T, method="power", tol=1e-16, max_iter=3, rng=rng, restarts=0)
-        assert rep.method == "power-unconverged"
+        rep = qx.operator_norm(T, method="lanczos", tol=1e-16, max_iter=3, rng=rng)
+        assert rep.method == "lanczos-unconverged"
         assert rep.value > 0
 
     def test_bad_method(self, rng):
