@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DenseCapExceeded
 from .linalg import MatrixTuple, RngSpec, sample_ginibre, sample_haar_unitary
-from .superop import SuperOperator, dense_cap, operator_norm
+from .superop import SuperOperator, materialize, operator_norm
 
 __all__ = [
     "MomentReport",
@@ -42,7 +42,6 @@ class MomentReport:
     mean_norm: float
     std_norm: float
     values: tuple[float, ...] = field(repr=False, default=())
-    comparison: Optional[float] = None
     ratio: Optional[float] = None
     rhs: Optional[float] = None
     seed: Optional[RngSpec] = None
@@ -55,8 +54,6 @@ class MomentReport:
             "mean_norm": float(self.mean_norm),
             "std_norm": float(self.std_norm),
         }
-        if self.comparison is not None:
-            out["comparison"] = float(self.comparison)
         if self.ratio is not None:
             out["ratio"] = float(self.ratio)
         if self.rhs is not None:
@@ -66,37 +63,59 @@ class MomentReport:
         return out
 
 
-def _sum_norm_report(coeffs, N, samples, rng, method, tol, draw) -> MomentReport:
+def _sum_norm_report(coeffs, a, N, samples, rng, method, tol, draw) -> MomentReport:
     """Norm statistics of one random superoperator per sample index.
 
     ``draw(s, a)`` builds sample s's operator from the coefficients ``a``
-    (shape (n, 1, 1)) out of its own RNG substreams and returns it with the
+    (shape (n, k, k)) out of its own RNG substreams and returns it with the
     generator its norm solver draws from.
     """
-    coeffs = tuple(complex(c) for c in coeffs)
-    if not coeffs:
-        raise ValueError("coeffs must be nonempty")
     if samples < 10:
         raise ValueError(f"need at least 10 samples, got {samples}")
-    n = len(coeffs)
-    a = np.asarray(coeffs).reshape(n, 1, 1)
     vals = []
     for s in range(samples):
         T, gen = draw(s, a)
         vals.append(operator_norm(T, method=method, tol=tol, rng=gen, witness=False).value)
     vals = np.array(vals)
-    l2 = math.sqrt(sum(abs(c) ** 2 for c in coeffs))
     return MomentReport(
-        n=n,
+        n=len(a),
         N=N,
         coeffs=coeffs,
         samples=samples,
         mean_norm=float(vals.mean()),
         std_norm=float(vals.std(ddof=1)),
         values=tuple(float(v) for v in vals),
-        ratio=float(vals.mean() / l2) if l2 > 0 else None,
         seed=rng,
     )
+
+
+def _scalar_report(coeffs, N, samples, rng, method, tol, draw) -> MomentReport:
+    """``_sum_norm_report`` for scalar coefficients, with ratio = mean / ||a||_2."""
+    coeffs = tuple(complex(c) for c in coeffs)
+    if not coeffs:
+        raise ValueError("coeffs must be nonempty")
+    a = np.asarray(coeffs).reshape(-1, 1, 1)
+    rep = _sum_norm_report(coeffs, a, N, samples, rng, method, tol, draw)
+    l2 = math.sqrt(sum(abs(c) ** 2 for c in coeffs))
+    rep.ratio = rep.mean_norm / l2 if l2 > 0 else None
+    return rep
+
+
+def _unitary_draw(rng: RngSpec, N: int):
+    """Sample s: xi -> sum_j (a_j (x) U_j) xi U_j* on the blockwise trace-zero space.
+
+    The U_j are Haar unitaries drawn in order from substream (2, s).
+    """
+
+    def draw(s, a):
+        gen = rng.substream(2, s)
+        u = np.stack([sample_haar_unitary(N, gen) for _ in range(len(a))])
+        n, k = a.shape[:2]
+        left = (a[:, :, None, :, None] * u[:, None, :, None, :]).reshape(n, k * N, k * N)
+        T = SuperOperator(MatrixTuple(left), MatrixTuple(u, unitary=True), restrict_h0=True)
+        return T, gen
+
+    return draw
 
 
 def unitary_sum_norm(
@@ -108,16 +127,7 @@ def unitary_sum_norm(
     tol: float = 1e-8,
 ) -> MomentReport:
     """Norm statistics of sum_j a_j U_j (x) conj(U_j) on the trace-zero space."""
-
-    def draw(s, a):
-        gen = rng.substream(2, s)
-        u = np.stack([sample_haar_unitary(N, gen) for _ in range(len(a))])
-        T = SuperOperator(
-            MatrixTuple(a * u), MatrixTuple(u, unitary=True), restrict_h0=True
-        )
-        return T, gen
-
-    return _sum_norm_report(coeffs, N, samples, rng, method, tol, draw)
+    return _scalar_report(coeffs, N, samples, rng, method, tol, _unitary_draw(rng, N))
 
 
 def gaussian_decoupled_norm(
@@ -137,7 +147,7 @@ def gaussian_decoupled_norm(
         yp = np.stack([sample_ginibre(N, gen_yp) for _ in range(len(a))])
         return SuperOperator(MatrixTuple(a * y), MatrixTuple(yp)), gen_y
 
-    return _sum_norm_report(coeffs, N, samples, rng, method, tol, draw)
+    return _scalar_report(coeffs, N, samples, rng, method, tol, draw)
 
 
 def bootstrap_mean_ci(
@@ -235,8 +245,8 @@ def twirl_identity_check(N: int, samples: int, rng: RngSpec, cap: int = 8) -> Tw
     while done < samples:
         take = min(batch, samples - done)
         gen = rng.substream(0, chunk_idx)
-        ys = np.stack([sample_ginibre(N, gen) for _ in range(take)])
-        acc += np.einsum("sac,sbd->abcd", ys, ys.conj()).reshape(d, d)
+        ys = MatrixTuple(np.stack([sample_ginibre(N, gen) for _ in range(take)]))
+        acc += materialize(SuperOperator(ys, ys))
         done += take
         chunk_idx += 1
     est = acc / samples
@@ -255,51 +265,21 @@ def matrix_coefficient_sum(
 ) -> MomentReport:
     """Norm statistics of sum_j a_j (x) U_j (x) conj(U_j) (1-P) with k x k blocks a_j.
 
-    Materializes the k N^2-dimensional matrix, so k N^2 must stay under the
-    dense cap. Records the Gaussian-comparison right-hand side
+    Each sample is the block superoperator xi -> sum_j (a_j (x) U_j) xi U_j*
+    on the kN x N matrices with trace-zero blocks, solved like the scalar
+    sums. Records the Gaussian-comparison right-hand side
     max(|sum a*a|, |sum a a*|)^(1/2) for headroom checks. With k = 1 this
-    reduces exactly to the scalar unitary sum.
+    is exactly the scalar unitary sum: same draws, same operator.
     """
-    mats = [np.asarray(a, dtype=complex) for a in coeff_mats]
+    mats = tuple(np.asarray(a, dtype=complex) for a in coeff_mats)
     if not mats:
         raise ValueError("coeff_mats must be nonempty")
     k = mats[0].shape[0]
-    for a in mats:
-        if a.shape != (k, k):
-            raise ValueError("all coefficient blocks must be square of equal size")
-    if samples < 10:
-        raise ValueError(f"need at least 10 samples, got {samples}")
-    d = N * N
-    if k * d > dense_cap():
-        raise DenseCapExceeded(
-            f"k*N^2 = {k * d} exceeds dense cap {dense_cap()}"
-        )
-    n = len(mats)
-    v = np.eye(N, dtype=complex).reshape(-1) / math.sqrt(N)
-    q = np.eye(d, dtype=complex) - np.outer(v, v.conj())
-
-    def one(s: int) -> float:
-        # same stream and draw order as the scalar path, so k = 1 agrees exactly
-        gen = rng.substream(2, s)
-        total = np.zeros((k * d, k * d), dtype=complex)
-        for a in mats:
-            u = sample_haar_unitary(N, gen)
-            ku = np.kron(u, u.conj()) @ q
-            total += np.kron(a, ku)
-        return float(np.linalg.svd(total, compute_uv=False)[0])
-
-    vals = np.array([one(s) for s in range(samples)])
+    if any(a.shape != (k, k) for a in mats):
+        raise ValueError("all coefficient blocks must be square of equal size")
+    draw = _unitary_draw(rng, N)
+    rep = _sum_norm_report(mats, np.stack(mats), N, samples, rng, "auto", 1e-8, draw)
     sq1 = np.linalg.svd(sum(a.conj().T @ a for a in mats), compute_uv=False)[0]
     sq2 = np.linalg.svd(sum(a @ a.conj().T for a in mats), compute_uv=False)[0]
-    rhs = math.sqrt(max(float(sq1), float(sq2)))
-    return MomentReport(
-        n=n,
-        N=N,
-        coeffs=tuple(mats),
-        samples=samples,
-        mean_norm=float(vals.mean()),
-        std_norm=float(vals.std(ddof=1)),
-        values=tuple(float(x) for x in vals),
-        rhs=rhs,
-        seed=rng,
-    )
+    rep.rhs = math.sqrt(max(float(sq1), float(sq2)))
+    return rep

@@ -1,12 +1,15 @@
 """Superoperators T(xi) = sum_j x_j xi y_j* on Hilbert-Schmidt space.
 
-The operator is held as a pair of matrix tuples and applied matrix-free at
-cost O(n N^3); an explicit N^2 x N^2 matrix is only built on request (and
-under a size cap) as the dense oracle. ``restrict_h0`` composes the action
-with the projection onto the trace-zero subspace on both sides, which is
-applied analytically as xi -> xi - tr(xi)/N * I, never as a matrix.
-``operator_norm`` takes the dense SVD for small N and otherwise runs
-thick-restart Lanczos on T*T through the matrix-free action.
+The operator acts on (kN x N) matrices xi, read as k stacked N x N blocks:
+the x_j are kN x kN and the y_j are N x N, so a left member a (x) u maps the
+blocks as a (x) (u . u*). k = 1 is the square case. The operator is held as a
+pair of matrix tuples and applied matrix-free at cost O(n k^2 N^3); an
+explicit kN^2 x kN^2 matrix is only built on request (and under a size cap)
+as the dense oracle. ``restrict_h0`` composes the action with the projection
+onto the blockwise trace-zero subspace on both sides, which is applied
+analytically as xi_b -> xi_b - tr(xi_b)/N * I on every block, never as a
+matrix. ``operator_norm`` takes the dense SVD for small kN^2 and otherwise
+runs thick-restart Lanczos on T*T through the matrix-free action.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DenseCapExceeded, DimensionMismatch
-from .linalg import MatrixTuple, as_generator, as_square_matrix
+from .linalg import MatrixTuple, as_generator
 
 __all__ = [
     "SuperOperator",
@@ -61,14 +64,17 @@ def dense_cap() -> int:
 
 @dataclass(frozen=True)
 class SuperOperator:
-    """T = sum_j left_j (.) right_j*, optionally restricted to the trace-zero subspace."""
+    """T = sum_j left_j (.) right_j*, optionally restricted to the trace-zero subspace.
+
+    left members are kN x kN and right members N x N; T acts on kN x N matrices.
+    """
 
     left: MatrixTuple
     right: MatrixTuple
     restrict_h0: bool = False
 
     def __post_init__(self):
-        if self.left.n != self.right.n or self.left.dim != self.right.dim:
+        if self.left.n != self.right.n or self.left.dim % self.right.dim:
             raise DimensionMismatch(
                 f"left tuple is ({self.left.n}, {self.left.dim}), "
                 f"right is ({self.right.n}, {self.right.dim})"
@@ -84,8 +90,9 @@ class SuperOperator:
         return self.left.n
 
     @property
-    def dim(self) -> int:
-        return self.left.dim
+    def shape(self) -> tuple[int, int]:
+        """Shape (kN, N) of the matrices T acts on."""
+        return self.left.dim, self.right.dim
 
     def adjoint(self) -> "SuperOperator":
         """Adjoint with respect to the Hilbert-Schmidt inner product."""
@@ -95,11 +102,11 @@ class SuperOperator:
 
 
 def center(xi: np.ndarray) -> np.ndarray:
-    """Project onto the trace-zero subspace: xi - tr(xi)/N * I."""
-    a = np.asarray(xi, dtype=complex)
-    out = a.copy()
-    t = np.trace(a) / a.shape[0]
-    out[np.diag_indices(a.shape[0])] -= t
+    """Project each N x N block of a kN x N matrix onto the trace-zero subspace."""
+    out = np.array(xi, dtype=complex, order="C")
+    N = out.shape[1]
+    diag = out.reshape(-1, N * N)[:, :: N + 1]
+    diag -= np.trace(out.reshape(-1, N, N), axis1=1, axis2=2)[:, None] / N
     return out
 
 
@@ -109,8 +116,8 @@ def _applier(T: SuperOperator):
     sum_j x_j a y_j* = [x_1 a | ... | x_n a] @ [y_1*; ...; y_n*] after
     stacking the x_j vertically and the y_j* vertically.
     """
-    n, N = T.n, T.dim
-    left_stack = np.ascontiguousarray(T.left.mats.reshape(n * N, N))
+    n, (R, N) = T.n, T.shape
+    left_stack = np.ascontiguousarray(T.left.mats.reshape(n * R, R))
     right_adj_stack = np.ascontiguousarray(
         T.right.mats.conj().transpose(0, 2, 1).reshape(n * N, N)
     )
@@ -119,8 +126,8 @@ def _applier(T: SuperOperator):
     def f(a: np.ndarray) -> np.ndarray:
         if restrict:
             a = center(a)
-        w = (left_stack @ a).reshape(n, N, N)
-        out = w.transpose(1, 0, 2).reshape(N, n * N) @ right_adj_stack
+        w = (left_stack @ a).reshape(n, R, N)
+        out = w.transpose(1, 0, 2).reshape(R, n * N) @ right_adj_stack
         if restrict:
             out = center(out)
         return out
@@ -129,30 +136,35 @@ def _applier(T: SuperOperator):
 
 
 def apply(T: SuperOperator, xi) -> np.ndarray:
-    """Evaluate T(xi) matrix-free; cost O(n N^3)."""
-    a = as_square_matrix(xi, "xi")
-    if a.shape[0] != T.dim:
-        raise DimensionMismatch(f"xi has dim {a.shape[0]}, operator has {T.dim}")
+    """Evaluate T(xi) matrix-free; cost O(n k^2 N^3)."""
+    a = np.asarray(xi, dtype=complex)
+    if a.shape != T.shape:
+        raise DimensionMismatch(f"xi has shape {a.shape}, operator acts on {T.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("xi contains non-finite entries")
     return _applier(T)(a)
 
 
 def materialize(T: SuperOperator, cap: Optional[int] = None) -> np.ndarray:
-    """Dense N^2 x N^2 matrix acting on row-major vec(xi).
+    """Dense kN^2 x kN^2 matrix acting on row-major vec(xi).
 
     Raises DenseCapExceeded beyond the cap; use the matrix-free path there.
     """
     limit = dense_cap() if cap is None else cap
-    d = T.dim * T.dim
+    R, N = T.shape
+    d = R * N
     if d > limit:
         raise DenseCapExceeded(
-            f"N^2 = {d} exceeds dense cap {limit}; "
+            f"kN^2 = {d} exceeds dense cap {limit}; "
             "use operator_norm(..., method='lanczos') instead"
         )
     # sum_j kron(x_j, conj(y_j)): rows indexed (a, b), columns (c, d)
     m = np.einsum("jac,jbd->abcd", T.left.mats, T.right.mats.conj()).reshape(d, d)
     if T.restrict_h0:
-        v = np.eye(T.dim, dtype=complex).reshape(-1) / math.sqrt(T.dim)
-        q = np.eye(d, dtype=complex) - np.outer(v, v.conj())
+        v = np.eye(N, dtype=complex).reshape(-1) / math.sqrt(N)
+        q = np.eye(d, dtype=complex)
+        for b in range(0, d, N * N):  # I - I_k (x) vv*
+            q[b : b + N * N, b : b + N * N] -= np.outer(v, v.conj())
         m = q @ m @ q
     return m
 
@@ -188,18 +200,10 @@ def _frob(a: np.ndarray) -> float:
 
 
 def _start_vector(T: SuperOperator, gen: np.random.Generator) -> np.ndarray:
-    N = T.dim
-    z = gen.standard_normal((N, N)) + 1j * gen.standard_normal((N, N))
+    z = gen.standard_normal(T.shape) + 1j * gen.standard_normal(T.shape)
     if T.restrict_h0:
         z = center(z)
-    nz = _frob(z)
-    if nz == 0.0:  # vanishing draw is measure zero; fall back to a basis element
-        z = np.zeros((N, N), dtype=complex)
-        z[0, (1 if T.restrict_h0 and N > 1 else 0)] = 1.0
-        if T.restrict_h0:
-            z = center(z)
-        nz = _frob(z)
-    return z / nz
+    return z / _frob(z)
 
 
 def _lanczos(op, z, tol, max_iter):
@@ -269,19 +273,21 @@ def operator_norm(
     relative Ritz residual bound on T*T: the run stops once the top Ritz pair
     (theta, x) has ||T*T x - theta x|| <= tol * theta, or after ``max_iter``
     applies of T*T, when the method reads "lanczos-unconverged". "auto" picks
-    dense for N^2 <= min(AUTO_DENSE_DIM, dense_cap()), which is N^2 <= 256 by
-    default, and lanczos above.
+    dense for kN^2 <= min(AUTO_DENSE_DIM, dense_cap()), which is kN^2 <= 256 by
+    default, and lanczos above. A restricted T with N = 1 acts on {0}; Lanczos
+    reports value 0 there without a witness.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    R, N = T.shape
     if method == "auto":
-        method = "dense" if T.dim * T.dim <= min(AUTO_DENSE_DIM, dense_cap()) else "lanczos"
+        method = "dense" if R * N <= min(AUTO_DENSE_DIM, dense_cap()) else "lanczos"
     if method == "dense":
         m = materialize(T)
         if witness:
             _, s, vh = np.linalg.svd(m)
             val = float(s[0])
-            xi = vh[0].conj().reshape(T.dim, T.dim)
+            xi = vh[0].conj().reshape(R, N)
             w = apply(T.adjoint(), apply(T, xi))
             resid = _frob(w - val * val * xi)
             return GapReport(val, "dense", 1, resid, xi)
@@ -289,6 +295,8 @@ def operator_norm(
         return GapReport(float(s[0]), "dense", 1, 0.0, None)
     if method != "lanczos":
         raise ValueError(f"unknown method {method!r}")
+    if T.restrict_h0 and N == 1:
+        return GapReport(0.0, "lanczos", 0, 0.0, None)
 
     z = None
     if start is not None:

@@ -10,14 +10,17 @@ from qexpand.errors import TupleFormatError
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
-shapes = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
+# (n, N, block factor k, seed): the operator acts on kN x N matrices
+shapes = st.tuples(
+    st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1)
+)
 
 
-def _operator(n, N, seed, restrict_h0):
+def _operator(n, N, k, seed, restrict_h0):
     gen = np.random.default_rng(seed)
     x, y, xi, eta = (
         gen.standard_normal(s) + 1j * gen.standard_normal(s)
-        for s in ((n, N, N), (n, N, N), (N, N), (N, N))
+        for s in ((n, k * N, k * N), (n, N, N), (k * N, N), (k * N, N))
     )
     return qx.SuperOperator(qx.MatrixTuple(x), qx.MatrixTuple(y), restrict_h0), xi, eta
 

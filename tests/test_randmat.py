@@ -118,11 +118,12 @@ class TestTwirl:
 
 class TestMatrixCoefficientSum:
     def test_k1_reduces_to_scalar_path(self):
-        scalar = qx.unitary_sum_norm([1.0, 0.7], 4, 10, RngSpec(15, 0))
-        matrix = qx.matrix_coefficient_sum(
-            [np.eye(1), 0.7 * np.eye(1)], 4, 10, RngSpec(15, 0)
-        )
-        assert np.allclose(np.array(matrix.values), np.array(scalar.values), atol=1e-8)
+        for N in (4, 17):  # dense and Lanczos path
+            scalar = qx.unitary_sum_norm([1.0, 0.7], N, 10, RngSpec(15, 0))
+            matrix = qx.matrix_coefficient_sum(
+                [np.eye(1), 0.7 * np.eye(1)], N, 10, RngSpec(15, 0)
+            )
+            assert matrix.values == scalar.values
 
     def test_diagonal_cells(self):
         n = 3
@@ -138,9 +139,23 @@ class TestMatrixCoefficientSum:
         b = qx.matrix_coefficient_sum([2 * np.eye(2), 2 * np.eye(2)], 3, 10, RngSpec(17, 0))
         assert np.allclose(np.array(b.values), 2 * np.array(a.values), atol=1e-9)
 
-    def test_cap(self):
-        with pytest.raises(DenseCapExceeded):
-            qx.matrix_coefficient_sum([np.eye(8)], 64, 10, RngSpec(1, 0))
+    def test_block_identity_beyond_old_dense_cap(self):
+        # k N^2 = 32768: I_8 (x) U (x) conj(U) is unitary on the trace-zero blocks
+        rep = qx.matrix_coefficient_sum([np.eye(8)], 64, 10, RngSpec(1, 0))
+        assert np.abs(np.array(rep.values) - 1.0).max() <= 1e-12
+
+    def test_matrix_free_matches_kronecker_oracle(self):
+        # k N^2 = 288 runs Lanczos; the oracle is the explicit Kronecker sum
+        k, N, rng = 2, 12, RngSpec(22, 0)
+        blocks = [np.eye(k), np.array([[0.3, 1.0], [-0.5j, 0.8]])]
+        rep = qx.matrix_coefficient_sum(blocks, N, 10, rng)
+        v = np.eye(N).reshape(-1) / math.sqrt(N)
+        q = np.eye(N * N) - np.outer(v, v)
+        for s, value in enumerate(rep.values):
+            gen = rng.substream(2, s)
+            us = [qx.sample_haar_unitary(N, gen) for _ in blocks]
+            total = sum(np.kron(a, np.kron(u, u.conj()) @ q) for a, u in zip(blocks, us))
+            assert value == pytest.approx(np.linalg.svd(total, compute_uv=False)[0], abs=1e-8)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

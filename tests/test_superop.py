@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,14 @@ class TestOperatorNorm:
         for method in ("dense", "lanczos"):
             T = qx.SuperOperator.conjugation(pauli)
             assert qx.operator_norm(T, method=method).value < 1e-10
+
+    def test_n1_restricted_is_zero_for_both_methods(self):
+        # at N = 1 the trace-zero space is {0}
+        T = qx.SuperOperator.conjugation(qx.MatrixTuple(np.ones((1, 1, 1)), unitary=True))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for method in ("dense", "lanczos"):
+                assert qx.operator_norm(T, method=method).value == 0.0
 
     def test_lanczos_matches_dense_haar(self):
         u = qx.haar_tuple(8, 32, RngSpec(21, 0).generator())
