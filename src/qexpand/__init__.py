@@ -50,7 +50,6 @@ from .linalg import (
     polar_unitary,
     sample_ginibre,
     sample_haar_unitary,
-    sample_haar_unitary_qr,
     save_tuple,
     svd,
     trace_norm,
@@ -60,7 +59,6 @@ from .packing import (
     PackingFamily,
     greedy_cover,
     greedy_pack,
-    greedy_packing_count,
     net_size_bound,
     packing_upper_bound,
     subgaussian_tail_check,

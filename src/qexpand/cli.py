@@ -436,13 +436,18 @@ def _cmd_appendix(cfg, out):
     coeffs = _parse_coeffs(_get(cfg, "coeffs", None), n)
     if experiment in ("dominance", "hastings"):
         uni = unitary_sum_norm(coeffs, N, samples, cfg.seed.stream(1))
-        summary = {"unitary_mean": uni.mean_norm, "unitary_std": uni.std_norm}
+        summary = {
+            "unitary_mean": uni.mean_norm,
+            "unitary_std": uni.std_norm,
+            "unconverged": uni.unconverged,
+        }
         rows = [["sample", "unitary_norm"]] + [
             [i, _g17(v)] for i, v in enumerate(uni.values)
         ]
         if experiment == "dominance":
             gau = gaussian_decoupled_norm(coeffs, N, samples, cfg.seed.stream(2))
             lo, hi = bootstrap_mean_ci(uni.values, cfg.seed.substream(9))
+            summary["unconverged"] += gau.unconverged
             summary.update(
                 {
                     "gaussian_mean": gau.mean_norm,
@@ -465,7 +470,7 @@ def _cmd_appendix(cfg, out):
         rep = matrix_coefficient_sum(blocks, N, samples, cfg.seed)
         path = out / "matrix_coeff.json"
         _write_json(path, rep.to_json())
-        return [path], {"mean_norm": rep.mean_norm, "rhs": rep.rhs}
+        return [path], {"mean_norm": rep.mean_norm, "rhs": rep.rhs, "unconverged": rep.unconverged}
     raise ConfigError(f"unknown appendix experiment {experiment!r}")
 
 

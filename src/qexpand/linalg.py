@@ -23,7 +23,6 @@ __all__ = [
     "as_generator",
     "as_square_matrix",
     "normalized_trace",
-    "hs_inner",
     "hs_norm",
     "svd",
     "polar_unitary",
@@ -31,7 +30,6 @@ __all__ = [
     "spectral_norm",
     "sample_ginibre",
     "sample_haar_unitary",
-    "sample_haar_unitary_qr",
     "ginibre_singular_mean",
     "load_tuple",
     "save_tuple",
@@ -57,16 +55,6 @@ def normalized_trace(m) -> complex:
     """Trace divided by the dimension, so the identity has trace one."""
     a = as_square_matrix(m)
     return complex(np.trace(a)) / a.shape[0]
-
-
-def hs_inner(a, b, normalized: bool = True) -> complex:
-    """Hilbert-Schmidt inner product tr(a b*), divided by N when normalized."""
-    x = as_square_matrix(a, "a")
-    y = as_square_matrix(b, "b")
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"shape mismatch {x.shape} vs {y.shape}")
-    val = complex(np.vdot(y, x))  # tr(y* x) = tr(x y*)
-    return val / x.shape[0] if normalized else val
 
 
 def hs_norm(m, normalized: bool = True) -> float:
@@ -179,20 +167,6 @@ def sample_ginibre(N: int, rng=None) -> np.ndarray:
 def sample_haar_unitary(N: int, rng=None) -> np.ndarray:
     """Haar-distributed unitary: the polar factor of a Ginibre matrix."""
     return polar_unitary(sample_ginibre(N, rng))
-
-
-def sample_haar_unitary_qr(N: int, rng=None) -> np.ndarray:
-    """Haar unitary via QR with the R-diagonal phase fix.
-
-    Independent construction kept as a cross-check oracle for the polar route.
-    """
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
-    g = as_generator(rng)
-    x = (g.standard_normal((N, N)) + 1j * g.standard_normal((N, N))) / math.sqrt(2)
-    q, r = np.linalg.qr(x)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 def ginibre_singular_mean(N: int, samples: int, rng=None) -> float:

@@ -27,7 +27,6 @@ __all__ = [
     "TailReport",
     "greedy_pack",
     "greedy_cover",
-    "greedy_packing_count",
     "packing_upper_bound",
     "net_size_bound",
     "subgaussian_tail_check",
@@ -237,18 +236,6 @@ def greedy_cover(
         center_indices=centers,
         max_assignment_distance=float(np.max(to_cover)),
     )
-
-
-def greedy_packing_count(
-    points: list[MatrixTuple], min_dist: float, metric: str = "d", rng=None
-) -> int:
-    """Size of the online maximal sub-family at pairwise distance >= min_dist."""
-    dist = _metric_fn(metric, 6, rng)
-    kept: list[MatrixTuple] = []
-    for p in points:
-        if all(dist(p, q) >= min_dist for q in kept):
-            kept.append(p)
-    return len(kept)
 
 
 def packing_upper_bound(n: int, N: int, delta: float) -> float:

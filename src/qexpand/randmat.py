@@ -33,7 +33,11 @@ __all__ = [
 
 @dataclass
 class MomentReport:
-    """Mean/std of a random matrix-sum norm over independent samples."""
+    """Mean/std of a random matrix-sum norm over independent samples.
+
+    ``unconverged`` counts the samples whose Lanczos solve stopped at its
+    iteration cap, so that their values are only lower bounds.
+    """
 
     n: int
     N: int
@@ -45,6 +49,7 @@ class MomentReport:
     ratio: Optional[float] = None
     rhs: Optional[float] = None
     seed: Optional[RngSpec] = None
+    unconverged: int = 0
 
     def to_json(self) -> dict:
         out = {
@@ -53,6 +58,7 @@ class MomentReport:
             "samples": self.samples,
             "mean_norm": float(self.mean_norm),
             "std_norm": float(self.std_norm),
+            "unconverged": self.unconverged,
         }
         if self.ratio is not None:
             out["ratio"] = float(self.ratio)
@@ -73,9 +79,12 @@ def _sum_norm_report(coeffs, a, N, samples, rng, method, tol, draw) -> MomentRep
     if samples < 10:
         raise ValueError(f"need at least 10 samples, got {samples}")
     vals = []
+    unconverged = 0
     for s in range(samples):
         T, gen = draw(s, a)
-        vals.append(operator_norm(T, method=method, tol=tol, rng=gen, witness=False).value)
+        rep = operator_norm(T, method=method, tol=tol, rng=gen, witness=False)
+        vals.append(rep.value)
+        unconverged += rep.method == "lanczos-unconverged"
     vals = np.array(vals)
     return MomentReport(
         n=len(a),
@@ -86,6 +95,7 @@ def _sum_norm_report(coeffs, a, N, samples, rng, method, tol, draw) -> MomentRep
         std_norm=float(vals.std(ddof=1)),
         values=tuple(float(v) for v in vals),
         seed=rng,
+        unconverged=unconverged,
     )
 
 

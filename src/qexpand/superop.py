@@ -35,14 +35,37 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_CAP = 4096
-# Above this dimension "auto" switches from the dense SVD to Lanczos.
-AUTO_DENSE_DIM = 256
+# Above this kN^2 "auto" switches from the dense SVD to Lanczos. Median ms
+# per operator_norm call (8 operators, 3 timings each, tol=1e-8, one BLAS
+# thread on a 2-vCPU Xeon), dense / Lanczos; U = restricted Haar unitary
+# sums, G = unrestricted Ginibre sums, w = with witness:
+#
+#   kN^2 (k, N)    U n=4       U n=8       U n=8 w      G n=8       G n=8 w
+#   121  (1, 11)   3.6 / 5.9   4.1 / 5.6   7.9 / 5.4    2.7 / 2.3   5.7 / 2.2
+#   144  (1, 12)   5.5 / 6.6   5.6 / 5.8   10.2 / 5.7   4.2 / 2.4   8.0 / 2.4
+#   162  (2, 9)    6.6 / 5.2   6.4 / 4.7   11.3 / 4.6   5.5 / 3.0   10.6 / 3.1
+#   169  (1, 13)   7.4 / 6.9   7.7 / 6.0   14.4 / 6.0   5.7 / 2.9   12.1 / 3.1
+#   256  (1, 16)   21.8 / 8.0  22.5 / 8.6  39.9 / 8.5   15.1 / 3.7  31.6 / 3.8
+#
+# Dense keeps the witness-free restricted unitary solves, the slowest case
+# for Lanczos, up to 144; from 169 on Lanczos is faster in every case. At
+# tol=1e-10 the unitary n=4 crossover moves to 169-196. The two paths agree
+# to 1.2e-14 on all of these.
+AUTO_DENSE_DIM = 144
 DEFAULT_MAX_ITER = 100_000
 # Lanczos basis size and the Ritz vectors kept at a thick restart. A larger
-# basis costs more per step (one eigh of the projected matrix per apply) and
-# more memory than it saves in applies.
+# basis costs more per step (Gram-Schmidt against the whole basis, and a
+# larger eigh at each convergence check) and more memory than it saves in
+# applies.
 LANCZOS_BASIS = 24
 LANCZOS_KEEP = 6
+# Applies between Ritz convergence checks. One eigh of the projected matrix
+# costs 11-99 us (6x6 to 24x24) against 145 us for a T*T apply at n=8, N=16.
+# At that size checking every 4th apply instead of every apply took a median
+# solve (tol=1e-8, one BLAS thread) from 9.1-9.6 to 7.5-7.9 ms for Haar
+# unitary sums and from 5.2 to 3.9-4.1 ms for Ginibre sums, at 1.5-2 more
+# applies. A late check only adds applies, which tighten the lower bound.
+LANCZOS_CHECK = 4
 # beta below this multiple of the largest ||T*T q|| seen is rounding noise:
 # the basis spans an invariant subspace.
 _BREAKDOWN = 1e-13
@@ -212,10 +235,15 @@ def _lanczos(op, z, tol, max_iter):
     Runs from the unit vector z with full reorthogonalization (two classical
     Gram-Schmidt passes against the stacked basis). When the basis holds
     LANCZOS_BASIS vectors it restarts Krylov-Schur style from the top
-    LANCZOS_KEEP Ritz vectors plus the residual vector. Stops when the Ritz
-    residual bound beta * |y_last| falls to tol * theta, on breakdown (beta
-    negligible: the basis spans an invariant subspace), or after max_iter
-    applies. Returns (theta, x, applies, converged) with x the unit Ritz vector.
+    LANCZOS_KEEP Ritz vectors plus the residual vector. Breakdown (beta
+    negligible: the basis spans an invariant subspace) is tested after every
+    apply. The Ritz pair comes from an eigh of the projected matrix, run only
+    on the first apply (so a start that is already an eigenvector stops after
+    one), every LANCZOS_CHECK applies, at the last step of each cycle (whose
+    eigh also serves the restart), on breakdown and at max_iter. Stops when
+    such a check finds the residual bound beta * |y_last| at most tol * theta,
+    on breakdown, or after max_iter applies. Returns (theta, x, applies,
+    converged) with x the unit Ritz vector.
     """
     shape = z.shape
     m, keep = LANCZOS_BASIS, LANCZOS_KEEP
@@ -236,17 +264,20 @@ def _lanczos(op, z, tol, max_iter):
             w -= h2 @ basis
             H[j, j] = (h[j] + h2[j]).real
             beta = _frob(w)
-            theta, Y = np.linalg.eigh(H[: j + 1, : j + 1])
-            y = Y[:, -1]
-            converged = beta * abs(y[-1]) <= tol * theta[-1] or beta <= _BREAKDOWN * scale
-            if converged or applies >= max_iter:
-                x = y @ basis
-                return float(theta[-1]), (x / _frob(x)).reshape(shape), applies, converged
+            breakdown = beta <= _BREAKDOWN * scale
+            capped = applies >= max_iter
+            if breakdown or capped or j == m - 1 or applies == 1 or applies % LANCZOS_CHECK == 0:
+                theta, Y = np.linalg.eigh(H[: j + 1, : j + 1])
+                y = Y[:, -1]
+                converged = breakdown or beta * abs(y[-1]) <= tol * theta[-1]
+                if converged or capped:
+                    x = y @ basis
+                    return float(theta[-1]), (x / _frob(x)).reshape(shape), applies, converged
             Q[j + 1] = w / beta
             if j + 1 < m:
                 H[j + 1, j] = H[j, j + 1] = beta
-        # Thick restart: A Q_keep = Q_keep diag(theta) + q_m (beta Y[-1])^T.
-        theta, Y = np.linalg.eigh(H)
+        # Thick restart from the last step's eigh of the full H:
+        # A Q_keep = Q_keep diag(theta) + q_m (beta Y[-1])^T.
         Y = Y[:, -keep:]
         Q[:keep] = Y.T @ Q[:m]
         Q[keep] = Q[m]
@@ -273,9 +304,9 @@ def operator_norm(
     relative Ritz residual bound on T*T: the run stops once the top Ritz pair
     (theta, x) has ||T*T x - theta x|| <= tol * theta, or after ``max_iter``
     applies of T*T, when the method reads "lanczos-unconverged". "auto" picks
-    dense for kN^2 <= min(AUTO_DENSE_DIM, dense_cap()), which is kN^2 <= 256 by
-    default, and lanczos above. A restricted T with N = 1 acts on {0}; Lanczos
-    reports value 0 there without a witness.
+    dense for kN^2 <= min(AUTO_DENSE_DIM, dense_cap()), which is kN^2 <= 144
+    (N <= 12 for k = 1) by default, and lanczos above. A restricted T with
+    N = 1 acts on {0}; Lanczos reports value 0 there without a witness.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")

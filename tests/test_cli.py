@@ -175,6 +175,7 @@ class TestRun:
             )
         )
         assert rec.summary["dominance_ratio"] <= 8.0
+        assert rec.summary["unconverged"] == 0
         assert "ci_note" in rec.summary
 
     def test_cover_over_pack_directory(self, tmp_path):
@@ -218,6 +219,7 @@ class TestRun:
             )
         )
         assert rec2.summary["unitary_mean"] == pytest.approx(2.0, abs=1e-6)
+        assert rec2.summary["unconverged"] == 0
         rec3 = run(
             make_config(
                 "appendix",
@@ -226,6 +228,7 @@ class TestRun:
             )
         )
         assert rec3.summary["mean_norm"] <= 8 * rec3.summary["rhs"] + 1e-9
+        assert rec3.summary["unconverged"] == 0
 
     def test_norming_and_strong_sep(self, tmp_path, capsys):
         gen = RngSpec(6, 0).generator()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import qexpand as qx
 from qexpand.errors import TupleFormatError
+from qexpand.linalg import sample_ginibre
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -42,6 +43,45 @@ def test_adjoint_identity(shape, restrict_h0):
     lhs = np.vdot(eta, qx.apply(T, xi))
     rhs = np.vdot(qx.apply(T.adjoint(), eta), xi)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+# (k, N) just above AUTO_DENSE_DIM = 144, where "auto" runs Lanczos and
+# the dense oracle is still cheap
+switched = st.sampled_from([(1, 13), (1, 14), (1, 15), (1, 16), (2, 9), (2, 10)])
+
+
+@SETTINGS
+@given(switched, st.integers(2, 8), st.booleans(), st.integers(0, 2**32 - 1))
+def test_auto_lanczos_matches_dense_above_switch(kN, n, unitary, seed):
+    # restricted sums of a_j (x) U_j over Haar U_j, or unrestricted Ginibre sums
+    k, N = kN
+    gen = np.random.default_rng(seed)
+    if unitary:
+        u = np.stack([qx.sample_haar_unitary(N, gen) for _ in range(n)])
+        a = gen.standard_normal((n, k, k))
+        left = np.einsum("jab,jcd->jacbd", a, u).reshape(n, k * N, k * N)
+        T = qx.SuperOperator(qx.MatrixTuple(left), qx.MatrixTuple(u, unitary=True), True)
+    else:
+        x = np.stack([sample_ginibre(k * N, gen) for _ in range(n)])
+        y = np.stack([sample_ginibre(N, gen) for _ in range(n)])
+        T = qx.SuperOperator(qx.MatrixTuple(x), qx.MatrixTuple(y))
+    tol = 1e-10
+    rep = qx.operator_norm(T, tol=tol, rng=gen)
+    dense = qx.operator_norm(T, method="dense", witness=False).value
+    assert rep.method == "lanczos"
+    assert dense - 1e-12 * n <= rep.value <= dense + 1e-12
+    assert rep.residual <= 10 * tol * rep.value**2
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_separation_is_bi_unitarily_invariant(n, N, seed):
+    # sum_j (c u_j e) (x) conj(a v_j b) = (c (x) conj(a)) [sum_j u_j (x) conj(v_j)] (e (x) conj(b))
+    gen = np.random.default_rng(seed)
+    u, v = qx.haar_tuple(n, N, gen), qx.haar_tuple(n, N, gen)
+    a, b, c, e = (qx.sample_haar_unitary(N, gen) for _ in range(4))
+    moved = qx.separation(u.transform(left=c, right=e), v.transform(left=a, right=b), method="dense")
+    assert abs(moved.norm_value - qx.separation(u, v, method="dense").norm_value) <= 1e-12
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -181,6 +181,17 @@ class TestReports:
         assert lo <= np.mean(vals) <= hi
         assert hi - lo < 1.0
 
+    def test_unconverged_samples_are_counted(self, monkeypatch):
+        # N = 13 runs Lanczos under "auto"; a 2-apply cap leaves every sample unconverged
+        for fn in (qx.unitary_sum_norm, qx.gaussian_decoupled_norm):
+            rep = fn([1.0] * 4, 13, 10, RngSpec(23, 0))
+            assert rep.unconverged == 0 and rep.to_json()["unconverged"] == 0
+        solve = qx.randmat.operator_norm
+        monkeypatch.setattr(qx.randmat, "operator_norm", lambda T, **kw: solve(T, **kw, max_iter=2))
+        for fn in (qx.unitary_sum_norm, qx.gaussian_decoupled_norm):
+            rep = fn([1.0] * 4, 13, 10, RngSpec(23, 0))
+            assert rep.unconverged == 10 and rep.to_json()["unconverged"] == 10
+
     def test_per_sample_streams_are_independent_of_count(self):
         # the first 10 samples agree between a 10-sample and a 20-sample run
         a = qx.unitary_sum_norm([1.0, 1.0], 4, 10, RngSpec(21, 0))

@@ -116,6 +116,14 @@ class TestOperatorNorm:
         assert warm.iterations <= 2
         assert warm.value == pytest.approx(rep.value, abs=1e-12)
 
+    def test_auto_switch_boundary(self, rng):
+        # kN^2 = 144 is the last dense size, for square and block operators
+        for k, N, method in ((1, 12, "dense"), (1, 13, "lanczos"), (4, 6, "dense"), (2, 9, "lanczos")):
+            u = qx.haar_tuple(2, N, rng)
+            left = qx.MatrixTuple(np.stack([np.kron(np.eye(k), m) for m in u.mats]))
+            T = qx.SuperOperator(left, u, restrict_h0=True)
+            assert qx.operator_norm(T, witness=False, rng=rng).method == method
+
     def test_oracle_equivalence_batch(self):
         gen = np.random.default_rng(77)
         for _ in range(50):
