@@ -3,8 +3,11 @@
 Every command is a pure function of its configuration and the tool version:
 fixed seeds reproduce all numeric outputs bit-exactly. Each run writes its
 declared artifacts plus ``run.json`` (configuration, timestamps, artifact
-list, summary metrics and a one-line statement of the claim the command
-exercises).
+list, summary metrics, a one-line statement of the claim the command
+exercises and a status). A command that fails with a ``QexError`` still
+leaves a ``run.json``, with status "failed" and the error line. Every JSON
+file is written to a temp file in its directory and moved into place, so a
+reader never sees a half-written one.
 """
 from __future__ import annotations
 
@@ -12,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -144,9 +148,14 @@ class RunRecord:
     summary: dict
     tool_version: str = __version__
     claim: str = ""
+    error: str | None = None
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.error is None else "failed"
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "config": self.config.to_json(),
             "started": self.started,
             "finished": self.finished,
@@ -154,7 +163,11 @@ class RunRecord:
             "summary": self.summary,
             "tool_version": self.tool_version,
             "claim": self.claim,
+            "status": self.status,
         }
+        if self.error is not None:
+            out["error"] = self.error
+        return out
 
 
 def _now() -> str:
@@ -173,7 +186,14 @@ def _get(cfg, key, default):
 
 
 def _write_json(path: Path, obj: dict):
-    path.write_text(json.dumps(obj, indent=2) + "\n")
+    """Write obj through a temp file in the same directory, then os.replace it."""
+    text = json.dumps(obj, indent=2) + "\n"
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _write_csv(path: Path, rows):
@@ -334,6 +354,10 @@ def _cmd_pack(cfg, out):
     return paths, {
         "members": fam.count,
         "rejected": fam.rejected_count,
+        "rejected_uncertified": fam.rejected_uncertified,
+        "rejected_close": fam.rejected_close,
+        "since_last_admission": fam.since_last_admission,
+        "unconverged": fam.unconverged,
         "log_count": fam.log_count() if fam.count else None,
     }
 
@@ -511,16 +535,26 @@ _HANDLERS = {
 
 
 def run(config: ExperimentConfig) -> RunRecord:
-    """Dispatch a validated config, write artifacts plus run.json."""
+    """Dispatch a validated config, write artifacts plus run.json.
+
+    A handler's QexError is re-raised after a run.json with status "failed"
+    and the error line is written.
+    """
     if config.command not in _HANDLERS:
         raise ConfigError(f"unknown command {config.command!r}")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = _now()
-    artifacts, summary = _HANDLERS[config.command](config, out)
-    for p in artifacts:
-        if not Path(p).exists():
-            raise QexError(f"declared artifact missing: {p}")
+    try:
+        artifacts, summary = _HANDLERS[config.command](config, out)
+        for p in artifacts:
+            if not Path(p).exists():
+                raise QexError(f"declared artifact missing: {p}")
+    except QexError as exc:
+        failed = RunRecord(config, started, _now(), [], {}, claim=CLAIMS[config.command],
+                           error=str(exc))
+        _write_json(out / "run.json", failed.to_json())
+        raise
     record = RunRecord(
         config=config,
         started=started,

@@ -18,7 +18,7 @@ import numpy as np
 from .expanders import certify, haar_tuple
 from .geometry import orbit_distance, tuple_distance
 from .linalg import MatrixTuple, RngSpec, ginibre_singular_mean, sample_haar_unitary, save_tuple
-from .superop import SuperOperator, operator_norm
+from .superop import SuperOperator, auto_dense, operator_norm, pair_norms
 
 __all__ = [
     "PackingFamily",
@@ -35,15 +35,30 @@ __all__ = [
 
 @dataclass
 class PackingFamily:
-    """A greedily built family of pairwise delta-separated expander tuples."""
+    """A greedily built family of pairwise delta-separated expander tuples.
+
+    Rejections are split by cause: ``rejected_uncertified`` samples had a
+    certificate epsilon below ``eps``, ``rejected_close`` samples had a pair
+    below ``accept_delta``. ``since_last_admission`` counts the samples drawn
+    after the last admitted one (all of them if none was admitted); a long
+    run suggests the family is near saturation. ``unconverged`` counts the
+    certify and pair solves whose method reads "lanczos-unconverged".
+    """
 
     members: list[MatrixTuple]
     pairwise: np.ndarray
     accept_delta: float
     eps: float
     seed: RngSpec
-    rejected_count: int
+    rejected_uncertified: int
+    rejected_close: int
+    since_last_admission: int
+    unconverged: int
     gap_values: list[float] = field(default_factory=list)
+
+    @property
+    def rejected_count(self) -> int:
+        return self.rejected_uncertified + self.rejected_close
 
     @property
     def count(self) -> int:
@@ -82,6 +97,10 @@ class PackingFamily:
                     "seed": self.seed.to_json(),
                     "members": self.count,
                     "rejected": self.rejected_count,
+                    "rejected_uncertified": self.rejected_uncertified,
+                    "rejected_close": self.rejected_close,
+                    "since_last_admission": self.since_last_admission,
+                    "unconverged": self.unconverged,
                     "log_count": self.log_count() if self.count else None,
                     "log_count_upper_bound": packing_upper_bound(n, N, self.accept_delta)
                     if self.count and self.accept_delta > 0
@@ -95,12 +114,10 @@ class PackingFamily:
         return paths
 
 
-def _pair_delta(u: MatrixTuple, v: MatrixTuple, tol: float) -> float:
-    """Measured separation of two unitary tuples (self-norms are exactly n)."""
-    val = operator_norm(
-        SuperOperator(u, v), method="auto", tol=tol, witness=False
-    ).value
-    return max(1.0 - val / u.n, 0.0)
+# Members per batched pair-norm call. It bounds the (K, N^2, N^2) temporaries
+# of ``pair_norms`` and lets a rejected sample stop after the first chunk that
+# holds a close pair.
+_PAIR_CHUNK = 32
 
 
 def greedy_pack(
@@ -115,6 +132,15 @@ def greedy_pack(
 ) -> PackingFamily:
     """Online maximal family: admit certified samples separated from all members.
 
+    A sample's separation from member v is 1 - ||T_uv|| / n (the self-norms
+    of unitary tuples are exactly n). While ``operator_norm(method="auto")``
+    would take the dense path (N^2 <= min(AUTO_DENSE_DIM, dense_cap())), the
+    norms against the members come from ``pair_norms``, one batched call per
+    chunk of _PAIR_CHUNK members, and the members are kept stacked in chunks
+    that grow with the family. Above that switch each pair takes its own
+    Lanczos solve at ``norm_tol``. Either way the checks stop after the first
+    chunk (a single pair for Lanczos) that holds a pair below ``delta``.
+
     Admission order is fixed by the sample stream, so identical seeds
     reproduce identical families. An empty family is a valid outcome.
     """
@@ -122,33 +148,52 @@ def greedy_pack(
         raise ValueError("n, N must be positive and max_samples non-negative")
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must be in [0, 1], got {delta}")
+    dense = auto_dense(N * N)
+    chunk = _PAIR_CHUNK if dense else 1
     members: list[MatrixTuple] = []
+    stacks: list[np.ndarray] = []  # dense only: member matrices, chunk per stack
     gaps: list[float] = []
     rows: list[list[float]] = []
-    rejected = 0
+    uncertified = close = since = unconverged = 0
     for idx in range(max_samples):
         gen = rng.substream(idx)
         u = haar_tuple(n, N, gen)
         cert = certify(u, tol=gap_tol, rng=gen)
+        unconverged += cert.gap.method == "lanczos-unconverged"
+        since += 1
         if cert.epsilon < eps:
-            rejected += 1
+            uncertified += 1
             continue
-        deltas = []
+        deltas: list[float] = []
         ok = True
-        for m in members:
-            d = _pair_delta(u, m, norm_tol)
-            deltas.append(d)
-            if d < delta:
+        for start in range(0, len(members), chunk):
+            if dense:
+                norms = pair_norms(u, stacks[start // chunk][: len(members) - start])
+            else:
+                rep = operator_norm(
+                    SuperOperator(u, members[start]), method="lanczos", tol=norm_tol,
+                    witness=False,
+                )
+                unconverged += rep.method == "lanczos-unconverged"
+                norms = np.array([rep.value])
+            d = np.maximum(1.0 - norms / n, 0.0)
+            deltas.extend(d.tolist())
+            if d.min() < delta:
                 ok = False
                 break
         if not ok:
-            rejected += 1
+            close += 1
             continue
+        if dense:
+            if len(members) % chunk == 0:
+                stacks.append(np.empty((chunk, n, N, N), dtype=complex))
+            stacks[-1][len(members) % chunk] = u.mats
         for row, d in zip(rows, deltas):
             row.append(d)
         rows.append(deltas + [0.0])
         members.append(u)
         gaps.append(cert.gap.value)
+        since = 0
     count = len(members)
     pairwise = np.zeros((count, count))
     for i in range(count):
@@ -160,7 +205,10 @@ def greedy_pack(
         accept_delta=delta,
         eps=eps,
         seed=rng,
-        rejected_count=rejected,
+        rejected_uncertified=uncertified,
+        rejected_close=close,
+        since_last_admission=since,
+        unconverged=unconverged,
         gap_values=gaps,
     )
 

@@ -72,6 +72,47 @@ class TestRun:
         mb = json.loads((tmp_path / "b" / "meta.json").read_text())
         assert ma == mb
 
+    def test_pack_reports_rejections_by_cause(self, tmp_path):
+        params = {"n": 4, "N": 4, "eps": 0.15, "delta": 0.15, "max_samples": 60}
+        rec = run(make_config("pack", params, tmp_path / "o", seed=61))
+        meta = json.loads((tmp_path / "o" / "meta.json").read_text())
+        fam = qx.greedy_pack(4, 4, 0.15, 0.15, 60, RngSpec(61, 0))
+        for key, want in (
+            ("members", fam.count),
+            ("rejected", fam.rejected_count),
+            ("rejected_uncertified", fam.rejected_uncertified),
+            ("rejected_close", fam.rejected_close),
+            ("since_last_admission", fam.since_last_admission),
+            ("unconverged", fam.unconverged),
+        ):
+            assert rec.summary[key] == meta[key] == want
+        assert rec.summary["rejected_uncertified"] > 0 and rec.summary["rejected_close"] > 0
+
+    def test_run_json_status_ok(self, tmp_path):
+        params = {"delta_strong": 0.5, "overlap": 0.1, "n": 4}
+        run(make_config("dcb-bound", params, tmp_path / "o"))
+        record = json.loads((tmp_path / "o" / "run.json").read_text())
+        assert record["status"] == "ok" and "error" not in record
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["dcb.json", "run.json"]
+
+    def test_failed_run_leaves_status_and_error(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(qx.TupleFormatError) as info:
+            run(make_config("certify", {"tuple": str(missing)}, tmp_path / "o"))
+        record = json.loads((tmp_path / "o" / "run.json").read_text())
+        assert record["status"] == "failed"
+        assert record["error"] == str(info.value)
+        assert "\n" not in record["error"]
+        assert record["artifacts"] == [] and record["claim"] == CLAIMS["certify"]
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["run.json"]
+
+    def test_main_failure_writes_run_json(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["--out", str(out), "gap", "-p", f"tuple={tmp_path / 'missing.json'}"])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err == "error: " + json.loads((out / "run.json").read_text())["error"]
+
     def test_sample_haar_and_validate(self, tmp_path):
         rec = run(make_config("sample-haar", {"n": 2, "N": 3}, tmp_path / "o", seed=3))
         assert rec.summary["unitarity_residual"] < 1e-9

@@ -1,10 +1,34 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import qexpand as qx
+import qexpand.packing as packing
 from qexpand.linalg import RngSpec
+
+
+def _replay(n, N, eps, delta, max_samples, rng):
+    """greedy_pack's admission rule with one dense SVD per pair.
+
+    Returns (members, rejected_uncertified, rejected_close, since_last_admission).
+    """
+    members, uncertified, close, since = [], 0, 0, 0
+    for idx in range(max_samples):
+        gen = rng.substream(idx)
+        u = qx.haar_tuple(n, N, gen)
+        since += 1
+        if qx.certify(u, tol=1e-6, rng=gen).epsilon < eps:
+            uncertified += 1
+            continue
+        norms = (qx.operator_norm(qx.SuperOperator(u, m), method="dense").value for m in members)
+        if any(max(1.0 - v / n, 0.0) < delta for v in norms):
+            close += 1
+            continue
+        members.append(u)
+        since = 0
+    return members, uncertified, close, since
 
 
 class TestGreedyPack:
@@ -52,6 +76,64 @@ class TestGreedyPack:
                 rep = qx.orbit_distance(fam.members[i], fam.members[j], restarts=4, rng=gen)
                 assert rep.upper >= lb - 1e-4
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (2, 3, 0.0, 0.0, 30, 50),
+            (4, 4, 0.02, 0.08, 60, 51),
+            (3, 4, 0.02, 0.05, 40, 52),
+            (4, 4, 0.0, 0.2, 50, 53),
+            (4, 4, 0.02, 0.05, 50, 54),
+            (4, 4, 0.15, 0.15, 60, 61),
+        ],
+    )
+    def test_batched_pairs_match_per_pair_replay(self, args):
+        *shape, seed = args
+        fam = qx.greedy_pack(*shape, RngSpec(seed, 0))
+        members, uncertified, close, since = _replay(*shape, RngSpec(seed, 0))
+        assert fam.count == len(members)
+        assert fam.rejected_count == uncertified + close
+        assert (fam.rejected_uncertified, fam.rejected_close) == (uncertified, close)
+        assert fam.since_last_admission == since
+        assert fam.unconverged == 0
+        for x, y in zip(fam.members, members):
+            assert np.array_equal(x.mats, y.mats)
+
+    def test_rejections_split_by_cause(self):
+        # eps near the median certificate at (4, 4) rejects about half the samples
+        fam = qx.greedy_pack(4, 4, 0.15, 0.15, 60, RngSpec(61, 0))
+        assert fam.rejected_uncertified > 0 and fam.rejected_close > 0
+        assert fam.rejected_count == fam.rejected_uncertified + fam.rejected_close
+        assert fam.count + fam.rejected_count == 60
+        assert 0 < fam.since_last_admission < 60 - fam.count
+
+    def test_pairwise_matches_dense_svd_across_chunks(self):
+        fam = qx.greedy_pack(4, 4, 0.02, 0.08, 60, RngSpec(51, 0))
+        assert fam.count > packing._PAIR_CHUNK
+        for i in range(fam.count):
+            for j in range(i):
+                T = qx.SuperOperator(fam.members[i], fam.members[j])
+                want = max(1.0 - qx.operator_norm(T, method="dense").value / 4, 0.0)
+                assert abs(fam.pairwise[i, j] - want) <= 1e-13
+
+    def test_lanczos_pairs_above_dense_switch(self, monkeypatch):
+        # N^2 = 169 > AUTO_DENSE_DIM: every pair takes its own Lanczos solve
+        fam = qx.greedy_pack(3, 13, 0.0, 0.0, 4, RngSpec(62, 0))
+        assert fam.count == 4 and fam.unconverged == 0
+        for i in range(4):
+            for j in range(i):
+                T = qx.SuperOperator(fam.members[i], fam.members[j])
+                rep = qx.operator_norm(T, method="lanczos", tol=1e-6, witness=False)
+                assert fam.pairwise[i, j] == max(1.0 - rep.value / 3, 0.0)
+        original = qx.operator_norm
+
+        def two_applies(*args, **kwargs):
+            return original(*args, **{**kwargs, "max_iter": 2})
+
+        monkeypatch.setattr(packing, "operator_norm", two_applies)
+        fam = qx.greedy_pack(3, 13, 0.0, 0.0, 4, RngSpec(62, 0))
+        assert fam.unconverged == 6  # the 4 * 3 / 2 pair solves, none of the certificates
+
     def test_save_layout(self, tmp_path):
         fam = qx.greedy_pack(2, 3, 0.0, 0.02, 10, RngSpec(56, 0))
         paths = fam.save(tmp_path)
@@ -64,6 +146,10 @@ class TestGreedyPack:
         lines = (tmp_path / "family.csv").read_text().strip().splitlines()
         assert lines[0] == "i,j,delta_ij"
         assert len(lines) == 1 + fam.count * (fam.count - 1) // 2
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["rejected"] == meta["rejected_uncertified"] + meta["rejected_close"]
+        assert meta["since_last_admission"] == fam.since_last_admission
+        assert meta["unconverged"] == 0
 
 
 class TestGreedyCover:

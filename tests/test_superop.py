@@ -7,7 +7,7 @@ import pytest
 import qexpand as qx
 from qexpand.errors import DenseCapExceeded, DimensionMismatch
 from qexpand.linalg import RngSpec
-from qexpand.superop import LANCZOS_BASIS, center, dense_cap
+from qexpand.superop import LANCZOS_BASIS, center, dense_cap, pair_norms
 
 from conftest import identity_tuple, random_tuple
 
@@ -76,6 +76,36 @@ class TestMaterialize:
         monkeypatch.setenv("QEX_DENSE_CAP", "zero")
         with pytest.raises(ValueError):
             dense_cap()
+
+
+class TestPairNorms:
+    @pytest.mark.parametrize("unitary", [True, False])
+    def test_matches_per_pair_dense_svd(self, rng, unitary):
+        draw = (lambda: qx.haar_tuple(3, 4, rng)) if unitary else (lambda: random_tuple(3, 4, rng))
+        u = draw()
+        vs = [draw() for _ in range(40)]
+        got = pair_norms(u, np.stack([v.mats for v in vs]))
+        assert got.shape == (40,)
+        for val, v in zip(got, vs):
+            want = qx.operator_norm(qx.SuperOperator(u, v), method="dense").value
+            assert abs(val - want) <= 1e-13 * max(want, 1.0)
+
+    def test_dense_without_witness_matches_svd(self, rng):
+        for restrict in (True, False):
+            T = qx.SuperOperator(random_tuple(3, 5, rng), random_tuple(3, 5, rng), restrict)
+            gram = qx.operator_norm(T, method="dense", witness=False).value
+            full = qx.operator_norm(T, method="dense").value
+            assert abs(gram - full) <= 1e-13 * full
+
+    def test_shape_and_cap(self, rng, monkeypatch):
+        u = qx.haar_tuple(2, 3, rng)
+        with pytest.raises(DimensionMismatch):
+            pair_norms(u, u.mats)
+        with pytest.raises(DimensionMismatch):
+            pair_norms(u, np.zeros((2, 3, 3, 3)))
+        monkeypatch.setenv("QEX_DENSE_CAP", "8")
+        with pytest.raises(DenseCapExceeded):
+            pair_norms(u, u.mats[None])
 
 
 class TestOperatorNorm:
