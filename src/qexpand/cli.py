@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -579,7 +580,9 @@ def _json_safe(obj):
     return obj
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``qex`` parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="qex", description="quantum expander toolkit"
     )

@@ -235,7 +235,7 @@ class MatrixTuple:
 
     def member_residuals(self) -> np.ndarray:
         """Per-member unitarity residuals ||m* m - I||_F."""
-        prods = np.einsum("jba,jbc->jac", self.mats.conj(), self.mats)
+        prods = self.mats.conj().transpose(0, 2, 1) @ self.mats
         return np.linalg.norm(prods - np.eye(self.dim), axis=(1, 2))
 
     def unitarity_residual(self) -> float:
@@ -251,10 +251,10 @@ class MatrixTuple:
         out = self.mats
         if left is not None:
             left = as_square_matrix(left, "left")
-            out = np.einsum("ab,jbc->jac", left, out)
+            out = left @ out
         if right is not None:
             right = as_square_matrix(right, "right")
-            out = np.einsum("jab,bc->jac", out, right)
+            out = out @ right
         flag = self.unitary
         for f in (left, right):
             if f is not None:
@@ -272,14 +272,13 @@ class MatrixTuple:
     # -- file format ---------------------------------------------------------
 
     def to_json(self) -> dict:
+        """File form; ``matrices`` holds each member's [re, im] pairs, row-major,
+        read through a float view that keeps every bit (-0.0, subnormals)."""
         return {
             "n": self.n,
             "N": self.dim,
             "unitary": bool(self.unitary),
-            "matrices": [
-                [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
-                for m in self.mats
-            ],
+            "matrices": self.mats.reshape(self.n, -1).view(float).reshape(self.n, -1, 2).tolist(),
         }
 
     @classmethod

@@ -305,6 +305,31 @@ class TestMain:
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert out["summary"]["epsilon"] == pytest.approx(1.0, abs=1e-10)
 
+    def test_one_parser_per_process_keeps_params_apart(self, tmp_path, capsys):
+        # the parser is reused across calls; argparse's append action must not
+        # carry one call's -p list into the next
+        from qexpand.cli import _build_parser
+
+        assert _build_parser() is _build_parser()
+        tpath = tmp_path / "pauli.json"
+        qx.save_tuple(tpath, qx.pauli_tuple())
+        argvs = {
+            "a": ["certify", "-p", f"tuple={tpath}", "-p", "tol=1e-8"],
+            "b": ["sample-haar", "-p", "n=2", "-p", "N=3"],
+            "c": ["certify", "-p", f"tuple={tpath}"],
+        }
+        for out, argv in argvs.items():
+            assert main(["--out", str(tmp_path / out)] + argv) == 0
+        params = {
+            out: json.loads((tmp_path / out / "run.json").read_text())["config"]["params"]
+            for out in argvs
+        }
+        assert params == {
+            "a": {"tuple": str(tpath), "tol": 1e-8},
+            "b": {"n": 2, "N": 3},
+            "c": {"tuple": str(tpath)},
+        }
+
     def test_missing_param_is_error(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path / "o"), "certify"])
         assert code == 1

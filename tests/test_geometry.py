@@ -346,12 +346,44 @@ class TestNorming:
             qx.find_norming_tuple(
                 x, restarts=2, rng=RngSpec(2, 0).generator(), check_orbit=True
             )
-        # negative control: a Haar tuple is normed on its orbit, so the check stays quiet
-        y = qx.haar_tuple(2, 6, RngSpec(2, 1).generator())
+        # negative control: a gapped Haar tuple is normed on its orbit, so the
+        # check stays quiet. Every n = 2 tuple is gapless (x + W x W* with
+        # W = u1* u2 has norm 2 on the trace-zero part of W), so it takes n = 3.
+        y = qx.haar_tuple(3, 6, RngSpec(2, 1).generator())
+        assert qx.spectral_gap(y, method="dense").value < 3 - 1e-6
         _, attained = qx.find_norming_tuple(
             y, restarts=2, rng=RngSpec(2, 0).generator(), check_orbit=True
         )
-        assert attained == pytest.approx(2.0, abs=1e-9)
+        assert attained == pytest.approx(3.0, abs=1e-9)
+
+    def test_orbit_check_stops_once_decided(self, monkeypatch):
+        import qexpand.geometry as geo
+
+        ascents = []
+
+        def counted(*args):
+            ascents.append(1)
+            return ascent(*args)
+
+        ascent = geo._orbit_ascent
+        monkeypatch.setattr(geo, "_orbit_ascent", counted)
+        # gapped: restart 0 lands on the orbit, so one ascent decides
+        x = qx.haar_tuple(3, 6, RngSpec(2, 1).generator())
+        v, attained = qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator())
+        assert len(ascents) == 1
+        ascents.clear()
+        # the check only reads the result: same witness and value bit for bit
+        w, unchecked = qx.find_norming_tuple(
+            x, restarts=2, rng=RngSpec(2, 0).generator(), check_orbit=False
+        )
+        assert not ascents
+        assert np.array_equal(v.mats, w.mats) and attained == unchecked
+        # gapless a (+) b: no restart reaches the orbit, so all 10 run
+        gen = RngSpec(2, 1).generator()
+        x = qx.direct_sum(qx.haar_tuple(2, 3, gen), qx.haar_tuple(2, 3, gen))
+        with pytest.raises(NormingOrbitError):
+            qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator(), check_orbit=True)
+        assert len(ascents) == 10
 
     def test_orbit_check_skipped_for_gapless_tuple(self):
         # the identity tuple has no gap, so the auto mode skips the orbit assertion

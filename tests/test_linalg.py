@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -235,6 +236,19 @@ class TestTupleFiles:
         back = qx.load_tuple(p)
         assert back.n == 3 and back.dim == 4 and back.unitary
         assert np.array_equal(back.mats, t.mats)  # full double precision
+
+    def test_file_text_matches_per_entry_floats(self, tmp_path):
+        # the float view writes the text a per-entry [re, im] list writes,
+        # signed zeros, subnormals and the largest magnitudes included
+        parts = [-0.0, 5e-324, 1e308, -1e308, 0.0, -5e-324, 2.2250738585072014e-308, -1e-310]
+        t = qx.MatrixTuple(np.array(parts + parts[::-1]).view(complex).reshape(2, 2, 2))
+        p = tmp_path / "t.json"
+        qx.save_tuple(p, t)
+        per_entry = {
+            "n": t.n, "N": t.dim, "unitary": False,
+            "matrices": [[[float(z.real), float(z.imag)] for z in m.reshape(-1)] for m in t.mats],
+        }
+        assert p.read_text() == json.dumps(per_entry) + "\n"
 
     def test_pauli_file_shape(self, tmp_path, pauli):
         p = tmp_path / "pauli.json"

@@ -84,6 +84,21 @@ def test_separation_is_bi_unitarily_invariant(n, N, seed):
     assert abs(moved.norm_value - qx.separation(u, v, method="dense").norm_value) <= 1e-12
 
 
+@SETTINGS
+@given(st.integers(2, 4), st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_orbit_distance_is_bi_unitarily_invariant(n, N, seed):
+    # d'(c u e, a v b) = d'(u, v). The ascent is local: at 8 restarts 2 of 300
+    # such instances ended on different local maxima (differences 0.12 and
+    # 0.013); at 20 restarts none of 1300 did.
+    gen = np.random.default_rng(seed)
+    u, v = qx.haar_tuple(n, N, gen), qx.haar_tuple(n, N, gen)
+    a, b, c, e = (qx.sample_haar_unitary(N, gen) for _ in range(4))
+    moved = qx.orbit_distance(
+        u.transform(left=c, right=e), v.transform(left=a, right=b), restarts=20, rng=seed
+    )
+    assert abs(moved.upper - qx.orbit_distance(u, v, restarts=20, rng=seed).upper) <= 1e-8
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
