@@ -85,9 +85,9 @@ CLAIMS = {
 
 _PARAM_TYPES = {
     "n": int, "N": int, "k": int, "steps": int, "samples": int, "restarts": int,
-    "max_samples": int, "order": int,
+    "max_samples": int,
     "eps": float, "delta": float, "delta_strong": float, "overlap": float,
-    "radius": float, "tol": float, "eps_prime": float,
+    "radius": float, "tol": float,
     "tuple": str, "u": str, "v": str, "x0": str, "group": str, "tuples": str,
     "metric": str, "method": str, "experiment": str, "coeffs": str,
     "eps_grid": str, "delta_grid": str,

@@ -142,12 +142,16 @@ class OrbitDistanceReport:
         }
 
 
-def _orbit_ascent(uv, vu, U0, V0, iters, inc_tol):
+_ORBIT_ITERS = 3000  # step cap of one orbit ascent
+
+
+def _orbit_ascent(uv, vu, U0, V0, iters):
     """Alternating maximization of F(U, V) = Re sum_j tr(U u_j V v_j*)/N.
 
     ``uv`` and ``vu`` evaluate V -> sum_j u_j V v_j* and U -> sum_j v_j* U u_j.
     Each half-step takes the adjoint polar factor of the relevant trace
-    matrix, the exact block maximizer, so F is non-decreasing.
+    matrix, the exact block maximizer, so F is non-decreasing until it gains
+    less than 1e-14, where the ascent stops.
     """
     N = U0.shape[0]
     U, V = U0, V0
@@ -157,14 +161,14 @@ def _orbit_ascent(uv, vu, U0, V0, iters, inc_tol):
         p, s, qh = np.linalg.svd(vu(U))
         V = (p @ qh).conj().T
         f_new = float(s.sum()) / N
-        if f_new - f < inc_tol:
+        if f_new - f < 1e-14:
             f = max(f, f_new)
             break
         f = f_new
     return f, U, V
 
 
-def _orbit_restarts(u, v, restarts, gen, iters=3000, inc_tol=1e-14):
+def _orbit_restarts(u, v, restarts, gen, iters=_ORBIT_ITERS):
     """Yield (F, U, V) of each orbit ascent: restart 0 from the identity pair,
     each later one from a Haar pair drawn from gen when it is reached."""
     N = u.dim
@@ -176,17 +180,16 @@ def _orbit_restarts(u, v, restarts, gen, iters=3000, inc_tol=1e-14):
         else:
             U0 = sample_haar_unitary(N, gen)
             V0 = sample_haar_unitary(N, gen)
-        yield _orbit_ascent(uv, vu, U0, V0, iters, inc_tol)
+        yield _orbit_ascent(uv, vu, U0, V0, iters)
 
 
 def orbit_distance(
     u: MatrixTuple,
     v: MatrixTuple,
     restarts: int = 20,
-    iters: int = 3000,
+    iters: int = _ORBIT_ITERS,
     rng=None,
     separation_delta: Optional[float] = None,
-    inc_tol: float = 1e-14,
 ) -> OrbitDistanceReport:
     """Upper-bound the orbit distance d'(u, v) = inf_{U,V} d(U u V, v).
 
@@ -200,7 +203,7 @@ def orbit_distance(
     _check_shapes(u, v)
     u.require_unitary()
     v.require_unitary()
-    runs = list(_orbit_restarts(u, v, restarts, as_generator(rng), iters, inc_tol))
+    runs = list(_orbit_restarts(u, v, restarts, as_generator(rng), iters))
     f_best, U, V = max(runs, key=lambda run: run[0])
     upper = tuple_distance(u.transform(left=U, right=V), v)
     lower = 0.0
@@ -254,13 +257,12 @@ def separation_from_distance(
     method: str = "auto",
     tol: float = 1e-10,
     rng=None,
-    check_tol: float = 1e-6,
 ) -> float:
     """Evaluate the separation bound and live-check it against the measured norm.
 
     The caller is responsible for the hypotheses (certified eps, and an orbit
     distance lower bound establishing eps'); a measured norm above the bound
-    then indicates violated preconditions and raises BoundViolation.
+    plus 1e-6 indicates violated preconditions and raises BoundViolation.
     Returns the bound on |sum u_j (x) conj(v_j)| / n.
     """
     _check_shapes(u, v)
@@ -268,7 +270,7 @@ def separation_from_distance(
     measured = operator_norm(
         SuperOperator(u, v), method=method, tol=tol, rng=rng, witness=False
     ).value / u.n
-    if measured > bound + check_tol:
+    if measured > bound + 1e-6:
         raise BoundViolation(
             f"measured cross norm {measured:.6g} exceeds bound {bound:.6g} "
             f"(eps={eps}, eps'={eps_prime}, two_sided={two_sided}); "
@@ -335,13 +337,11 @@ def strong_separation_estimate(
     restarts: int = 20,
     rng=None,
     iters: int = 200,
-    inc_tol: float = 1e-12,
-    norm_method: str = "auto",
-    norm_tol: float = 1e-10,
 ) -> float:
     """Estimate sup over unitary w of |sum_ij w_ij u_j (x) conj(v_i)| / n.
 
-    Alternating ascent over (w, xi, eta); the returned value is a LOWER bound
+    Alternating ascent over (w, xi, eta), with norm solves at tol 1e-10, until
+    the value gains less than 1e-12; the returned value is a LOWER bound
     on the true supremum, so 1 - estimate over-estimates the strong
     separation constant. Certifying the supremum would need a net over U(n)
     of size exponential in n^2, which is out of reach; treat the result as an
@@ -373,7 +373,7 @@ def strong_separation_estimate(
             w = sample_haar_unitary(n, gen)
         val, _ = _polar_ascent(
             lambda w: SuperOperator(mix_tuple(w, u), v),
-            w_step, w, None, iters, inc_tol, norm_method, norm_tol, gen,
+            w_step, w, None, iters, 1e-12, "auto", 1e-10, gen,
         )
         best = max(best, val)
     return best / n
@@ -415,23 +415,21 @@ def find_norming_tuple(
     x: MatrixTuple,
     restarts: int = 20,
     rng=None,
-    iters: int = 200,
-    inc_tol: float = 1e-10,
     norm_method: str = "auto",
     norm_tol: float = 1e-10,
     check_orbit: Optional[bool] = None,
     gap_value: Optional[float] = None,
-    orbit_tol: float = 1e-4,
 ) -> tuple[MatrixTuple, float]:
     """Ascend |sum x_j (x) conj(v_j)| over unit-ball tuples v.
 
     The witness recursion alternates the top singular pair (xi, eta) with the
     per-member polar maximizers v_j = polar(eta* x_j xi), which keeps v
     unitary (the boundary of the feasible ball). Restart 0 starts from
-    xi = eta = I/sqrt(N), the channel fixed point. For a gapped x the
+    xi = eta = I/sqrt(N), the channel fixed point; a restart stops after 200
+    steps or once the value gains less than 1e-10. For a gapped x the
     maximizers form a single orbit, so by default the best v is checked to
     lie near Orb(x): the check runs the 10 restarts of ``orbit_distance``
-    and passes at the first whose witnesses bring x within orbit_tol * sqrt(n)
+    and passes at the first whose witnesses bring x within 1e-4 sqrt(n)
     of v in direct distance, else raises NormingOrbitError. Stopping early
     draws fewer Haar starts from a caller's generator than a full
     ``orbit_distance``. A gapless tuple such as a (+) b is normed off the
@@ -459,7 +457,7 @@ def find_norming_tuple(
             eta /= np.linalg.norm(eta)
         val, v = _polar_ascent(
             lambda v: SuperOperator(x, v),
-            polar, polar(xi, eta), xi, iters, inc_tol, norm_method, norm_tol, gen,
+            polar, polar(xi, eta), xi, 200, 1e-10, norm_method, norm_tol, gen,
         )
         if val > best_val:
             best_val, best_v = val, v
@@ -468,7 +466,7 @@ def find_norming_tuple(
             gap_value = spectral_gap(x, rng=gen).value
         check_orbit = gap_value < x.n - 1e-6
     if check_orbit:
-        tol = orbit_tol * math.sqrt(x.n)
+        tol = 1e-4 * math.sqrt(x.n)
         best_f, dist = -math.inf, math.inf
         for f, U, V in _orbit_restarts(x, best_v, 10, gen):
             d = tuple_distance(x.transform(left=U, right=V), best_v)

@@ -127,19 +127,18 @@ def greedy_pack(
     delta: float,
     max_samples: int,
     rng: RngSpec,
-    gap_tol: float = 1e-6,
-    norm_tol: float = 1e-6,
 ) -> PackingFamily:
     """Online maximal family: admit certified samples separated from all members.
 
     A sample's separation from member v is 1 - ||T_uv|| / n (the self-norms
-    of unitary tuples are exactly n). While ``operator_norm(method="auto")``
-    would take the dense path (N^2 <= min(AUTO_DENSE_DIM, dense_cap())), the
-    norms against the members come from ``pair_norms``, one batched call per
-    chunk of _PAIR_CHUNK members, and the members are kept stacked in chunks
-    that grow with the family. Above that switch each pair takes its own
-    Lanczos solve at ``norm_tol``. Either way the checks stop after the first
-    chunk (a single pair for Lanczos) that holds a pair below ``delta``.
+    of unitary tuples are exactly n). Each sample is certified at tol 1e-6.
+    While ``operator_norm(method="auto")`` would take the dense path
+    (N^2 <= min(AUTO_DENSE_DIM, dense_cap())), the norms against the members
+    come from ``pair_norms``, one batched call per chunk of _PAIR_CHUNK
+    members, and the members are kept stacked in chunks that grow with the
+    family. Above that switch each pair takes its own Lanczos solve at tol
+    1e-6. Either way the checks stop after the first chunk (a single pair for
+    Lanczos) that holds a pair below ``delta``.
 
     Admission order is fixed by the sample stream, so identical seeds
     reproduce identical families. An empty family is a valid outcome.
@@ -153,12 +152,12 @@ def greedy_pack(
     members: list[MatrixTuple] = []
     stacks: list[np.ndarray] = []  # dense only: member matrices, chunk per stack
     gaps: list[float] = []
-    rows: list[list[float]] = []
+    rows: list[list[float]] = []  # member i's deltas against members 0..i-1
     uncertified = close = since = unconverged = 0
     for idx in range(max_samples):
         gen = rng.substream(idx)
         u = haar_tuple(n, N, gen)
-        cert = certify(u, tol=gap_tol, rng=gen)
+        cert = certify(u, tol=1e-6, rng=gen)
         unconverged += cert.gap.method == "lanczos-unconverged"
         since += 1
         if cert.epsilon < eps:
@@ -171,8 +170,7 @@ def greedy_pack(
                 norms = pair_norms(u, stacks[start // chunk][: len(members) - start])
             else:
                 rep = operator_norm(
-                    SuperOperator(u, members[start]), method="lanczos", tol=norm_tol,
-                    witness=False,
+                    SuperOperator(u, members[start]), method="lanczos", tol=1e-6, witness=False
                 )
                 unconverged += rep.method == "lanczos-unconverged"
                 norms = np.array([rep.value])
@@ -188,17 +186,14 @@ def greedy_pack(
             if len(members) % chunk == 0:
                 stacks.append(np.empty((chunk, n, N, N), dtype=complex))
             stacks[-1][len(members) % chunk] = u.mats
-        for row, d in zip(rows, deltas):
-            row.append(d)
-        rows.append(deltas + [0.0])
+        rows.append(deltas)
         members.append(u)
         gaps.append(cert.gap.value)
         since = 0
     count = len(members)
     pairwise = np.zeros((count, count))
-    for i in range(count):
-        for j in range(i):
-            pairwise[i, j] = pairwise[j, i] = rows[i][j]
+    for i, row in enumerate(rows):
+        pairwise[i, :i] = pairwise[:i, i] = row
     return PackingFamily(
         members=members,
         pairwise=pairwise,
@@ -234,12 +229,12 @@ class CoverEstimate:
         }
 
 
-def _metric_fn(metric: str, orbit_restarts: int, rng):
+def _metric_fn(metric: str, rng):
     if metric == "d":
         return tuple_distance
     if metric == "d_prime":
         def d_prime(a, b):
-            return orbit_distance(a, b, restarts=orbit_restarts, rng=rng).upper
+            return orbit_distance(a, b, restarts=6, rng=rng).upper
 
         return d_prime
     raise ValueError(f"metric must be 'd' or 'd_prime', got {metric!r}")
@@ -249,12 +244,12 @@ def greedy_cover(
     points: list[MatrixTuple],
     radius: float,
     metric: str = "d",
-    orbit_restarts: int = 6,
     rng=None,
 ) -> CoverEstimate:
     """Farthest-point greedy cover; the count upper-bounds the covering number.
 
-    For metric "d_prime" the distances are ascent upper bounds, which keeps
+    For metric "d_prime" the distances are ascent upper bounds from 6
+    restarts of ``orbit_distance``, which keeps
     the cover property valid (a point within the reported distance is within
     the true orbit distance too).
     """
@@ -262,7 +257,7 @@ def greedy_cover(
         raise ValueError(f"radius must be positive, got {radius}")
     if not points:
         return CoverEstimate(radius, [], metric, 0)
-    dist = _metric_fn(metric, orbit_restarts, rng)
+    dist = _metric_fn(metric, rng)
     to_cover = np.full(len(points), np.inf)
     centers: list[int] = []
     next_center = 0
@@ -359,10 +354,10 @@ def subgaussian_tail_check(
     N: int,
     samples: int,
     rng: RngSpec,
-    lambdas=None,
     bn_samples: int = 200,
 ) -> TailReport:
-    """Monte Carlo exceedance frequencies of sum_j Re tr(u_j) against the tail bound."""
+    """Monte Carlo exceedance frequencies of sum_j Re tr(u_j) against the tail bound
+    at lambda = 0.5 k sqrt(n), k = 0, ..., 8."""
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
     b_n = ginibre_singular_mean(N, bn_samples, rng.substream(0))
@@ -374,10 +369,8 @@ def subgaussian_tail_check(
         for _ in range(n):
             total += float(np.trace(sample_haar_unitary(N, gen)).real)
         sums[s] = total
-    if lambdas is None:
-        lambdas = [0.5 * k * math.sqrt(n) for k in range(9)]
     rows = []
-    for lam in lambdas:
+    for lam in (0.5 * k * math.sqrt(n) for k in range(9)):
         emp = float(np.mean(sums > lam))
         bound = math.exp(-k_hat * lam * lam / n)
         sigma = math.sqrt(max(bound * (1.0 - bound), 0.0) / samples)

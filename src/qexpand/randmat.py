@@ -69,7 +69,7 @@ class MomentReport:
         return out
 
 
-def _sum_norm_report(coeffs, a, N, samples, rng, method, tol, draw) -> MomentReport:
+def _sum_norm_report(coeffs, a, N, samples, rng, tol, draw) -> MomentReport:
     """Norm statistics of one random superoperator per sample index.
 
     ``draw(s, a)`` builds sample s's operator from the coefficients ``a``
@@ -82,7 +82,7 @@ def _sum_norm_report(coeffs, a, N, samples, rng, method, tol, draw) -> MomentRep
     unconverged = 0
     for s in range(samples):
         T, gen = draw(s, a)
-        rep = operator_norm(T, method=method, tol=tol, rng=gen, witness=False)
+        rep = operator_norm(T, tol=tol, rng=gen, witness=False)
         vals.append(rep.value)
         unconverged += rep.method == "lanczos-unconverged"
     vals = np.array(vals)
@@ -99,13 +99,13 @@ def _sum_norm_report(coeffs, a, N, samples, rng, method, tol, draw) -> MomentRep
     )
 
 
-def _scalar_report(coeffs, N, samples, rng, method, tol, draw) -> MomentReport:
+def _scalar_report(coeffs, N, samples, rng, tol, draw) -> MomentReport:
     """``_sum_norm_report`` for scalar coefficients, with ratio = mean / ||a||_2."""
     coeffs = tuple(complex(c) for c in coeffs)
     if not coeffs:
         raise ValueError("coeffs must be nonempty")
     a = np.asarray(coeffs).reshape(-1, 1, 1)
-    rep = _sum_norm_report(coeffs, a, N, samples, rng, method, tol, draw)
+    rep = _sum_norm_report(coeffs, a, N, samples, rng, tol, draw)
     l2 = math.sqrt(sum(abs(c) ** 2 for c in coeffs))
     rep.ratio = rep.mean_norm / l2 if l2 > 0 else None
     return rep
@@ -133,11 +133,10 @@ def unitary_sum_norm(
     N: int,
     samples: int,
     rng: RngSpec,
-    method: str = "auto",
     tol: float = 1e-8,
 ) -> MomentReport:
     """Norm statistics of sum_j a_j U_j (x) conj(U_j) on the trace-zero space."""
-    return _scalar_report(coeffs, N, samples, rng, method, tol, _unitary_draw(rng, N))
+    return _scalar_report(coeffs, N, samples, rng, tol, _unitary_draw(rng, N))
 
 
 def gaussian_decoupled_norm(
@@ -145,7 +144,6 @@ def gaussian_decoupled_norm(
     N: int,
     samples: int,
     rng: RngSpec,
-    method: str = "auto",
     tol: float = 1e-8,
 ) -> MomentReport:
     """Norm statistics of the decoupled Gaussian sum sum_j a_j Y_j (x) conj(Y'_j)."""
@@ -157,20 +155,20 @@ def gaussian_decoupled_norm(
         yp = np.stack([sample_ginibre(N, gen_yp) for _ in range(len(a))])
         return SuperOperator(MatrixTuple(a * y), MatrixTuple(yp)), gen_y
 
-    return _scalar_report(coeffs, N, samples, rng, method, tol, draw)
+    return _scalar_report(coeffs, N, samples, rng, tol, draw)
 
 
-def bootstrap_mean_ci(
-    values: Sequence[float], rng, resamples: int = 1000, level: float = 0.95
-) -> tuple[float, float]:
-    """Percentile bootstrap interval for the mean. Non-rigorous, reporting only."""
+def bootstrap_mean_ci(values: Sequence[float], rng) -> tuple[float, float]:
+    """95% percentile bootstrap interval for the mean from 1000 resamples.
+    Non-rigorous, reporting only."""
     vals = np.asarray(values, dtype=float)
     if vals.size < 2:
         raise ValueError("need at least two values")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    idx = gen.integers(0, vals.size, size=(resamples, vals.size))
+    idx = gen.integers(0, vals.size, size=(1000, vals.size))
     means = vals[idx].mean(axis=1)
-    lo, hi = np.quantile(means, [(1 - level) / 2, (1 + level) / 2])
+    # not [0.025, 0.975]: (1 - 0.95) / 2 is another float, and moves the interval
+    lo, hi = np.quantile(means, [(1 - 0.95) / 2, (1 + 0.95) / 2])
     return float(lo), float(hi)
 
 
@@ -237,7 +235,7 @@ class TwirlReport:
         }
 
 
-def twirl_identity_check(N: int, samples: int, rng: RngSpec, cap: int = 8) -> TwirlReport:
+def twirl_identity_check(N: int, samples: int, rng: RngSpec) -> TwirlReport:
     """Estimate E[Y (x) conj(Y)] at small N and compare to the rank-one projection.
 
     Also reports the norm of the estimate composed with (I - P), which is the
@@ -245,8 +243,8 @@ def twirl_identity_check(N: int, samples: int, rng: RngSpec, cap: int = 8) -> Tw
     """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    if N > cap:
-        raise DenseCapExceeded(f"twirl materializes N^4 entries; N={N} exceeds cap {cap}")
+    if N > 8:
+        raise DenseCapExceeded(f"twirl materializes N^4 entries; N={N} exceeds cap 8")
     d = N * N
     acc = np.zeros((d, d), dtype=complex)
     batch = 2048
@@ -288,7 +286,7 @@ def matrix_coefficient_sum(
     if any(a.shape != (k, k) for a in mats):
         raise ValueError("all coefficient blocks must be square of equal size")
     draw = _unitary_draw(rng, N)
-    rep = _sum_norm_report(mats, np.stack(mats), N, samples, rng, "auto", 1e-8, draw)
+    rep = _sum_norm_report(mats, np.stack(mats), N, samples, rng, 1e-8, draw)
     sq1 = np.linalg.svd(sum(a.conj().T @ a for a in mats), compute_uv=False)[0]
     sq2 = np.linalg.svd(sum(a @ a.conj().T for a in mats), compute_uv=False)[0]
     rep.rhs = math.sqrt(max(float(sq1), float(sq2)))

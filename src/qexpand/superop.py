@@ -11,11 +11,11 @@ analytically as xi_b -> xi_b - tr(xi_b)/N * I on every block, never as a
 matrix. ``operator_norm`` takes the dense SVD for small kN^2 and otherwise
 runs thick-restart Lanczos on T*T through the matrix-free action.
 
-Pair norms (the packing hot path) are batched: ``pair_norms`` builds the dense
-matrices of K unrestricted k = 1 operators (u, v_1), ..., (u, v_K) with one
-matmul and takes their norms from one batched ``eigvalsh`` of the Gram
-matrices M*M. The dense ``operator_norm`` without a witness uses the same
-Gram kernel.
+Dense matrices sum_j x_j (x) conj(y_j) come from one matmul over the members,
+for one operator (``materialize``) or for K unrestricted k = 1 operators
+(u, v_1), ..., (u, v_K) at once (``pair_norms``, the packing hot path, which
+takes their norms from one batched ``eigvalsh`` of the Gram matrices M*M).
+The dense ``operator_norm`` without a witness uses the same Gram kernel.
 """
 from __future__ import annotations
 
@@ -60,7 +60,6 @@ DEFAULT_DENSE_CAP = 4096
 # tol=1e-10 the unitary n=4 crossover moves to 169-196. The two paths agree
 # to 1.2e-14 on all of these.
 AUTO_DENSE_DIM = 144
-DEFAULT_MAX_ITER = 100_000
 # Lanczos basis size and the Ritz vectors kept at a thick restart. A larger
 # basis costs more per step (Gram-Schmidt against the whole basis, and a
 # larger eigh at each convergence check) and more memory than it saves in
@@ -176,6 +175,18 @@ def apply(T: SuperOperator, xi) -> np.ndarray:
     return _applier(T)(a)
 
 
+def _kron_sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_j kron(left_j, conj(right_kj)) for each k: (n, R, R), (K, n, N, N) -> (K, RN, RN).
+
+    Rows (a, b) and columns (c, e) follow row-major vec(xi) of R x N xi; one
+    (R^2 x n) @ (n x K N^2) product gives every sum over j, indexed (a c, k b e).
+    """
+    n, R = left.shape[:2]
+    K, N = right.shape[0], right.shape[-1]
+    prod = left.reshape(n, R * R).T @ right.conj().transpose(1, 0, 2, 3).reshape(n, K * N * N)
+    return prod.reshape(R, R, K, N, N).transpose(2, 0, 3, 1, 4).reshape(K, R * N, R * N)
+
+
 def materialize(T: SuperOperator, cap: Optional[int] = None) -> np.ndarray:
     """Dense kN^2 x kN^2 matrix acting on row-major vec(xi).
 
@@ -189,8 +200,7 @@ def materialize(T: SuperOperator, cap: Optional[int] = None) -> np.ndarray:
             f"kN^2 = {d} exceeds dense cap {limit}; "
             "use operator_norm(..., method='lanczos') instead"
         )
-    # sum_j kron(x_j, conj(y_j)): rows indexed (a, b), columns (c, d)
-    m = np.einsum("jac,jbd->abcd", T.left.mats, T.right.mats.conj()).reshape(d, d)
+    m = _kron_sums(T.left.mats, T.right.mats[None])[0]
     if T.restrict_h0:
         v = np.eye(N, dtype=complex).reshape(-1) / math.sqrt(N)
         q = np.eye(d, dtype=complex)
@@ -226,12 +236,7 @@ def pair_norms(u: MatrixTuple, vs) -> np.ndarray:
     d, limit = N * N, dense_cap()
     if d > limit:
         raise DenseCapExceeded(f"N^2 = {d} exceeds dense cap {limit}")
-    K = v.shape[0]
-    # kron(u_j, conj(v_kj))[(a, b), (c, e)] = u_j[a, c] conj(v_kj[b, e]); one
-    # (d x n) @ (n x K d) product gives every sum over j, indexed (a c, k b e).
-    prod = u.mats.reshape(n, d).T @ v.conj().transpose(1, 0, 2, 3).reshape(n, K * d)
-    m = prod.reshape(N, N, K, N, N).transpose(2, 0, 3, 1, 4).reshape(K, d, d)
-    return _top_singular_values(m)
+    return _top_singular_values(_kron_sums(u.mats, v))
 
 
 def auto_dense(dim: int) -> bool:
@@ -338,7 +343,7 @@ def operator_norm(
     T: SuperOperator,
     method: str = "auto",
     tol: float = 1e-10,
-    max_iter: int = DEFAULT_MAX_ITER,
+    max_iter: int = 100_000,
     rng=None,
     start: Optional[np.ndarray] = None,
     witness: bool = True,
@@ -402,7 +407,6 @@ def spectral_gap(
     u: MatrixTuple,
     method: str = "auto",
     tol: float = 1e-10,
-    max_iter: int = DEFAULT_MAX_ITER,
     rng=None,
 ) -> GapReport:
     """Norm of xi -> sum_j u_j xi u_j* on the trace-zero subspace.
@@ -411,4 +415,4 @@ def spectral_gap(
     """
     u.require_unitary()
     T = SuperOperator.conjugation(u, restrict_h0=True)
-    return operator_norm(T, method=method, tol=tol, max_iter=max_iter, rng=rng)
+    return operator_norm(T, method=method, tol=tol, rng=rng)

@@ -25,10 +25,12 @@ class TestConfig:
                 {"command": "gap", "params": {}, "seed": {"seed": 0}, "out_dir": ".", "x": 1}
             )
 
-    def test_unknown_param_key(self):
+    @pytest.mark.parametrize("key", ["bogus", "order", "eps_prime"])
+    def test_unknown_param_key(self, key):
+        # no command reads "order" or "eps_prime", so they are rejected like any unknown key
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(
-                {"command": "gap", "params": {"bogus": 1}, "seed": {"seed": 0}, "out_dir": "."}
+                {"command": "gap", "params": {key: 1}, "seed": {"seed": 0}, "out_dir": "."}
             )
 
     def test_unknown_command(self):

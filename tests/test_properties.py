@@ -31,8 +31,17 @@ def _operator(n, N, k, seed, restrict_h0):
 def test_apply_matches_materialize(shape, restrict_h0):
     T, xi, _ = _operator(*shape, restrict_h0)
     lhs = qx.apply(T, xi).reshape(-1)
-    rhs = qx.materialize(T) @ xi.reshape(-1)
+    m = qx.materialize(T)
+    rhs = m @ xi.reshape(-1)
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
+    # einsum oracle: sum_j kron(x_j, conj(y_j)), then I - I_k (x) vv* on both sides
+    kN, N = T.shape
+    oracle = np.einsum("jac,jbd->abcd", T.left.mats, T.right.mats.conj()).reshape(kN * N, -1)
+    if restrict_h0:
+        v = np.eye(N).reshape(-1) / np.sqrt(N)
+        q = np.kron(np.eye(kN // N), np.eye(N * N) - np.outer(v, v))
+        oracle = q @ oracle @ q
+    assert np.linalg.norm(m - oracle) <= 1e-14 * np.linalg.norm(oracle)
 
 
 @SETTINGS
