@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DenseCapExceeded
-from .linalg import MatrixTuple, RngSpec, sample_ginibre, sample_haar_unitary
-from .superop import SuperOperator, materialize, operator_norm
+from .linalg import MatrixTuple, RngSpec, as_generator, sample_ginibre, sample_haar_unitary
+from .superop import SuperOperator, center, materialize, operator_norm
 
 __all__ = [
     "MomentReport",
@@ -164,7 +164,7 @@ def bootstrap_mean_ci(values: Sequence[float], rng) -> tuple[float, float]:
     vals = np.asarray(values, dtype=float)
     if vals.size < 2:
         raise ValueError("need at least two values")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = as_generator(rng)
     idx = gen.integers(0, vals.size, size=(1000, vals.size))
     means = vals[idx].mean(axis=1)
     # not [0.025, 0.975]: (1 - 0.95) / 2 is another float, and moves the interval
@@ -261,7 +261,7 @@ def twirl_identity_check(N: int, samples: int, rng: RngSpec) -> TwirlReport:
     v = np.eye(N, dtype=complex).reshape(-1) / math.sqrt(N)
     p = np.outer(v, v.conj())
     residual = float(np.linalg.norm(est - p))
-    centered = float(np.linalg.norm(est @ (np.eye(d) - p)))
+    centered = float(np.linalg.norm(center(est.reshape(d, N, N))))
     return TwirlReport(residual, centered, N, samples)
 
 

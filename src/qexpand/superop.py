@@ -6,9 +6,10 @@ blocks as a (x) (u . u*). k = 1 is the square case. The operator is held as a
 pair of matrix tuples and applied matrix-free at cost O(n k^2 N^3); an
 explicit kN^2 x kN^2 matrix is only built on request (and under a size cap)
 as the dense oracle. ``restrict_h0`` composes the action with the projection
-onto the blockwise trace-zero subspace on both sides, which is applied
+onto the blockwise trace-zero subspace on both sides. ``center`` applies it
 analytically as xi_b -> xi_b - tr(xi_b)/N * I on every block, never as a
-matrix. ``operator_norm`` takes the dense SVD for small kN^2 and otherwise
+matrix, for ``apply`` and (on the columns and rows) for ``materialize``.
+``operator_norm`` takes a dense Gram eigen-solve for small kN^2 and otherwise
 runs thick-restart Lanczos on T*T through the matrix-free action.
 
 Dense matrices sum_j x_j (x) conj(y_j) come from one matmul over the members,
@@ -43,10 +44,11 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_CAP = 4096
-# Above this kN^2 "auto" switches from the dense SVD to Lanczos. Median ms
-# per operator_norm call (8 operators, 3 timings each, tol=1e-8, one BLAS
-# thread on a 2-vCPU Xeon), dense / Lanczos; U = restricted Haar unitary
-# sums, G = unrestricted Ginibre sums, w = with witness:
+# Above this kN^2 "auto" switches from the dense Gram eigen-solve to Lanczos.
+# Median ms per operator_norm call (8 operators, 3 timings each, tol=1e-8,
+# one BLAS thread on a 2-vCPU Xeon), dense / Lanczos; U = restricted Haar
+# unitary sums, G = unrestricted Ginibre sums, w = with witness (dense w was
+# timed with the full-SVD witness and dense-projector restriction since gone):
 #
 #   kN^2 (k, N)    U n=4       U n=8       U n=8 w      G n=8       G n=8 w
 #   121  (1, 11)   3.6 / 5.9   4.1 / 5.6   7.9 / 5.4    2.7 / 2.3   5.7 / 2.2
@@ -132,9 +134,9 @@ class SuperOperator:
 
 
 def center(xi: np.ndarray) -> np.ndarray:
-    """Project each N x N block of a kN x N matrix onto the trace-zero subspace."""
+    """Copy of a (..., kN, N) stack with every N x N block projected to trace zero."""
     out = np.array(xi, dtype=complex, order="C")
-    N = out.shape[1]
+    N = out.shape[-1]
     diag = out.reshape(-1, N * N)[:, :: N + 1]
     diag -= np.trace(out.reshape(-1, N, N), axis1=1, axis2=2)[:, None] / N
     return out
@@ -187,26 +189,29 @@ def _kron_sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return prod.reshape(R, R, K, N, N).transpose(2, 0, 3, 1, 4).reshape(K, R * N, R * N)
 
 
-def materialize(T: SuperOperator, cap: Optional[int] = None) -> np.ndarray:
-    """Dense kN^2 x kN^2 matrix acting on row-major vec(xi).
-
-    Raises DenseCapExceeded beyond the cap; use the matrix-free path there.
-    """
-    limit = dense_cap() if cap is None else cap
-    R, N = T.shape
-    d = R * N
-    if d > limit:
+def _check_dense(d: int) -> None:
+    """Raise DenseCapExceeded when kN^2 = d exceeds ``dense_cap()``."""
+    if d > (limit := dense_cap()):
         raise DenseCapExceeded(
             f"kN^2 = {d} exceeds dense cap {limit}; "
             "use operator_norm(..., method='lanczos') instead"
         )
+
+
+def materialize(T: SuperOperator) -> np.ndarray:
+    """Dense kN^2 x kN^2 matrix acting on row-major vec(xi).
+
+    Raises DenseCapExceeded beyond ``dense_cap()``; use the matrix-free path
+    there. The restriction Q m Q (Q = I - I_k (x) vv*, real symmetric) centres
+    every column, then every row, of the unrestricted matrix.
+    """
+    R, N = T.shape
+    d = R * N
+    _check_dense(d)
     m = _kron_sums(T.left.mats, T.right.mats[None])[0]
     if T.restrict_h0:
-        v = np.eye(N, dtype=complex).reshape(-1) / math.sqrt(N)
-        q = np.eye(d, dtype=complex)
-        for b in range(0, d, N * N):  # I - I_k (x) vv*
-            q[b : b + N * N, b : b + N * N] -= np.outer(v, v.conj())
-        m = q @ m @ q
+        m = center(m.T.reshape(d, R, N)).reshape(d, d).T
+        m = center(m.reshape(d, R, N)).reshape(d, d)
     return m
 
 
@@ -233,9 +238,7 @@ def pair_norms(u: MatrixTuple, vs) -> np.ndarray:
     n, N = u.n, u.dim
     if v.ndim != 4 or v.shape[1:] != u.mats.shape:
         raise DimensionMismatch(f"stack has shape {v.shape}, expected (K, {n}, {N}, {N})")
-    d, limit = N * N, dense_cap()
-    if d > limit:
-        raise DenseCapExceeded(f"N^2 = {d} exceeds dense cap {limit}")
+    _check_dense(N * N)
     return _top_singular_values(_kron_sums(u.mats, v))
 
 
@@ -251,8 +254,9 @@ class GapReport:
     ``value`` is exact for the dense method; for the Lanczos method it is the
     square root of the top Ritz value theta of T*T, a lower bound on the norm.
     ``residual`` = ||T*T(xi) - theta xi||_F for the normalized witness xi,
-    recomputed explicitly; ``iterations`` counts the applies of T*T (1 for
-    dense).
+    recomputed explicitly through the matrix-free action, except for a dense
+    solve with ``witness=False``, which computes no witness and reports 0.0;
+    ``iterations`` counts the applies of T*T (1 for dense).
     """
 
     value: float
@@ -274,10 +278,16 @@ def _frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def _start_vector(T: SuperOperator, gen: np.random.Generator) -> np.ndarray:
-    z = gen.standard_normal(T.shape) + 1j * gen.standard_normal(T.shape)
-    if T.restrict_h0:
-        z = center(z)
+def _start_vector(T: SuperOperator, start, rng) -> np.ndarray:
+    """Unit vector in T's domain: ``start`` if nonzero there, else a random draw from ``rng``."""
+
+    def project(z):
+        return center(z) if T.restrict_h0 else z
+
+    z = None if start is None else project(np.asarray(start, dtype=complex))
+    if z is None or not _frob(z) > 0:
+        gen = as_generator(rng)
+        z = project(gen.standard_normal(T.shape) + 1j * gen.standard_normal(T.shape))
     return z / _frob(z)
 
 
@@ -351,15 +361,15 @@ def operator_norm(
     """Operator norm of T on Hilbert-Schmidt space.
 
     method "dense" computes the exact top singular value of the materialized
-    matrix (from the full SVD with a witness, from the Gram eigvalsh that
-    ``pair_norms`` uses without one); "lanczos" runs matrix-free thick-restart
-    Lanczos on T*T from ``start`` (or a random vector drawn from ``rng``).
-    There ``tol`` is a relative Ritz residual bound on T*T: the run stops once
-    the top Ritz pair (theta, x) has ||T*T x - theta x|| <= tol * theta, or
-    after ``max_iter`` applies of T*T, when the method reads
-    "lanczos-unconverged". "auto" picks
-    dense for kN^2 <= min(AUTO_DENSE_DIM, dense_cap()), which is kN^2 <= 144
-    (N <= 12 for k = 1) by default, and lanczos above. A restricted T with
+    matrix m by a Gram eigen-solve on m*m (``eigh`` for the witness, the
+    ``eigvalsh`` that ``pair_norms`` uses without one); "lanczos" runs
+    matrix-free thick-restart Lanczos on T*T from ``start`` (or a random
+    vector drawn from ``rng``). There ``tol`` is a relative Ritz residual
+    bound on T*T: the run stops once the top Ritz pair (theta, x) has
+    ||T*T x - theta x|| <= tol * theta, or after ``max_iter`` applies of T*T,
+    when the method reads "lanczos-unconverged". "auto" picks dense for
+    kN^2 <= min(AUTO_DENSE_DIM, dense_cap()), which is kN^2 <= 144 (N <= 12
+    for k = 1) by default, and lanczos above. A restricted T with
     N = 1 acts on {0}; Lanczos reports value 0 there without a witness.
     """
     if tol <= 0:
@@ -367,39 +377,26 @@ def operator_norm(
     R, N = T.shape
     if method == "auto":
         method = "dense" if auto_dense(R * N) else "lanczos"
-    if method == "dense":
-        m = materialize(T)
-        if witness:
-            _, s, vh = np.linalg.svd(m)
-            val = float(s[0])
-            xi = vh[0].conj().reshape(R, N)
-            w = apply(T.adjoint(), apply(T, xi))
-            resid = _frob(w - val * val * xi)
-            return GapReport(val, "dense", 1, resid, xi)
-        return GapReport(float(_top_singular_values(m)), "dense", 1, 0.0, None)
-    if method != "lanczos":
+    if method not in ("dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
-    if T.restrict_h0 and N == 1:
+    if method == "dense" and not witness:
+        return GapReport(float(_top_singular_values(materialize(T))), "dense", 1, 0.0, None)
+    if method == "lanczos" and T.restrict_h0 and N == 1:
         return GapReport(0.0, "lanczos", 0, 0.0, None)
-
-    z = None
-    if start is not None:
-        z = np.asarray(start, dtype=complex)
-        if T.restrict_h0:
-            z = center(z)
-        nz = _frob(z)
-        z = z / nz if nz > 0 else None
-    if z is None:
-        z = _start_vector(T, as_generator(rng))
     fwd = _applier(T)
     adj = _applier(T.adjoint())
 
     def op(a):
         return adj(fwd(a))
 
-    theta, x, applies, converged = _lanczos(op, z, tol, max_iter)
+    if method == "dense":
+        m = materialize(T)
+        evals, evecs = np.linalg.eigh(m.conj().T @ m)
+        theta, x, applies, converged = float(evals[-1]), evecs[:, -1].reshape(R, N), 1, True
+    else:
+        theta, x, applies, converged = _lanczos(op, _start_vector(T, start, rng), tol, max_iter)
     resid = _frob(op(x) - theta * x)
-    tag = "lanczos" if converged else "lanczos-unconverged"
+    tag = method if converged else "lanczos-unconverged"
     return GapReport(math.sqrt(max(theta, 0.0)), tag, applies, resid, x if witness else None)
 
 

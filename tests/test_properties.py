@@ -26,6 +26,12 @@ def _operator(n, N, k, seed, restrict_h0):
     return qx.SuperOperator(qx.MatrixTuple(x), qx.MatrixTuple(y), restrict_h0), xi, eta
 
 
+def _projector(k, N):
+    """Explicit kN^2 x kN^2 projector I - I_k (x) vv* onto blockwise trace-zero vec(xi)."""
+    v = np.eye(N).reshape(-1) / np.sqrt(N)
+    return np.kron(np.eye(k), np.eye(N * N) - np.outer(v, v))
+
+
 @SETTINGS
 @given(shapes, st.booleans())
 def test_apply_matches_materialize(shape, restrict_h0):
@@ -38,10 +44,22 @@ def test_apply_matches_materialize(shape, restrict_h0):
     kN, N = T.shape
     oracle = np.einsum("jac,jbd->abcd", T.left.mats, T.right.mats.conj()).reshape(kN * N, -1)
     if restrict_h0:
-        v = np.eye(N).reshape(-1) / np.sqrt(N)
-        q = np.kron(np.eye(kN // N), np.eye(N * N) - np.outer(v, v))
+        q = _projector(kN // N, N)
         oracle = q @ oracle @ q
     assert np.linalg.norm(m - oracle) <= 1e-14 * np.linalg.norm(oracle)
+
+
+@SETTINGS
+@given(shapes)
+def test_restricted_materialize_is_projected(shape):
+    # materialize centres rows and columns of the dense matrix; the oracle
+    # multiplies the unrestricted matrix by the explicit projector on both sides
+    T, _, _ = _operator(*shape, True)
+    kN, N = T.shape
+    m = qx.materialize(T)
+    q = _projector(kN // N, N)
+    oracle = q @ qx.materialize(qx.SuperOperator(T.left, T.right)) @ q
+    assert np.abs(m - oracle).max() <= 1e-13 * np.abs(m).max()
 
 
 @SETTINGS

@@ -181,6 +181,15 @@ class TestReports:
         assert lo <= np.mean(vals) <= hi
         assert hi - lo < 1.0
 
+    def test_bootstrap_ci_seeding_matches_samplers(self):
+        # None is the fixed default stream, and an RngSpec is its generator
+        from qexpand.randmat import bootstrap_mean_ci
+
+        vals = [0.5, 3.0, 1.5, 4.0, 0.25]
+        assert bootstrap_mean_ci(vals, None) == bootstrap_mean_ci(vals, None)
+        spec = RngSpec(20, 1)
+        assert bootstrap_mean_ci(vals, spec) == bootstrap_mean_ci(vals, spec.generator())
+
     def test_unconverged_samples_are_counted(self, monkeypatch):
         # N = 13 runs Lanczos under "auto"; a 2-apply cap leaves every sample unconverged
         for fn in (qx.unitary_sum_norm, qx.gaussian_decoupled_norm):
