@@ -294,7 +294,12 @@ def _cmd_orbit_dist(cfg, out):
     )
     path = out / "orbit.json"
     _write_json(path, rep.to_json())
-    return [path], {"upper": rep.upper, "lower": rep.lower}
+    return [path], {
+        "upper": rep.upper,
+        "lower": rep.lower,
+        "restarts_used": rep.restarts_used,
+        "certified": rep.certified,
+    }
 
 
 def _cmd_strong_sep(cfg, out):

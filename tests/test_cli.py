@@ -159,6 +159,10 @@ class TestRun:
             make_config("orbit-dist", {"u": str(up), "v": str(vp), "restarts": 5}, tmp_path / "o")
         )
         assert rec.summary["upper"] < 1e-5
+        # a same-orbit pair reaches F = n on restart 0, the certified stop
+        assert rec.summary["certified"] is True and rec.summary["restarts_used"] == 1
+        saved = json.loads((tmp_path / "o" / "orbit.json").read_text())
+        assert saved["certified"] is True and saved["restarts_used"] == 1
         rec2 = run(make_config("separate", {"u": str(up), "v": str(vp)}, tmp_path / "s"))
         assert rec2.summary["norm_value"] == pytest.approx(2.0, abs=1e-8)
 

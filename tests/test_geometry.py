@@ -150,6 +150,34 @@ class TestOrbitDistance:
         for f in od.f_values:
             assert target <= math.sqrt(max(2 * 6 - 2 * f, 0.0)) + 1e-6
 
+    def test_certified_maximum_stops_the_restarts(self, monkeypatch):
+        import qexpand.geometry as geo
+
+        ascents = []
+
+        def counted(*args):
+            ascents.append(1)
+            return ascent(*args)
+
+        ascent = geo._orbit_ascent
+        monkeypatch.setattr(geo, "_orbit_ascent", counted)
+        # same orbit: restart 0 reaches the bound F = n, so one ascent decides
+        gen = RngSpec(314, 0).generator()
+        u = qx.haar_tuple(4, 8, gen)
+        v = u.transform(left=qx.sample_haar_unitary(8, gen), right=qx.sample_haar_unitary(8, gen))
+        rep = qx.orbit_distance(u, v, restarts=5, rng=gen)
+        assert len(ascents) == 1 and rep.restarts_used == 1 and rep.certified
+        assert rep.f_values == (rep.f_best,) and rep.f_best >= 4 * (1 - 1e-12)
+        assert rep.upper <= 1e-5 * math.sqrt(4)
+        assert rep.to_json()["certified"] is True
+        ascents.clear()
+        # generic pair: F stays below n, so every restart runs
+        w = qx.haar_tuple(4, 8, gen)
+        rep = qx.orbit_distance(u, w, restarts=5, rng=gen)
+        assert len(ascents) == 5 and rep.restarts_used == 5 and not rep.certified
+        assert len(rep.f_values) == 5 and rep.f_best < 4 * (1 - 1e-12)
+        assert rep.to_json()["certified"] is False
+
     def test_requires_unitary(self, rng):
         with pytest.raises(ValueError):
             qx.orbit_distance(random_tuple(2, 3, rng), random_tuple(2, 3, rng))
@@ -384,6 +412,32 @@ class TestNorming:
         with pytest.raises(NormingOrbitError):
             qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator(), check_orbit=True)
         assert len(ascents) == 10
+
+    def test_gap_solved_only_when_the_guard_fails(self, monkeypatch):
+        import qexpand.geometry as geo
+
+        gaps = []
+
+        def counted(*args, **kwargs):
+            gaps.append(1)
+            return solve(*args, **kwargs)
+
+        solve = geo.spectral_gap
+        monkeypatch.setattr(geo, "spectral_gap", counted)
+        # gapped Haar tuple: the guard passes, so the gap is never solved
+        x = qx.haar_tuple(3, 6, RngSpec(2, 1).generator())
+        _, attained = qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator())
+        assert not gaps and attained == pytest.approx(3.0, abs=1e-9)
+        # gapless a (+) b: the guard fails, one gap solve finds no gap, no error
+        gen = RngSpec(2, 1).generator()
+        x = qx.direct_sum(qx.haar_tuple(2, 3, gen), qx.haar_tuple(2, 3, gen))
+        v, attained = qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator())
+        assert len(gaps) == 1
+        w, unchecked = qx.find_norming_tuple(
+            x, restarts=2, rng=RngSpec(2, 0).generator(), check_orbit=False
+        )
+        assert len(gaps) == 1
+        assert np.array_equal(v.mats, w.mats) and attained == unchecked
 
     def test_orbit_check_skipped_for_gapless_tuple(self):
         # the identity tuple has no gap, so the auto mode skips the orbit assertion

@@ -1,5 +1,6 @@
 """Property tests over small random shapes: superoperator algebra and tuple files."""
 import json
+import math
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -124,6 +125,21 @@ def test_orbit_distance_is_bi_unitarily_invariant(n, N, seed):
         u.transform(left=c, right=e), v.transform(left=a, right=b), restarts=20, rng=seed
     )
     assert abs(moved.upper - qx.orbit_distance(u, v, restarts=20, rng=seed).upper) <= 1e-8
+
+
+@SETTINGS
+@given(st.integers(1, 5), st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_certified_orbit_distance_is_near_zero_on_the_orbit(n, N, seed):
+    # F <= n on every pair, so a restart with F >= n (1 - 1e-12) leaves at
+    # most sqrt(2 n 1e-12) for all the others to gain; d'(u, a u b) = 0
+    gen = np.random.default_rng(seed)
+    u = qx.haar_tuple(n, N, gen)
+    a, b = qx.sample_haar_unitary(N, gen), qx.sample_haar_unitary(N, gen)
+    rep = qx.orbit_distance(u, u.transform(left=a, right=b), restarts=3, rng=gen)
+    assert rep.certified == (rep.f_best >= n * (1 - 1e-12))
+    if rep.certified:
+        assert rep.f_values[-1] == rep.f_best
+        assert rep.upper <= 1e-5 * math.sqrt(n)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
