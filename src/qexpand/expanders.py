@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import TupleFormatError
-from .linalg import MatrixTuple, as_generator, as_square_matrix, sample_haar_unitary
+from .linalg import MatrixTuple, _haar_stack, as_generator, as_square_matrix
 from .superop import GapReport, SuperOperator, _applier, center, spectral_gap
 
 __all__ = [
@@ -47,10 +47,7 @@ def haar_tuple(n: int, N: int, rng=None) -> MatrixTuple:
     """n independent Haar unitaries of size N."""
     if n < 1 or N < 1:
         raise ValueError(f"n and N must be positive, got n={n}, N={N}")
-    gen = as_generator(rng)
-    return MatrixTuple(
-        np.stack([sample_haar_unitary(N, gen) for _ in range(n)]), unitary=True
-    )
+    return MatrixTuple(_haar_stack(N, n, as_generator(rng)), unitary=True)
 
 
 @dataclass(frozen=True)
@@ -209,9 +206,13 @@ def certify(
 ) -> ExpanderCertificate:
     u.require_unitary()
     rep = spectral_gap(u, method=method, tol=tol, rng=rng)
-    eps = min(max(1.0 - rep.value / u.n, 0.0), 1.0)
     slack = rep.value - 2.0 * math.sqrt(u.n - 1)
-    return ExpanderCertificate(u, eps, slack, rep)
+    return ExpanderCertificate(u, _epsilon(rep.value, u.n), slack, rep)
+
+
+def _epsilon(gap_value: float, n: int) -> float:
+    """Expander parameter 1 - value/n of a gap value, clamped to [0, 1]."""
+    return min(max(1.0 - gap_value / n, 0.0), 1.0)
 
 
 def mixing_curve(u: MatrixTuple, x0, steps: int) -> np.ndarray:

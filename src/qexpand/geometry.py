@@ -8,6 +8,7 @@ lower bounds for norms; the reports carry which side they certify.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -454,10 +455,12 @@ def find_norming_tuple(
     gapless tuple such as a (+) b is normed off the orbit (by a (+) W for
     any unitary W), which is what the error reports when the check is
     forced. With ``check_orbit=None`` the check runs first and
-    ``spectral_gap(x)`` is solved only if it fails: the error is raised
-    only when x turns out to be gapped. A caller's ``gap_value`` decides
-    up front instead, and a gapless one skips the check. (v, value) are
-    fixed before the check and do not depend on it.
+    ``spectral_gap(x)`` is solved only if its first restart misses: a
+    gapless x ends the check there, a gapped one continues it as if
+    forced (the gap solve draws from a copy of the generator, so the later
+    restarts draw the Haar starts they draw in forced mode). A caller's
+    ``gap_value`` decides up front instead, and a gapless one skips the
+    check. (v, value) are fixed before the check and do not depend on it.
     """
     x.require_unitary()
     gen = as_generator(rng)
@@ -465,7 +468,7 @@ def find_norming_tuple(
 
     def polar(xi, eta):
         stack = eta.conj().T @ x.mats @ xi
-        return MatrixTuple(np.stack([polar_unitary(m) for m in stack]), unitary=True)
+        return MatrixTuple(polar_unitary(stack), unitary=True)
 
     best_val = -math.inf
     best_v = None
@@ -495,13 +498,18 @@ def find_norming_tuple(
                 break
             if f > best_f:
                 best_f, dist = f, d
+            if check_orbit is None:
+                # automatic mode, first miss: only a gapped x makes it an error.
+                # The gap solve draws from a copy of gen, so the later restarts
+                # start where they would in forced mode.
+                if spectral_gap(x, rng=copy.deepcopy(gen)).value >= x.n - 1e-6:
+                    break
+                check_orbit = True
         else:
-            # off the orbit: in the automatic mode only a gapped x is an error
-            if check_orbit or spectral_gap(x, rng=gen).value < x.n - 1e-6:
-                raise NormingOrbitError(
-                    f"norming witness sits {dist:.3e} from the orbit (tolerance {tol:.3e}); "
-                    "the input tuple may not have a spectral gap"
-                )
+            raise NormingOrbitError(
+                f"norming witness sits {dist:.3e} from the orbit (tolerance {tol:.3e}); "
+                "the input tuple may not have a spectral gap"
+            )
     return best_v, float(best_val)
 
 

@@ -74,13 +74,19 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def polar_unitary(m) -> np.ndarray:
-    """Unitary factor of the polar decomposition of ``m``.
+    """Unitary factor of the polar decomposition of ``m``, or of each matrix of a (..., N, N) stack.
 
     Computed as ``u @ vh`` from the SVD, which is defined (though not unique)
     also for singular inputs. It maximizes Re tr(W* m) over unitary W with
-    optimum tr|m|, which is all the optimizers in this package need.
+    optimum tr|m|, which is all the optimizers in this package need. A stack
+    takes one batched SVD and matmul, bit-identical to a loop over members.
     """
-    u, _, vh = svd(m)
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise DimensionMismatch(f"polar_unitary needs square matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
+    u, _, vh = np.linalg.svd(a)
     return u @ vh
 
 
@@ -151,6 +157,30 @@ def as_generator(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+# Bytes of Ginibre matrices per batched decomposition in ``ginibre_singular_mean``
+# and in ``packing.subgaussian_tail_check`` (2 samples of 8 matrices at
+# N = 16). Batching saves the per-call overhead of small SVDs. With one BLAS
+# thread, subgaussian_tail_check(8, 16, 100) took 75-87 ms at budgets from
+# one sample to 4 samples per batch (126 ms one matrix at a time); at
+# 4 samples the batch raised the peak RSS of a process by 0.6 MB, at 2 by
+# nothing measurable.
+_BATCH_BYTES = 1 << 16
+
+
+def _ginibre_stack(N: int, count: int, g: np.random.Generator) -> np.ndarray:
+    """``count`` Ginibre matrices drawn from g in the order of ``count`` calls of ``sample_ginibre``."""
+    z = g.standard_normal((count, 2, N, N))
+    return (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2 * N)
+
+
+def _haar_stack(N: int, count: int, g: np.random.Generator) -> np.ndarray:
+    """``count`` Haar unitaries from g, bit-identical to ``count`` calls of ``sample_haar_unitary``.
+
+    The Ginibre draws keep their order; one batched polar factors them all.
+    """
+    return polar_unitary(_ginibre_stack(N, count, g))
+
+
 def sample_ginibre(N: int, rng=None) -> np.ndarray:
     """Ginibre matrix: i.i.d. complex Gaussian entries with variance 1/N.
 
@@ -158,26 +188,32 @@ def sample_ginibre(N: int, rng=None) -> np.ndarray:
     """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
-    g = as_generator(rng)
-    re = g.standard_normal((N, N))
-    im = g.standard_normal((N, N))
-    return (re + 1j * im) / math.sqrt(2 * N)
+    return _ginibre_stack(N, 1, as_generator(rng))[0]
 
 
 def sample_haar_unitary(N: int, rng=None) -> np.ndarray:
     """Haar-distributed unitary: the polar factor of a Ginibre matrix."""
-    return polar_unitary(sample_ginibre(N, rng))
+    if N < 1:
+        raise ValueError(f"N must be positive, got {N}")
+    return _haar_stack(N, 1, as_generator(rng))[0]
 
 
 def ginibre_singular_mean(N: int, samples: int, rng=None) -> float:
     """Monte Carlo estimate of E[N^-1 tr|Y|] for the Ginibre ensemble.
 
-    Converges to the quarter-circle mean 8/(3*pi) as N grows.
+    Converges to the quarter-circle mean 8/(3*pi) as N grows. The singular
+    values come from batched SVDs of _BATCH_BYTES of draws at a time.
     """
+    if N < 1:
+        raise ValueError(f"N must be positive, got {N}")
     if samples < 1:
         raise ValueError("samples must be positive")
     g = as_generator(rng)
-    vals = [trace_norm(sample_ginibre(N, g)) / N for _ in range(samples)]
+    chunk = max(1, _BATCH_BYTES // (16 * N * N))
+    vals = np.empty(samples)
+    for lo in range(0, samples, chunk):
+        y = _ginibre_stack(N, min(chunk, samples - lo), g)
+        vals[lo : lo + len(y)] = np.linalg.svd(y, compute_uv=False).sum(axis=-1) / N
     return float(np.mean(vals))
 
 

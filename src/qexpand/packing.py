@@ -15,10 +15,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
 
-from .expanders import certify, haar_tuple
+from .expanders import _epsilon, haar_tuple
 from .geometry import orbit_distance, tuple_distance
-from .linalg import MatrixTuple, RngSpec, ginibre_singular_mean, sample_haar_unitary, save_tuple
-from .superop import SuperOperator, auto_dense, operator_norm, pair_norms
+from .linalg import (
+    _BATCH_BYTES,
+    MatrixTuple,
+    RngSpec,
+    _ginibre_stack,
+    ginibre_singular_mean,
+    polar_unitary,
+    save_tuple,
+)
+from .superop import SuperOperator, _gap, auto_dense, operator_norm, pair_norms
 
 __all__ = [
     "PackingFamily",
@@ -42,7 +50,7 @@ class PackingFamily:
     below ``accept_delta``. ``since_last_admission`` counts the samples drawn
     after the last admitted one (all of them if none was admitted); a long
     run suggests the family is near saturation. ``unconverged`` counts the
-    certify and pair solves whose method reads "lanczos-unconverged".
+    certificate and pair solves whose method reads "lanczos-unconverged".
     """
 
     members: list[MatrixTuple]
@@ -131,7 +139,8 @@ def greedy_pack(
     """Online maximal family: admit certified samples separated from all members.
 
     A sample's separation from member v is 1 - ||T_uv|| / n (the self-norms
-    of unitary tuples are exactly n). Each sample is certified at tol 1e-6.
+    of unitary tuples are exactly n). Each sample is certified at tol 1e-6,
+    with ``certify``'s epsilon from a gap solve that computes no witness.
     While ``operator_norm(method="auto")`` would take the dense path
     (N^2 <= min(AUTO_DENSE_DIM, dense_cap())), the norms against the members
     come from ``pair_norms``, one batched call per chunk of _PAIR_CHUNK
@@ -157,10 +166,10 @@ def greedy_pack(
     for idx in range(max_samples):
         gen = rng.substream(idx)
         u = haar_tuple(n, N, gen)
-        cert = certify(u, tol=1e-6, rng=gen)
-        unconverged += cert.gap.method == "lanczos-unconverged"
+        gap = _gap(u, "auto", 1e-6, gen, witness=False)
+        unconverged += gap.method == "lanczos-unconverged"
         since += 1
-        if cert.epsilon < eps:
+        if _epsilon(gap.value, n) < eps:
             uncertified += 1
             continue
         deltas: list[float] = []
@@ -188,7 +197,7 @@ def greedy_pack(
             stacks[-1][len(members) % chunk] = u.mats
         rows.append(deltas)
         members.append(u)
-        gaps.append(cert.gap.value)
+        gaps.append(gap.value)
         since = 0
     count = len(members)
     pairwise = np.zeros((count, count))
@@ -363,12 +372,15 @@ def subgaussian_tail_check(
     b_n = ginibre_singular_mean(N, bn_samples, rng.substream(0))
     k_hat = b_n * b_n
     sums = np.empty(samples)
-    for s in range(samples):
-        gen = rng.substream(1, s)
-        total = 0.0
-        for _ in range(n):
-            total += float(np.trace(sample_haar_unitary(N, gen)).real)
-        sums[s] = total
+    chunk = max(1, _BATCH_BYTES // (16 * n * N * N))
+    for lo in range(0, samples, chunk):
+        hi = min(lo + chunk, samples)
+        draws = np.empty((hi - lo, n, N, N), dtype=complex)
+        for i, s in enumerate(range(lo, hi)):
+            draws[i] = _ginibre_stack(N, n, rng.substream(1, s))
+        traces = np.trace(polar_unitary(draws), axis1=-2, axis2=-1).real
+        # running sums in member order, as a scalar loop would add them
+        sums[lo:hi] = np.cumsum(traces, axis=1)[:, -1]
     rows = []
     for lam in (0.5 * k * math.sqrt(n) for k in range(9)):
         emp = float(np.mean(sums > lam))

@@ -15,8 +15,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DenseCapExceeded
-from .linalg import MatrixTuple, RngSpec, as_generator, sample_ginibre, sample_haar_unitary
-from .superop import SuperOperator, center, materialize, operator_norm
+from .linalg import MatrixTuple, RngSpec, _ginibre_stack, _haar_stack, as_generator, sample_ginibre
+from .superop import (
+    LANCZOS_BASIS,
+    SuperOperator,
+    _lanczos_norms,
+    auto_dense,
+    center,
+    materialize,
+    operator_norm,
+)
 
 __all__ = [
     "MomentReport",
@@ -69,25 +77,54 @@ class MomentReport:
         return out
 
 
-def _sum_norm_report(coeffs, a, N, samples, rng, tol, draw) -> MomentReport:
+# Bytes per chunk of samples solved by one ``_lanczos_norms`` call: each sample
+# holds a Lanczos basis of LANCZOS_BASIS + 1 vectors, its left and right
+# member stacks and the conjugated right stack. At n = 8, N = 16 a sample
+# takes 200 kB, so chunks hold 4 samples. There (one BLAS thread, 10
+# unitary and 10 Gaussian samples, fastest of 8 rounds) the norm statistics
+# took 108 ms one sample at a time, 82 ms in chunks of 2, 69 of 3, 64 of 4
+# and 60 of 5, while the process's peak RSS rose by 0.2, 0.4, 0.6, 1.1 and
+# 1.35 MB over the solo solves before lockstep; chunks of 4 keep the
+# benchmark's montecarlo peak RSS (41 MB) within 3%.
+_LOCKSTEP_BYTES = 800 << 10
+
+
+def _sum_norm_report(coeffs, a, N, samples, rng, tol, draw, restrict_h0) -> MomentReport:
     """Norm statistics of one random superoperator per sample index.
 
     ``draw(s, a)`` builds sample s's operator from the coefficients ``a``
-    (shape (n, k, k)) out of its own RNG substreams and returns it with the
-    generator its norm solver draws from.
+    (shape (n, k, k)) out of its own RNG substreams and returns its left and
+    right member stacks with the generator its norm solver draws from.
+    Operators that ``auto_dense`` sends to the dense solver are solved one
+    at a time; the others in chunks of samples through ``_lanczos_norms``,
+    each chunk holding at most _LOCKSTEP_BYTES of basis and member stacks.
     """
     if samples < 10:
         raise ValueError(f"need at least 10 samples, got {samples}")
-    vals = []
+    n, k = a.shape[:2]
+    R = k * N
+    vals = np.empty(samples)
     unconverged = 0
-    for s in range(samples):
-        T, gen = draw(s, a)
-        rep = operator_norm(T, tol=tol, rng=gen, witness=False)
-        vals.append(rep.value)
-        unconverged += rep.method == "lanczos-unconverged"
-    vals = np.array(vals)
+    if auto_dense(R * N):
+        for s in range(samples):
+            left, right, _ = draw(s, a)
+            T = SuperOperator(MatrixTuple(left), MatrixTuple(right), restrict_h0=restrict_h0)
+            vals[s] = operator_norm(T, method="dense", tol=tol, witness=False).value
+    else:
+        per_sample = 16 * ((LANCZOS_BASIS + 1) * R * N + n * (R * R + 2 * N * N))
+        chunk = max(1, _LOCKSTEP_BYTES // per_sample)
+        for lo in range(0, samples, chunk):
+            hi = min(lo + chunk, samples)
+            left = np.empty((hi - lo, n, R, R), dtype=complex)
+            right = np.empty((hi - lo, n, N, N), dtype=complex)
+            gens = []
+            for b, s in enumerate(range(lo, hi)):
+                left[b], right[b], gen = draw(s, a)
+                gens.append(gen)
+            vals[lo:hi], _, converged = _lanczos_norms(left, right, restrict_h0, gens, tol)
+            unconverged += int(np.count_nonzero(~converged))
     return MomentReport(
-        n=len(a),
+        n=n,
         N=N,
         coeffs=coeffs,
         samples=samples,
@@ -99,13 +136,13 @@ def _sum_norm_report(coeffs, a, N, samples, rng, tol, draw) -> MomentReport:
     )
 
 
-def _scalar_report(coeffs, N, samples, rng, tol, draw) -> MomentReport:
+def _scalar_report(coeffs, N, samples, rng, tol, draw, restrict_h0) -> MomentReport:
     """``_sum_norm_report`` for scalar coefficients, with ratio = mean / ||a||_2."""
     coeffs = tuple(complex(c) for c in coeffs)
     if not coeffs:
         raise ValueError("coeffs must be nonempty")
     a = np.asarray(coeffs).reshape(-1, 1, 1)
-    rep = _sum_norm_report(coeffs, a, N, samples, rng, tol, draw)
+    rep = _sum_norm_report(coeffs, a, N, samples, rng, tol, draw, restrict_h0)
     l2 = math.sqrt(sum(abs(c) ** 2 for c in coeffs))
     rep.ratio = rep.mean_norm / l2 if l2 > 0 else None
     return rep
@@ -119,11 +156,10 @@ def _unitary_draw(rng: RngSpec, N: int):
 
     def draw(s, a):
         gen = rng.substream(2, s)
-        u = np.stack([sample_haar_unitary(N, gen) for _ in range(len(a))])
+        u = _haar_stack(N, len(a), gen)
         n, k = a.shape[:2]
         left = (a[:, :, None, :, None] * u[:, None, :, None, :]).reshape(n, k * N, k * N)
-        T = SuperOperator(MatrixTuple(left), MatrixTuple(u, unitary=True), restrict_h0=True)
-        return T, gen
+        return left, u, gen
 
     return draw
 
@@ -136,7 +172,7 @@ def unitary_sum_norm(
     tol: float = 1e-8,
 ) -> MomentReport:
     """Norm statistics of sum_j a_j U_j (x) conj(U_j) on the trace-zero space."""
-    return _scalar_report(coeffs, N, samples, rng, tol, _unitary_draw(rng, N))
+    return _scalar_report(coeffs, N, samples, rng, tol, _unitary_draw(rng, N), True)
 
 
 def gaussian_decoupled_norm(
@@ -151,11 +187,11 @@ def gaussian_decoupled_norm(
     def draw(s, a):
         gen_y = rng.substream(0, s)
         gen_yp = rng.substream(1, s)
-        y = np.stack([sample_ginibre(N, gen_y) for _ in range(len(a))])
-        yp = np.stack([sample_ginibre(N, gen_yp) for _ in range(len(a))])
-        return SuperOperator(MatrixTuple(a * y), MatrixTuple(yp)), gen_y
+        y = _ginibre_stack(N, len(a), gen_y)
+        yp = _ginibre_stack(N, len(a), gen_yp)
+        return a * y, yp, gen_y
 
-    return _scalar_report(coeffs, N, samples, rng, tol, draw)
+    return _scalar_report(coeffs, N, samples, rng, tol, draw, False)
 
 
 def bootstrap_mean_ci(values: Sequence[float], rng) -> tuple[float, float]:
@@ -253,7 +289,7 @@ def twirl_identity_check(N: int, samples: int, rng: RngSpec) -> TwirlReport:
     while done < samples:
         take = min(batch, samples - done)
         gen = rng.substream(0, chunk_idx)
-        ys = MatrixTuple(np.stack([sample_ginibre(N, gen) for _ in range(take)]))
+        ys = MatrixTuple(_ginibre_stack(N, take, gen))
         acc += materialize(SuperOperator(ys, ys))
         done += take
         chunk_idx += 1
@@ -286,7 +322,7 @@ def matrix_coefficient_sum(
     if any(a.shape != (k, k) for a in mats):
         raise ValueError("all coefficient blocks must be square of equal size")
     draw = _unitary_draw(rng, N)
-    rep = _sum_norm_report(mats, np.stack(mats), N, samples, rng, 1e-8, draw)
+    rep = _sum_norm_report(mats, np.stack(mats), N, samples, rng, 1e-8, draw, True)
     sq1 = np.linalg.svd(sum(a.conj().T @ a for a in mats), compute_uv=False)[0]
     sq2 = np.linalg.svd(sum(a @ a.conj().T for a in mats), compute_uv=False)[0]
     rep.rhs = math.sqrt(max(float(sq1), float(sq2)))

@@ -10,7 +10,12 @@ onto the blockwise trace-zero subspace on both sides. ``center`` applies it
 analytically as xi_b -> xi_b - tr(xi_b)/N * I on every block, never as a
 matrix, for ``apply`` and (on the columns and rows) for ``materialize``.
 ``operator_norm`` takes a dense Gram eigen-solve for small kN^2 and otherwise
-runs thick-restart Lanczos on T*T through the matrix-free action.
+runs thick-restart Lanczos on T*T through the matrix-free action. The one
+Lanczos routine, ``_lanczos``, runs B operators of one shape in lockstep on
+stacked (B, kN, N) GEMMs and batched ``eigh``s: ``operator_norm`` is its
+B = 1 call, and ``randmat`` solves a chunk of Monte Carlo samples at once
+through ``_lanczos_norms``, each run stopping after the applies it would
+take alone.
 
 Dense matrices sum_j x_j (x) conj(y_j) come from one matmul over the members,
 for one operator (``materialize``) or for K unrestricted k = 1 operators
@@ -65,16 +70,20 @@ AUTO_DENSE_DIM = 144
 # Lanczos basis size and the Ritz vectors kept at a thick restart. A larger
 # basis costs more per step (Gram-Schmidt against the whole basis, and a
 # larger eigh at each convergence check) and more memory than it saves in
-# applies.
+# applies. A lockstep batch of B runs holds B such bases.
 LANCZOS_BASIS = 24
 LANCZOS_KEEP = 6
-# Applies between Ritz convergence checks. One eigh of the projected matrix
-# costs 11-99 us (6x6 to 24x24) against 145 us for a T*T apply at n=8, N=16.
-# At that size checking every 4th apply instead of every apply took a median
-# solve (tol=1e-8, one BLAS thread) from 9.1-9.6 to 7.5-7.9 ms for Haar
-# unitary sums and from 5.2 to 3.9-4.1 ms for Ginibre sums, at 1.5-2 more
-# applies. A late check only adds applies, which tighten the lower bound.
+# Applies between Ritz convergence checks, shared by every run of a batch.
+# At n=8, N=16 (one BLAS thread) a T*T apply costs 84 us for one operator and
+# 60 us per operator in a batch of 4, and the eigh of one projected matrix
+# 12-109 us (6x6 to 24x24). When it cost 145 us per apply, checking every
+# 4th apply instead of every apply took a median solve (tol=1e-8) from
+# 9.1-9.6 to 7.5-7.9 ms for Haar unitary sums and from 5.2 to 3.9-4.1 ms for
+# Ginibre sums, at 1.5-2 more applies. A late check only adds applies, which
+# tighten the lower bound.
 LANCZOS_CHECK = 4
+# Cap on T*T applies per Lanczos run.
+_MAX_APPLIES = 100_000
 # beta below this multiple of the largest ||T*T q|| seen is rounding noise:
 # the basis spans an invariant subspace.
 _BREAKDOWN = 1e-13
@@ -136,35 +145,77 @@ class SuperOperator:
 def center(xi: np.ndarray) -> np.ndarray:
     """Copy of a (..., kN, N) stack with every N x N block projected to trace zero."""
     out = np.array(xi, dtype=complex, order="C")
-    N = out.shape[-1]
-    diag = out.reshape(-1, N * N)[:, :: N + 1]
-    diag -= np.trace(out.reshape(-1, N, N), axis1=1, axis2=2)[:, None] / N
+    _center_in_place(out)
     return out
 
 
-def _applier(T: SuperOperator):
-    """Closure evaluating T as two stacked GEMMs (faster than batched matmul).
+def _center_in_place(out: np.ndarray) -> None:
+    """``center`` on a C-contiguous complex (..., kN, N) stack, overwriting it."""
+    N = out.shape[-1]
+    diag = out.reshape(-1, N * N)[:, :: N + 1]
+    diag -= np.trace(out.reshape(-1, N, N), axis1=1, axis2=2)[:, None] / N
 
-    sum_j x_j a y_j* = [x_1 a | ... | x_n a] @ [y_1*; ...; y_n*] after
-    stacking the x_j vertically and the y_j* vertically.
+
+def _adjoint_members(m: np.ndarray) -> np.ndarray:
+    """C-contiguous member-wise conjugate transpose of a (..., N, N) stack."""
+    return np.conj(m.swapaxes(-1, -2), order="C")
+
+
+def _gemm_operands(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked members [x_1; ...; x_n] and [y_1*; ...; y_n*] of T = sum_j x_j (.) y_j*.
+
+    Takes the (..., n, R, R) and (..., n, N, N) member arrays and returns
+    (..., nR, R) and (..., nN, N) stacks for ``_product``.
     """
-    n, (R, N) = T.n, T.shape
-    left_stack = np.ascontiguousarray(T.left.mats.reshape(n * R, R))
-    right_adj_stack = np.ascontiguousarray(
-        T.right.mats.conj().transpose(0, 2, 1).reshape(n * N, N)
-    )
+    *lead, n, R, _ = left.shape
+    N = right.shape[-1]
+    return left.reshape(*lead, n * R, R), _adjoint_members(right).reshape(*lead, n * N, N)
+
+
+def _product(xs: np.ndarray, ys: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_j x_j a y_j* from ``_gemm_operands``, batched over leading axes.
+
+    Two stacked GEMMs (faster than a matmul per member): sum_j x_j a y_j* =
+    [x_1 a | ... | x_n a] @ [y_1*; ...; y_n*]. The result is a new
+    C-contiguous array.
+    """
+    *lead, R, N = a.shape
+    n = xs.shape[-2] // R
+    w = (xs @ a).reshape(*lead, n, R, N)
+    return w.swapaxes(-3, -2).reshape(*lead, R, n * N) @ ys
+
+
+def _applier(T: SuperOperator):
+    """Closure evaluating T on a kN x N matrix, centring its input and output when restricted."""
+    xs, ys = _gemm_operands(T.left.mats, T.right.mats)
     restrict = T.restrict_h0
 
     def f(a: np.ndarray) -> np.ndarray:
+        out = _product(xs, ys, center(a) if restrict else a)
         if restrict:
-            a = center(a)
-        w = (left_stack @ a).reshape(n, R, N)
-        out = w.transpose(1, 0, 2).reshape(R, n * N) @ right_adj_stack
-        if restrict:
-            out = center(out)
+            _center_in_place(out)
         return out
 
     return f
+
+
+def _gram_apply(operands, restrict: bool, a: np.ndarray) -> np.ndarray:
+    """T_b*T_b a_b for every b of a (B, kN, N) stack a inside the operators' domain.
+
+    ``operands`` are T's ``_gemm_operands`` (xs, ys). T* needs no operands of
+    its own: T*(b) = (sum_j y_j* b* x_j)* is ``_product(ys, xs, b*)``
+    conjugate-transposed. With the restriction the input is not centred
+    again (it already lies in the trace-zero space); each of the two
+    products is centred once, in place.
+    """
+    xs, ys = operands
+    out = _product(xs, ys, a)
+    if restrict:
+        _center_in_place(out)
+    out = _adjoint_members(_product(ys, xs, _adjoint_members(out)))
+    if restrict:
+        _center_in_place(out)
+    return out
 
 
 def apply(T: SuperOperator, xi) -> np.ndarray:
@@ -278,74 +329,119 @@ def _frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def _start_vector(T: SuperOperator, start, rng) -> np.ndarray:
-    """Unit vector in T's domain: ``start`` if nonzero there, else a random draw from ``rng``."""
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (B, d) complex array."""
+    return np.sqrt((a[:, None, :] @ a[:, :, None].conj())[:, 0, 0].real)
+
+
+def _start_vector(shape, restrict_h0: bool, start, rng) -> np.ndarray:
+    """Unit vector in the domain: ``start`` if nonzero there, else a random draw from ``rng``."""
 
     def project(z):
-        return center(z) if T.restrict_h0 else z
+        return center(z) if restrict_h0 else z
 
     z = None if start is None else project(np.asarray(start, dtype=complex))
     if z is None or not _frob(z) > 0:
         gen = as_generator(rng)
-        z = project(gen.standard_normal(T.shape) + 1j * gen.standard_normal(T.shape))
+        z = project(gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
     return z / _frob(z)
 
 
-def _lanczos(op, z, tol, max_iter):
-    """Top eigenpair of the Hermitian PSD map ``op`` by thick-restart Lanczos.
+def _compact(arrays, rows) -> tuple:
+    """Move the given rows (increasing indices) of each array to its front, in place.
 
-    Runs from the unit vector z with full reorthogonalization (two classical
-    Gram-Schmidt passes against the stacked basis). When the basis holds
-    LANCZOS_BASIS vectors it restarts Krylov-Schur style from the top
-    LANCZOS_KEEP Ritz vectors plus the residual vector. Breakdown (beta
-    negligible: the basis spans an invariant subspace) is tested after every
-    apply. The Ritz pair comes from an eigh of the projected matrix, run only
-    on the first apply (so a start that is already an eigenvector stops after
-    one), every LANCZOS_CHECK applies, at the last step of each cycle (whose
-    eigh also serves the restart), on breakdown and at max_iter. Stops when
-    such a check finds the residual bound beta * |y_last| at most tol * theta,
-    on breakdown, or after max_iter applies. Returns (theta, x, applies,
-    converged) with x the unit Ritz vector.
+    Returns the leading views, so that a shrinking batch allocates nothing.
     """
-    shape = z.shape
+    for a in arrays:
+        for i, r in enumerate(rows):
+            if i != r:
+                a[i] = a[r]
+    return tuple(a[: len(rows)] for a in arrays)
+
+
+def _lanczos(left, right, restrict_h0, Z, tol, max_iter):
+    """Top eigenpairs of T_b*T_b for B operators of one shape, by thick-restart Lanczos in lockstep.
+
+    Operator b is sum_j left[b, j] (.) right[b, j]* (optionally restricted),
+    from the (B, n, kN, kN) and (B, n, N, N) member stacks, and its run
+    starts from the unit vector Z[b] of the (B, kN, N) stack Z. One closure
+    applies all live T_b*T_b as stacked GEMMs. Every run keeps full
+    reorthogonalization (two classical Gram-Schmidt passes against its
+    basis). When a basis holds LANCZOS_BASIS vectors it restarts Krylov-Schur
+    style from the top LANCZOS_KEEP Ritz vectors plus the residual vector.
+    Breakdown (beta negligible: the basis spans an invariant subspace) is
+    tested after every apply. The Ritz pairs come from a batched eigh of the
+    projected matrices, run on the first apply (so a start that is already
+    an eigenvector stops after one), every LANCZOS_CHECK applies, at the last
+    step of each cycle (whose eigh also serves the restart), on a breakdown
+    and at max_iter. A run stops when such a scheduled check finds its
+    residual bound beta * |y_last| at most tol * theta, on its own breakdown,
+    or after max_iter applies; it then leaves the batch. So every run takes
+    the applies it would take alone (B = 1), and its arithmetic does not
+    depend on the other runs. Returns per-run arrays (theta, X, applies,
+    converged) with X[b] the unit Ritz vector.
+    """
+    B, R, N = Z.shape
+    d = R * N
     m, keep = LANCZOS_BASIS, LANCZOS_KEEP
-    Q = np.empty((m + 1, z.size), dtype=complex)
-    Q[0] = z.ravel()
-    H = np.zeros((m, m))
+    operands = _gemm_operands(left, right)
+
+    def op(a):
+        return _gram_apply(operands, restrict_h0, a)
+
+    Q = np.empty((B, m + 1, d), dtype=complex)
+    Q[:, 0] = Z.reshape(B, d)
+    H = np.zeros((B, m, m))
+    scale = np.zeros(B)
+    live = np.arange(B)  # input index of each row still running
+    theta_out, X = np.empty(B), np.empty((B, d), dtype=complex)
+    applies_out, converged_out = np.empty(B, dtype=int), np.empty(B, dtype=bool)
     k = applies = 0
-    scale = 0.0
     while True:
         for j in range(k, m):
-            w = op(Q[j].reshape(shape)).ravel()
+            w = op(Q[:, j].reshape(-1, R, N)).reshape(-1, d)
             applies += 1
-            scale = max(scale, _frob(w))
-            basis = Q[: j + 1]
-            h = (basis @ w.conj()).conj()
-            w -= h @ basis
-            h2 = (basis @ w.conj()).conj()
-            w -= h2 @ basis
-            H[j, j] = (h[j] + h2[j]).real
-            beta = _frob(w)
+            scale = np.maximum(scale, _row_norms(w))
+            basis = Q[:, : j + 1]
+            h = (basis @ w[:, :, None].conj())[:, :, 0].conj()
+            w -= (h[:, None, :] @ basis)[:, 0]
+            h2 = (basis @ w[:, :, None].conj())[:, :, 0].conj()
+            w -= (h2[:, None, :] @ basis)[:, 0]
+            H[:, j, j] = (h[:, j] + h2[:, j]).real
+            beta = _row_norms(w)
             breakdown = beta <= _BREAKDOWN * scale
             capped = applies >= max_iter
-            if breakdown or capped or j == m - 1 or applies == 1 or applies % LANCZOS_CHECK == 0:
-                theta, Y = np.linalg.eigh(H[: j + 1, : j + 1])
-                y = Y[:, -1]
-                converged = breakdown or beta * abs(y[-1]) <= tol * theta[-1]
-                if converged or capped:
-                    x = y @ basis
-                    return float(theta[-1]), (x / _frob(x)).reshape(shape), applies, converged
-            Q[j + 1] = w / beta
+            scheduled = capped or j == m - 1 or applies == 1 or applies % LANCZOS_CHECK == 0
+            if scheduled or breakdown.any():
+                theta, Y = np.linalg.eigh(H[:, : j + 1, : j + 1])
+                y = Y[:, :, -1]
+                converged = breakdown | (scheduled & (beta * np.abs(y[:, -1]) <= tol * theta[:, -1]))
+                done = converged | capped
+                if done.any():
+                    x = (y[:, None, :] @ basis)[done, 0]
+                    rows = live[done]
+                    theta_out[rows] = theta[done, -1]
+                    X[rows] = x / _row_norms(x)[:, None]
+                    applies_out[rows] = applies
+                    converged_out[rows] = converged[done]
+                    if done.all():
+                        return theta_out, X.reshape(B, R, N), applies_out, converged_out
+                    run = np.flatnonzero(~done)
+                    live, Q, H, scale, w, beta, theta, Y = _compact(
+                        (live, Q, H, scale, w, beta, theta, Y), run
+                    )
+                    operands = _compact(operands, run)
+            Q[:, j + 1] = w / beta[:, None]
             if j + 1 < m:
-                H[j + 1, j] = H[j, j + 1] = beta
+                H[:, j + 1, j] = H[:, j, j + 1] = beta
         # Thick restart from the last step's eigh of the full H:
         # A Q_keep = Q_keep diag(theta) + q_m (beta Y[-1])^T.
-        Y = Y[:, -keep:]
-        Q[:keep] = Y.T @ Q[:m]
-        Q[keep] = Q[m]
+        Yk = Y[:, :, -keep:]
+        Q[:, :keep] = Yk.swapaxes(1, 2) @ Q[:, :m]
+        Q[:, keep] = Q[:, m]
         H[:] = 0.0
-        H[np.arange(keep), np.arange(keep)] = theta[-keep:]
-        H[keep, :keep] = H[:keep, keep] = beta * Y[-1]
+        H[:, np.arange(keep), np.arange(keep)] = theta[:, -keep:]
+        H[:, keep, :keep] = H[:, :keep, keep] = beta[:, None] * Yk[:, -1]
         k = keep
 
 
@@ -353,7 +449,7 @@ def operator_norm(
     T: SuperOperator,
     method: str = "auto",
     tol: float = 1e-10,
-    max_iter: int = 100_000,
+    max_iter: int = _MAX_APPLIES,
     rng=None,
     start: Optional[np.ndarray] = None,
     witness: bool = True,
@@ -364,10 +460,11 @@ def operator_norm(
     matrix m by a Gram eigen-solve on m*m (``eigh`` for the witness, the
     ``eigvalsh`` that ``pair_norms`` uses without one); "lanczos" runs
     matrix-free thick-restart Lanczos on T*T from ``start`` (or a random
-    vector drawn from ``rng``). There ``tol`` is a relative Ritz residual
-    bound on T*T: the run stops once the top Ritz pair (theta, x) has
-    ||T*T x - theta x|| <= tol * theta, or after ``max_iter`` applies of T*T,
-    when the method reads "lanczos-unconverged". "auto" picks dense for
+    vector drawn from ``rng``), as a batch of one for ``_lanczos``. There
+    ``tol`` is a relative Ritz residual bound on T*T: the run stops once the
+    top Ritz pair (theta, x) has ||T*T x - theta x|| <= tol * theta, or
+    after ``max_iter`` applies of T*T, when the method reads
+    "lanczos-unconverged". "auto" picks dense for
     kN^2 <= min(AUTO_DENSE_DIM, dense_cap()), which is kN^2 <= 144 (N <= 12
     for k = 1) by default, and lanczos above. A restricted T with
     N = 1 acts on {0}; Lanczos reports value 0 there without a witness.
@@ -383,21 +480,42 @@ def operator_norm(
         return GapReport(float(_top_singular_values(materialize(T))), "dense", 1, 0.0, None)
     if method == "lanczos" and T.restrict_h0 and N == 1:
         return GapReport(0.0, "lanczos", 0, 0.0, None)
-    fwd = _applier(T)
-    adj = _applier(T.adjoint())
-
-    def op(a):
-        return adj(fwd(a))
-
+    left, right = T.left.mats[None], T.right.mats[None]
     if method == "dense":
         m = materialize(T)
         evals, evecs = np.linalg.eigh(m.conj().T @ m)
         theta, x, applies, converged = float(evals[-1]), evecs[:, -1].reshape(R, N), 1, True
     else:
-        theta, x, applies, converged = _lanczos(op, _start_vector(T, start, rng), tol, max_iter)
-    resid = _frob(op(x) - theta * x)
+        z = _start_vector(T.shape, T.restrict_h0, start, rng)
+        thetas, xs, iters, flags = _lanczos(left, right, T.restrict_h0, z[None], tol, max_iter)
+        theta, x, applies, converged = float(thetas[0]), xs[0], int(iters[0]), bool(flags[0])
+    tx = _gram_apply(_gemm_operands(left, right), T.restrict_h0, center(x) if T.restrict_h0 else x)
+    resid = _frob(tx[0] - theta * x)
     tag = method if converged else "lanczos-unconverged"
     return GapReport(math.sqrt(max(theta, 0.0)), tag, applies, resid, x if witness else None)
+
+
+def _lanczos_norms(left, right, restrict_h0: bool, rngs, tol: float):
+    """Lanczos norms of B operators of one shape, solved in lockstep for ``randmat``.
+
+    Operator b is SuperOperator(left[b], right[b], restrict_h0) for the
+    complex (B, n, kN, kN) and (B, n, N, N) member stacks. It gets the value
+    and convergence flag that ``operator_norm(..., method="lanczos",
+    tol=tol, rng=rngs[b])`` reports for it (the value to rounding, the
+    applies exactly): its start vector is drawn from ``rngs[b]`` in the same
+    way. The runs share their stacked GEMMs and eigen-solves, which saves
+    the per-call overhead of small operators. ``left`` is the solver's
+    workspace: as runs finish, the call moves the rows of the others to its
+    front. Returns (values, applies, converged) arrays.
+    """
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    B, R, N = len(rngs), left.shape[-1], right.shape[-1]
+    if restrict_h0 and N == 1:
+        return np.zeros(B), np.zeros(B, dtype=int), np.ones(B, dtype=bool)
+    Z = np.stack([_start_vector((R, N), restrict_h0, None, g) for g in rngs])
+    theta, _, applies, converged = _lanczos(left, right, restrict_h0, Z, tol, _MAX_APPLIES)
+    return np.sqrt(np.maximum(theta, 0.0)), applies, converged
 
 
 def spectral_gap(
@@ -410,6 +528,11 @@ def spectral_gap(
 
     The expander parameter of a unitary tuple is eps = 1 - value/n.
     """
+    return _gap(u, method, tol, rng, witness=True)
+
+
+def _gap(u: MatrixTuple, method: str, tol: float, rng, witness: bool) -> GapReport:
+    """``spectral_gap``, computing the witness only if asked."""
     u.require_unitary()
     T = SuperOperator.conjugation(u, restrict_h0=True)
-    return operator_norm(T, method=method, tol=tol, rng=rng)
+    return operator_norm(T, method=method, tol=tol, rng=rng, witness=witness)

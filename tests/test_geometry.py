@@ -416,28 +416,63 @@ class TestNorming:
     def test_gap_solved_only_when_the_guard_fails(self, monkeypatch):
         import qexpand.geometry as geo
 
-        gaps = []
+        gaps, ascents = [], []
 
-        def counted(*args, **kwargs):
-            gaps.append(1)
-            return solve(*args, **kwargs)
+        def counted(calls, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
 
-        solve = geo.spectral_gap
-        monkeypatch.setattr(geo, "spectral_gap", counted)
+            return wrapper
+
+        monkeypatch.setattr(geo, "spectral_gap", counted(gaps, geo.spectral_gap))
+        monkeypatch.setattr(geo, "_orbit_ascent", counted(ascents, geo._orbit_ascent))
         # gapped Haar tuple: the guard passes, so the gap is never solved
         x = qx.haar_tuple(3, 6, RngSpec(2, 1).generator())
         _, attained = qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator())
         assert not gaps and attained == pytest.approx(3.0, abs=1e-9)
-        # gapless a (+) b: the guard fails, one gap solve finds no gap, no error
+        # gapless a (+) b: the first guard restart misses, one gap solve finds no
+        # gap and ends the guard there, no error
         gen = RngSpec(2, 1).generator()
         x = qx.direct_sum(qx.haar_tuple(2, 3, gen), qx.haar_tuple(2, 3, gen))
+        ascents.clear()
         v, attained = qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator())
-        assert len(gaps) == 1
+        assert len(gaps) == 1 and len(ascents) == 1
         w, unchecked = qx.find_norming_tuple(
             x, restarts=2, rng=RngSpec(2, 0).generator(), check_orbit=False
         )
-        assert len(gaps) == 1
+        assert len(gaps) == 1 and len(ascents) == 1
         assert np.array_equal(v.mats, w.mats) and attained == unchecked
+
+    def test_gap_solve_leaves_the_guard_starts_as_forced(self, monkeypatch):
+        # a gapped x at Lanczos size (N^2 = 169) whose every guard restart is made
+        # to miss: the automatic mode solves the gap after restart 0 and then runs
+        # the other 9 restarts from the Haar starts of the forced mode
+        import qexpand.geometry as geo
+
+        starts = []
+        ascent = geo._orbit_ascent
+
+        def recorded(uv, vu, U0, V0, iters):
+            starts.append((U0, V0))
+            return ascent(uv, vu, U0, V0, iters)
+
+        monkeypatch.setattr(geo, "_orbit_ascent", recorded)
+        monkeypatch.setattr(geo, "tuple_distance", lambda u, v: math.inf)
+        x = qx.haar_tuple(3, 13, RngSpec(2, 3).generator())
+        assert qx.spectral_gap(x, tol=1e-6).value < 3 - 1e-3
+        runs = []
+        for mode in (None, True):
+            starts.clear()
+            with pytest.raises(NormingOrbitError):
+                qx.find_norming_tuple(
+                    x, restarts=1, rng=RngSpec(2, 4).generator(), norm_method="dense",
+                    check_orbit=mode,
+                )
+            runs.append(list(starts))
+        auto, forced = runs
+        assert len(auto) == len(forced) == 10
+        assert all(np.array_equal(a, b) for a, b in zip(auto, forced))
 
     def test_orbit_check_skipped_for_gapless_tuple(self):
         # the identity tuple has no gap, so the auto mode skips the orbit assertion

@@ -176,6 +176,36 @@ class TestHaar:
         assert abs(np.mean(vals)) <= 3 * sigma
 
 
+class TestBatchedSampling:
+    @staticmethod
+    def ginibre_replay(N, gen):
+        """One Ginibre draw as two (N, N) standard-normal calls, real part first."""
+        re = gen.standard_normal((N, N))
+        im = gen.standard_normal((N, N))
+        return (re + 1j * im) / math.sqrt(2 * N)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 16, 33, 64])
+    def test_stacks_match_per_member_replay(self, N):
+        gen = RngSpec(40, N).generator()
+        stack = np.stack([self.ginibre_replay(N, gen) for _ in range(5)])
+        assert np.array_equal(qx.polar_unitary(stack), np.stack([qx.polar_unitary(m) for m in stack]))
+        u = qx.haar_tuple(3, N, RngSpec(41, N).generator())
+        gen = RngSpec(41, N).generator()
+        replay = [qx.polar_unitary(self.ginibre_replay(N, gen)) for _ in range(3)]
+        assert np.array_equal(u.mats, np.stack(replay))
+        # several batched SVD chunks at every N
+        mean = qx.ginibre_singular_mean(N, 70, RngSpec(42, N).generator())
+        gen = RngSpec(42, N).generator()
+        sv = [np.linalg.svd(self.ginibre_replay(N, gen), compute_uv=False).sum() / N for _ in range(70)]
+        assert mean == float(np.mean(sv))
+
+    def test_polar_stack_validation(self):
+        with pytest.raises(DimensionMismatch):
+            qx.polar_unitary(np.ones((2, 3, 4)))
+        with pytest.raises(ValueError):
+            qx.polar_unitary(np.full((2, 2, 2), np.nan))
+
+
 class TestRngSpec:
     def test_identical_spec_identical_stream(self):
         s1 = RngSpec(123, 4).generator().standard_normal(10)

@@ -246,6 +246,24 @@ class TestSubgaussianTail:
         bounds = [r.bound for r in rep.rows]
         assert all(a >= b for a, b in zip(bounds, bounds[1:]))
 
+    @pytest.mark.parametrize("n, N", [(3, 5), (8, 16)])
+    def test_batched_draws_match_per_sample_replay(self, n, N):
+        # b_n and the sums from one Haar draw and one trace at a time, summed in order
+        spec, samples = RngSpec(61, n), 150
+        rep = qx.subgaussian_tail_check(n, N, samples, spec, bn_samples=40)
+        g = spec.substream(0)
+        b_n = float(np.mean([qx.trace_norm(qx.sample_ginibre(N, g)) / N for _ in range(40)]))
+        sums = np.empty(samples)
+        for s in range(samples):
+            gen = spec.substream(1, s)
+            total = 0.0
+            for _ in range(n):
+                total += float(np.trace(qx.sample_haar_unitary(N, gen)).real)
+            sums[s] = total
+        assert rep.b_n == b_n
+        assert rep.empirical_variance == float(np.var(sums, ddof=1))
+        assert [r.empirical for r in rep.rows] == [float(np.mean(sums > r.lam)) for r in rep.rows]
+
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             qx.subgaussian_tail_check(4, 8, 50, RngSpec(59, 0))

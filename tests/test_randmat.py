@@ -195,14 +195,23 @@ class TestReports:
         for fn in (qx.unitary_sum_norm, qx.gaussian_decoupled_norm):
             rep = fn([1.0] * 4, 13, 10, RngSpec(23, 0))
             assert rep.unconverged == 0 and rep.to_json()["unconverged"] == 0
-        solve = qx.randmat.operator_norm
-        monkeypatch.setattr(qx.randmat, "operator_norm", lambda T, **kw: solve(T, **kw, max_iter=2))
+        # cap every Lanczos run of the lockstep solver at 2 applies
+        lanczos = qx.superop._lanczos
+        monkeypatch.setattr(qx.superop, "_lanczos", lambda *args: lanczos(*args[:-1], 2))
         for fn in (qx.unitary_sum_norm, qx.gaussian_decoupled_norm):
             rep = fn([1.0] * 4, 13, 10, RngSpec(23, 0))
             assert rep.unconverged == 10 and rep.to_json()["unconverged"] == 10
 
+    def test_tol_must_be_positive(self):
+        # dense solves at N = 4, lockstep Lanczos chunks at N = 13
+        for N in (4, 13):
+            with pytest.raises(ValueError):
+                qx.unitary_sum_norm([1.0, 1.0], N, 10, RngSpec(21, 0), tol=0.0)
+
     def test_per_sample_streams_are_independent_of_count(self):
-        # the first 10 samples agree between a 10-sample and a 20-sample run
-        a = qx.unitary_sum_norm([1.0, 1.0], 4, 10, RngSpec(21, 0))
-        b = qx.unitary_sum_norm([1.0, 1.0], 4, 20, RngSpec(21, 0))
-        assert np.allclose(a.values, b.values[:10], atol=0)
+        # the first 10 samples agree bit for bit between a 10-sample and a
+        # 20-sample run: dense solves at N = 4, lockstep Lanczos chunks at N = 13
+        for N in (4, 13):
+            a = qx.unitary_sum_norm([1.0, 1.0], N, 10, RngSpec(21, 0))
+            b = qx.unitary_sum_norm([1.0, 1.0], N, 20, RngSpec(21, 0))
+            assert a.values == b.values[:10]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qexpand as qx
+from qexpand import superop
 from qexpand.errors import DenseCapExceeded, DimensionMismatch
 from qexpand.linalg import RngSpec
 from qexpand.superop import LANCZOS_BASIS, center, dense_cap, pair_norms
@@ -187,6 +188,59 @@ class TestOperatorNorm:
             qx.operator_norm(T, method="magic")
         with pytest.raises(ValueError):
             qx.operator_norm(T, tol=0.0)
+
+
+class TestLockstep:
+    @staticmethod
+    def solo_and_lockstep(ops, tol):
+        """Each operator solved alone by operator_norm, and all of them by one lockstep call."""
+        solo = [
+            qx.operator_norm(
+                T, method="lanczos", tol=tol, witness=False, rng=RngSpec(31, b).generator()
+            )
+            for b, T in enumerate(ops)
+        ]
+        left = np.stack([T.left.mats for T in ops])
+        right = np.stack([T.right.mats for T in ops])
+        gens = [RngSpec(31, b).generator() for b in range(len(ops))]
+        return solo, superop._lanczos_norms(left, right, ops[0].restrict_h0, gens, tol)
+
+    def test_matches_solo_runs(self):
+        # restricted Haar unitary sums and unrestricted Ginibre sums at kN^2 = 169
+        gen = RngSpec(30, 0).generator()
+        unitary = [qx.SuperOperator.conjugation(qx.haar_tuple(4, 13, gen)) for _ in range(5)]
+        ginibre = [qx.SuperOperator(random_tuple(3, 13, gen), random_tuple(3, 13, gen)) for _ in range(5)]
+        counts = set()
+        for ops in (unitary, ginibre):
+            solo, (values, applies, converged) = self.solo_and_lockstep(ops, 1e-10)
+            for rep, value, count, flag in zip(solo, values, applies, converged):
+                assert abs(value - rep.value) <= 1e-13 * rep.value
+                assert count == rep.iterations
+                assert rep.method == ("lanczos" if flag else "lanczos-unconverged") == "lanczos"
+            counts.update(applies)
+        # the unitary runs stop after 48 or 60 applies: some left the batch early
+        assert len(counts) > 2
+
+    def test_breakdown_and_cap_stop_each_run_on_its_own(self, monkeypatch):
+        # one batch of n = 1 operators: a single unitary (T*T = I, breakdown at the
+        # first apply), x (.) I with x*x = diag(1, 1, 4, 4) (two eigenvalues, a
+        # breakdown at apply 2, off the check schedule) and a generic operator that
+        # runs into the 9-apply cap at a tolerance it cannot meet
+        gen = RngSpec(32, 0).generator()
+        eye = qx.MatrixTuple(np.eye(4, dtype=complex)[None])
+        ops = [
+            qx.SuperOperator(random_tuple(1, 4, gen), random_tuple(1, 4, gen)),
+            qx.SuperOperator(qx.haar_tuple(1, 4, gen), qx.haar_tuple(1, 4, gen)),
+            qx.SuperOperator(qx.MatrixTuple(np.diag([1.0, 1.0, 2.0, 2.0])[None] + 0j), eye),
+        ]
+        lanczos = superop._lanczos
+        monkeypatch.setattr(superop, "_lanczos", lambda *args: lanczos(*args[:-1], 9))
+        solo, (values, applies, converged) = self.solo_and_lockstep(ops, 1e-16)
+        assert list(applies) == [rep.iterations for rep in solo] == [9, 1, 2]
+        assert [rep.method for rep in solo] == ["lanczos-unconverged", "lanczos", "lanczos"]
+        assert list(converged) == [False, True, True]
+        assert np.allclose(values, [rep.value for rep in solo], rtol=1e-13, atol=0)
+        assert values[1] == pytest.approx(1.0, abs=1e-12) and values[2] == pytest.approx(2.0, abs=1e-12)
 
 
 class TestSpectralGap:
