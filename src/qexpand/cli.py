@@ -4,16 +4,17 @@ Every command is a pure function of its configuration and the tool version:
 fixed seeds reproduce all numeric outputs bit-exactly. Each run writes its
 declared artifacts plus ``run.json`` (configuration, timestamps, artifact
 list, summary metrics, a one-line statement of the claim the command
-exercises and a status). A command that fails with a ``QexError`` still
-leaves a ``run.json``, with status "failed" and the error line. Every JSON
-file is written to a temp file in its directory and moved into place, so a
-reader never sees a half-written one.
+exercises and a status). A command that fails with a ``QexError`` or a
+``ValueError`` still leaves a ``run.json``, with status "failed" and the error
+line. Every JSON file is written to a temp file in its directory and moved
+into place, so a reader never sees a half-written one.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import functools
+import glob
 import json
 import math
 import os
@@ -371,7 +372,7 @@ def _cmd_pack(cfg, out):
 def _cmd_cover(cfg, out):
     (pattern,) = _need(cfg, "tuples")
     radius = _need(cfg, "radius")[0]
-    files = sorted(Path().glob(pattern)) if any(
+    files = sorted(map(Path, glob.glob(pattern, recursive=True))) if any(
         ch in pattern for ch in "*?["
     ) else sorted(Path(pattern).glob("*.json"))
     points = [load_tuple(p) for p in files if p.name not in ("meta.json", "run.json")]
@@ -543,8 +544,9 @@ _HANDLERS = {
 def run(config: ExperimentConfig) -> RunRecord:
     """Dispatch a validated config, write artifacts plus run.json.
 
-    A handler's QexError is re-raised after a run.json with status "failed"
-    and the error line is written.
+    A handler's QexError or ValueError (an out-of-range parameter) is
+    re-raised after a run.json with status "failed" and the error line is
+    written.
     """
     if config.command not in _HANDLERS:
         raise ConfigError(f"unknown command {config.command!r}")
@@ -556,7 +558,7 @@ def run(config: ExperimentConfig) -> RunRecord:
         for p in artifacts:
             if not Path(p).exists():
                 raise QexError(f"declared artifact missing: {p}")
-    except QexError as exc:
+    except (QexError, ValueError) as exc:
         failed = RunRecord(config, started, _now(), [], {}, claim=CLAIMS[config.command],
                            error=str(exc))
         _write_json(out / "run.json", failed.to_json())
@@ -630,12 +632,11 @@ def config_from_args(args) -> ExperimentConfig:
             raise ConfigError(f"--param expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
         params[key] = _coerce(key, raw)
-    return ExperimentConfig(
-        command=args.command,
-        params=params,
-        seed=RngSpec(args.seed, args.stream_id),
-        out_dir=args.out,
-    )
+    try:
+        seed = RngSpec(args.seed, args.stream_id)
+    except ValueError as exc:
+        raise ConfigError(f"bad seed spec: {exc}") from exc
+    return ExperimentConfig(command=args.command, params=params, seed=seed, out_dir=args.out)
 
 
 def main(argv=None) -> int:
@@ -643,7 +644,7 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         record = run(config)
-    except QexError as exc:
+    except (QexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps({"command": config.command, "summary": record.summary}))

@@ -26,7 +26,7 @@ from .linalg import (
     polar_unitary,
     save_tuple,
 )
-from .superop import SuperOperator, _gap, auto_dense, operator_norm, pair_norms
+from .superop import _batch_size, _gap, _norms
 
 __all__ = [
     "PackingFamily",
@@ -50,7 +50,7 @@ class PackingFamily:
     below ``accept_delta``. ``since_last_admission`` counts the samples drawn
     after the last admitted one (all of them if none was admitted); a long
     run suggests the family is near saturation. ``unconverged`` counts the
-    certificate and pair solves whose method reads "lanczos-unconverged".
+    certificate and pair solves whose Lanczos run stopped at its apply cap.
     """
 
     members: list[MatrixTuple]
@@ -122,12 +122,6 @@ class PackingFamily:
         return paths
 
 
-# Members per batched pair-norm call. It bounds the (K, N^2, N^2) temporaries
-# of ``pair_norms`` and lets a rejected sample stop after the first chunk that
-# holds a close pair.
-_PAIR_CHUNK = 32
-
-
 def greedy_pack(
     n: int,
     N: int,
@@ -141,13 +135,13 @@ def greedy_pack(
     A sample's separation from member v is 1 - ||T_uv|| / n (the self-norms
     of unitary tuples are exactly n). Each sample is certified at tol 1e-6,
     with ``certify``'s epsilon from a gap solve that computes no witness.
-    While ``operator_norm(method="auto")`` would take the dense path
-    (N^2 <= min(AUTO_DENSE_DIM, dense_cap())), the norms against the members
-    come from ``pair_norms``, one batched call per chunk of _PAIR_CHUNK
-    members, and the members are kept stacked in chunks that grow with the
-    family. Above that switch each pair takes its own Lanczos solve at tol
-    1e-6. Either way the checks stop after the first chunk (a single pair for
-    Lanczos) that holds a pair below ``delta``.
+    The members are kept stacked in chunks of ``superop._batch_size`` tuples,
+    and the norms against one chunk come from one ``superop._norms`` call:
+    dense Gram solves up to the dense switch (N^2 <= 144 by default),
+    Lanczos at tol 1e-6 in lockstep above it. The checks stop after the
+    first chunk that holds a pair below ``delta``, so above the switch a
+    rejected sample may solve up to one chunk of pairs (each counted in
+    ``unconverged`` if capped) where it once stopped at the first close pair.
 
     Admission order is fixed by the sample stream, so identical seeds
     reproduce identical families. An empty family is a valid outcome.
@@ -156,10 +150,9 @@ def greedy_pack(
         raise ValueError("n, N must be positive and max_samples non-negative")
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must be in [0, 1], got {delta}")
-    dense = auto_dense(N * N)
-    chunk = _PAIR_CHUNK if dense else 1
+    chunk = _batch_size(n, N, N)
     members: list[MatrixTuple] = []
-    stacks: list[np.ndarray] = []  # dense only: member matrices, chunk per stack
+    stacks: list[np.ndarray] = []  # member matrices, chunk per stack
     gaps: list[float] = []
     rows: list[list[float]] = []  # member i's deltas against members 0..i-1
     uncertified = close = since = unconverged = 0
@@ -175,14 +168,9 @@ def greedy_pack(
         deltas: list[float] = []
         ok = True
         for start in range(0, len(members), chunk):
-            if dense:
-                norms = pair_norms(u, stacks[start // chunk][: len(members) - start])
-            else:
-                rep = operator_norm(
-                    SuperOperator(u, members[start]), method="lanczos", tol=1e-6, witness=False
-                )
-                unconverged += rep.method == "lanczos-unconverged"
-                norms = np.array([rep.value])
+            vs = stacks[start // chunk][: len(members) - start]
+            norms, _, converged = _norms(u.mats[None], vs, False, [None] * len(vs), 1e-6)
+            unconverged += int(np.count_nonzero(~converged))
             d = np.maximum(1.0 - norms / n, 0.0)
             deltas.extend(d.tolist())
             if d.min() < delta:
@@ -191,10 +179,9 @@ def greedy_pack(
         if not ok:
             close += 1
             continue
-        if dense:
-            if len(members) % chunk == 0:
-                stacks.append(np.empty((chunk, n, N, N), dtype=complex))
-            stacks[-1][len(members) % chunk] = u.mats
+        if len(members) % chunk == 0:
+            stacks.append(np.empty((chunk, n, N, N), dtype=complex))
+        stacks[-1][len(members) % chunk] = u.mats
         rows.append(deltas)
         members.append(u)
         gaps.append(gap.value)

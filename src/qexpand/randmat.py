@@ -15,16 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DenseCapExceeded
-from .linalg import MatrixTuple, RngSpec, _ginibre_stack, _haar_stack, as_generator, sample_ginibre
-from .superop import (
-    LANCZOS_BASIS,
-    SuperOperator,
-    _lanczos_norms,
-    auto_dense,
-    center,
-    materialize,
-    operator_norm,
-)
+from .linalg import RngSpec, _ginibre_stack, _haar_stack, as_generator, sample_ginibre
+from .superop import _batch_size, _kron_sums, _norms, center
 
 __all__ = [
     "MomentReport",
@@ -77,27 +69,16 @@ class MomentReport:
         return out
 
 
-# Bytes per chunk of samples solved by one ``_lanczos_norms`` call: each sample
-# holds a Lanczos basis of LANCZOS_BASIS + 1 vectors, its left and right
-# member stacks and the conjugated right stack. At n = 8, N = 16 a sample
-# takes 200 kB, so chunks hold 4 samples. There (one BLAS thread, 10
-# unitary and 10 Gaussian samples, fastest of 8 rounds) the norm statistics
-# took 108 ms one sample at a time, 82 ms in chunks of 2, 69 of 3, 64 of 4
-# and 60 of 5, while the process's peak RSS rose by 0.2, 0.4, 0.6, 1.1 and
-# 1.35 MB over the solo solves before lockstep; chunks of 4 keep the
-# benchmark's montecarlo peak RSS (41 MB) within 3%.
-_LOCKSTEP_BYTES = 800 << 10
-
-
 def _sum_norm_report(coeffs, a, N, samples, rng, tol, draw, restrict_h0) -> MomentReport:
     """Norm statistics of one random superoperator per sample index.
 
     ``draw(s, a)`` builds sample s's operator from the coefficients ``a``
     (shape (n, k, k)) out of its own RNG substreams and returns its left and
-    right member stacks with the generator its norm solver draws from.
-    Operators that ``auto_dense`` sends to the dense solver are solved one
-    at a time; the others in chunks of samples through ``_lanczos_norms``,
-    each chunk holding at most _LOCKSTEP_BYTES of basis and member stacks.
+    right member stacks with the generator its norm solver draws from
+    (used above the dense switch only). The samples are solved in chunks of
+    ``superop._batch_size`` operators by one ``superop._norms`` call each,
+    which picks the dense or the Lanczos solver; a sample's value does not
+    depend on the chunk it fell in.
     """
     if samples < 10:
         raise ValueError(f"need at least 10 samples, got {samples}")
@@ -105,24 +86,17 @@ def _sum_norm_report(coeffs, a, N, samples, rng, tol, draw, restrict_h0) -> Mome
     R = k * N
     vals = np.empty(samples)
     unconverged = 0
-    if auto_dense(R * N):
-        for s in range(samples):
-            left, right, _ = draw(s, a)
-            T = SuperOperator(MatrixTuple(left), MatrixTuple(right), restrict_h0=restrict_h0)
-            vals[s] = operator_norm(T, method="dense", tol=tol, witness=False).value
-    else:
-        per_sample = 16 * ((LANCZOS_BASIS + 1) * R * N + n * (R * R + 2 * N * N))
-        chunk = max(1, _LOCKSTEP_BYTES // per_sample)
-        for lo in range(0, samples, chunk):
-            hi = min(lo + chunk, samples)
-            left = np.empty((hi - lo, n, R, R), dtype=complex)
-            right = np.empty((hi - lo, n, N, N), dtype=complex)
-            gens = []
-            for b, s in enumerate(range(lo, hi)):
-                left[b], right[b], gen = draw(s, a)
-                gens.append(gen)
-            vals[lo:hi], _, converged = _lanczos_norms(left, right, restrict_h0, gens, tol)
-            unconverged += int(np.count_nonzero(~converged))
+    chunk = _batch_size(n, R, N)
+    for lo in range(0, samples, chunk):
+        hi = min(lo + chunk, samples)
+        left = np.empty((hi - lo, n, R, R), dtype=complex)
+        right = np.empty((hi - lo, n, N, N), dtype=complex)
+        gens = []
+        for b, s in enumerate(range(lo, hi)):
+            left[b], right[b], gen = draw(s, a)
+            gens.append(gen)
+        vals[lo:hi], _, converged = _norms(left, right, restrict_h0, gens, tol)
+        unconverged += int(np.count_nonzero(~converged))
     return MomentReport(
         n=n,
         N=N,
@@ -289,8 +263,8 @@ def twirl_identity_check(N: int, samples: int, rng: RngSpec) -> TwirlReport:
     while done < samples:
         take = min(batch, samples - done)
         gen = rng.substream(0, chunk_idx)
-        ys = MatrixTuple(_ginibre_stack(N, take, gen))
-        acc += materialize(SuperOperator(ys, ys))
+        ys = _ginibre_stack(N, take, gen)[None]
+        acc += _kron_sums(ys, ys)[0]
         done += take
         chunk_idx += 1
     est = acc / samples

@@ -12,16 +12,16 @@ matrix, for ``apply`` and (on the columns and rows) for ``materialize``.
 ``operator_norm`` takes a dense Gram eigen-solve for small kN^2 and otherwise
 runs thick-restart Lanczos on T*T through the matrix-free action. The one
 Lanczos routine, ``_lanczos``, runs B operators of one shape in lockstep on
-stacked (B, kN, N) GEMMs and batched ``eigh``s: ``operator_norm`` is its
-B = 1 call, and ``randmat`` solves a chunk of Monte Carlo samples at once
-through ``_lanczos_norms``, each run stopping after the applies it would
-take alone.
+stacked (B, kN, N) GEMMs and batched ``eigh``s, each run stopping after the
+applies it would take alone; ``operator_norm`` is its B = 1 call.
 
-Dense matrices sum_j x_j (x) conj(y_j) come from one matmul over the members,
-for one operator (``materialize``) or for K unrestricted k = 1 operators
-(u, v_1), ..., (u, v_K) at once (``pair_norms``, the packing hot path, which
-takes their norms from one batched ``eigvalsh`` of the Gram matrices M*M).
-The dense ``operator_norm`` without a witness uses the same Gram kernel.
+Dense matrices sum_j x_j (x) conj(y_j) come from one matmul over the members
+(``_dense``), for one operator (``materialize``) or for a batch. Their norms
+come from one batched ``eigvalsh`` of the Gram matrices M*M, the kernel of
+the dense ``operator_norm`` without a witness too. The batched norm entry
+``_norms`` owns the choice between the two solvers for the Monte Carlo
+samples of ``randmat`` and the pair norms of ``packing``, and
+``_batch_size`` sizes their batches under one byte budget.
 """
 from __future__ import annotations
 
@@ -42,7 +42,6 @@ __all__ = [
     "center",
     "apply",
     "materialize",
-    "pair_norms",
     "auto_dense",
     "operator_norm",
     "spectral_gap",
@@ -87,6 +86,17 @@ _MAX_APPLIES = 100_000
 # beta below this multiple of the largest ||T*T q|| seen is rounding noise:
 # the basis spans an invariant subspace.
 _BREAKDOWN = 1e-13
+# Bytes per ``_norms`` batch (``_batch_size`` says what an operator costs).
+# Lanczos at n = 8, N = 16, 200 kB per operator (one BLAS thread, 10 unitary
+# and 10 Gaussian samples, fastest of 8 rounds): the norm statistics took 108
+# ms one sample at a time and 82, 69, 64 and 60 ms in batches of 2 to 5, for
+# 0.2, 0.4, 0.6, 1.1 and 1.35 MB more peak RSS; batches of 4 keep the
+# benchmark's montecarlo peak RSS (41 MB) within 3%. Dense at d = 16: the
+# temporaries peak at 3 d^2 entries per operator (tracemalloc), but
+# greedy_pack(6, 4, 0.05, 0.05, 100) took 1.08x, 1.11x and 1.12x as long in
+# batches of 39, 48 and 66 as in 32, and 0.99-1.03x in 16 to 28 (one BLAS
+# thread, median of 12 rotating rounds), so the dense charge is 5 d^2.
+_LOCKSTEP_BYTES = 800 << 10
 
 
 def dense_cap() -> int:
@@ -229,41 +239,49 @@ def apply(T: SuperOperator, xi) -> np.ndarray:
 
 
 def _kron_sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_j kron(left_j, conj(right_kj)) for each k: (n, R, R), (K, n, N, N) -> (K, RN, RN).
+    """sum_j kron(left_kj, conj(right_kj)) for each k: (L, n, R, R), (K, n, N, N) -> (K, RN, RN).
 
-    Rows (a, b) and columns (c, e) follow row-major vec(xi) of R x N xi; one
-    (R^2 x n) @ (n x K N^2) product gives every sum over j, indexed (a c, k b e).
+    L is K, or 1 for a left tuple shared by all K sums. Rows (a, b) and
+    columns (c, e) follow row-major vec(xi) of R x N xi; per left row l, one
+    (R^2 x n) @ (n x (K/L) N^2) product gives its sums over j, indexed
+    (a c, k b e).
     """
-    n, R = left.shape[:2]
+    L, n, R = left.shape[:3]
     K, N = right.shape[0], right.shape[-1]
-    prod = left.reshape(n, R * R).T @ right.conj().transpose(1, 0, 2, 3).reshape(n, K * N * N)
-    return prod.reshape(R, R, K, N, N).transpose(2, 0, 3, 1, 4).reshape(K, R * N, R * N)
+    M = K // L
+    ys = right.conj().reshape(L, M, n, N * N).transpose(0, 2, 1, 3).reshape(L, n, M * N * N)
+    prod = left.reshape(L, n, R * R).swapaxes(1, 2) @ ys
+    return prod.reshape(L, R, R, M, N, N).transpose(0, 3, 1, 4, 2, 5).reshape(K, R * N, R * N)
 
 
-def _check_dense(d: int) -> None:
-    """Raise DenseCapExceeded when kN^2 = d exceeds ``dense_cap()``."""
-    if d > (limit := dense_cap()):
-        raise DenseCapExceeded(
-            f"kN^2 = {d} exceeds dense cap {limit}; "
-            "use operator_norm(..., method='lanczos') instead"
-        )
+def _dense(left: np.ndarray, right: np.ndarray, restrict_h0: bool) -> np.ndarray:
+    """Dense (K, kN^2, kN^2) matrices of the K operators sum_j left_kj (.) right_kj*.
+
+    The restriction Q m Q (Q = I - I_k (x) vv*, real symmetric) centres every
+    column, then every row, of each unrestricted matrix.
+    """
+    m = _kron_sums(left, right)
+    if restrict_h0:
+        K, d = m.shape[:2]
+        R, N = left.shape[-1], right.shape[-1]
+        m = center(m.swapaxes(1, 2).reshape(K, d, R, N)).reshape(K, d, d).swapaxes(1, 2)
+        m = center(m.reshape(K, d, R, N)).reshape(K, d, d)
+    return m
 
 
 def materialize(T: SuperOperator) -> np.ndarray:
     """Dense kN^2 x kN^2 matrix acting on row-major vec(xi).
 
     Raises DenseCapExceeded beyond ``dense_cap()``; use the matrix-free path
-    there. The restriction Q m Q (Q = I - I_k (x) vv*, real symmetric) centres
-    every column, then every row, of the unrestricted matrix.
+    there.
     """
     R, N = T.shape
-    d = R * N
-    _check_dense(d)
-    m = _kron_sums(T.left.mats, T.right.mats[None])[0]
-    if T.restrict_h0:
-        m = center(m.T.reshape(d, R, N)).reshape(d, d).T
-        m = center(m.reshape(d, R, N)).reshape(d, d)
-    return m
+    if R * N > (limit := dense_cap()):
+        raise DenseCapExceeded(
+            f"kN^2 = {R * N} exceeds dense cap {limit}; "
+            "use operator_norm(..., method='lanczos') instead"
+        )
+    return _dense(T.left.mats[None], T.right.mats[None], T.restrict_h0)[0]
 
 
 def _top_singular_values(m: np.ndarray) -> np.ndarray:
@@ -277,25 +295,23 @@ def _top_singular_values(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
-def pair_norms(u: MatrixTuple, vs) -> np.ndarray:
-    """Norms of xi -> sum_j u_j xi v_kj* for each tuple v_k of a (K, n, N, N) stack.
-
-    Dense and unrestricted: entry k equals operator_norm(SuperOperator(u,
-    MatrixTuple(vs[k])), method="dense").value to rounding. Obeys the same
-    cap as ``materialize``; temporaries hold 2 K N^4 complex numbers, so
-    callers pass bounded chunks.
-    """
-    v = np.asarray(vs, dtype=complex)
-    n, N = u.n, u.dim
-    if v.ndim != 4 or v.shape[1:] != u.mats.shape:
-        raise DimensionMismatch(f"stack has shape {v.shape}, expected (K, {n}, {N}, {N})")
-    _check_dense(N * N)
-    return _top_singular_values(_kron_sums(u.mats, v))
-
-
 def auto_dense(dim: int) -> bool:
     """Whether method="auto" solves an operator on kN^2 = dim entries densely."""
     return dim <= min(AUTO_DENSE_DIM, dense_cap())
+
+
+def _batch_size(n: int, R: int, N: int) -> int:
+    """Operators of n members acting on R x N matrices per ``_norms`` batch.
+
+    Each operator is charged its left and right member stacks and the
+    conjugated right stack, plus, with d = RN, a Lanczos basis of
+    LANCZOS_BASIS + 1 vectors of d entries or, on the dense side, 5 d^2
+    entries (see _LOCKSTEP_BYTES). A batch holds as many operators as
+    _LOCKSTEP_BYTES allows, and at least one.
+    """
+    d = R * N
+    work = 5 * d * d if auto_dense(d) else (LANCZOS_BASIS + 1) * d
+    return max(1, _LOCKSTEP_BYTES // (16 * (work + n * (R * R + 2 * N * N))))
 
 
 @dataclass
@@ -305,8 +321,8 @@ class GapReport:
     ``value`` is exact for the dense method; for the Lanczos method it is the
     square root of the top Ritz value theta of T*T, a lower bound on the norm.
     ``residual`` = ||T*T(xi) - theta xi||_F for the normalized witness xi,
-    recomputed explicitly through the matrix-free action, except for a dense
-    solve with ``witness=False``, which computes no witness and reports 0.0;
+    recomputed explicitly through the matrix-free action, except for a solve
+    with ``witness=False``, which returns no witness and reports 0.0;
     ``iterations`` counts the applies of T*T (1 for dense).
     """
 
@@ -458,7 +474,7 @@ def operator_norm(
 
     method "dense" computes the exact top singular value of the materialized
     matrix m by a Gram eigen-solve on m*m (``eigh`` for the witness, the
-    ``eigvalsh`` that ``pair_norms`` uses without one); "lanczos" runs
+    ``eigvalsh`` that ``_norms`` uses without one); "lanczos" runs
     matrix-free thick-restart Lanczos on T*T from ``start`` (or a random
     vector drawn from ``rng``), as a batch of one for ``_lanczos``. There
     ``tol`` is a relative Ritz residual bound on T*T: the run stops once the
@@ -489,31 +505,37 @@ def operator_norm(
         z = _start_vector(T.shape, T.restrict_h0, start, rng)
         thetas, xs, iters, flags = _lanczos(left, right, T.restrict_h0, z[None], tol, max_iter)
         theta, x, applies, converged = float(thetas[0]), xs[0], int(iters[0]), bool(flags[0])
-    tx = _gram_apply(_gemm_operands(left, right), T.restrict_h0, center(x) if T.restrict_h0 else x)
-    resid = _frob(tx[0] - theta * x)
     tag = method if converged else "lanczos-unconverged"
-    return GapReport(math.sqrt(max(theta, 0.0)), tag, applies, resid, x if witness else None)
+    value = math.sqrt(max(theta, 0.0))
+    if not witness:
+        return GapReport(value, tag, applies, 0.0, None)
+    tx = _gram_apply(_gemm_operands(left, right), T.restrict_h0, center(x) if T.restrict_h0 else x)
+    return GapReport(value, tag, applies, _frob(tx[0] - theta * x), x)
 
 
-def _lanczos_norms(left, right, restrict_h0: bool, rngs, tol: float):
-    """Lanczos norms of B operators of one shape, solved in lockstep for ``randmat``.
+def _norms(left, right, restrict_h0: bool, rngs, tol: float):
+    """Norms of B operators of one shape, solved as one batch.
 
-    Operator b is SuperOperator(left[b], right[b], restrict_h0) for the
-    complex (B, n, kN, kN) and (B, n, N, N) member stacks. It gets the value
-    and convergence flag that ``operator_norm(..., method="lanczos",
-    tol=tol, rng=rngs[b])`` reports for it (the value to rounding, the
-    applies exactly): its start vector is drawn from ``rngs[b]`` in the same
-    way. The runs share their stacked GEMMs and eigen-solves, which saves
-    the per-call overhead of small operators. ``left`` is the solver's
-    workspace: as runs finish, the call moves the rows of the others to its
-    front. Returns (values, applies, converged) arrays.
+    Operator b is SuperOperator(left[b], right[b], restrict_h0) for complex
+    (B, n, kN, kN) and (B, n, N, N) member stacks; a (1, n, kN, kN) left
+    stack is shared by all. The call writes into neither. Operator b gets
+    the value, applies and convergence flag of operator_norm(..., tol=tol,
+    rng=rngs[b], witness=False): a batched dense Gram solve where
+    ``auto_dense(kN^2)``, lockstep ``_lanczos`` above, with run b's start
+    drawn from rngs[b]. ``_batch_size`` bounds B. Returns (values, applies,
+    converged) arrays.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    B, R, N = len(rngs), left.shape[-1], right.shape[-1]
+    B, R, N = len(right), left.shape[-1], right.shape[-1]
+    if auto_dense(R * N):
+        values = _top_singular_values(_dense(left, right, restrict_h0))
+        return values, np.ones(B, dtype=int), np.ones(B, dtype=bool)
     if restrict_h0 and N == 1:
         return np.zeros(B), np.zeros(B, dtype=int), np.ones(B, dtype=bool)
     Z = np.stack([_start_vector((R, N), restrict_h0, None, g) for g in rngs])
+    # _lanczos moves the rows of its operand stacks as runs finish
+    left = np.repeat(left, B // len(left), axis=0)
     theta, _, applies, converged = _lanczos(left, right, restrict_h0, Z, tol, _MAX_APPLIES)
     return np.sqrt(np.maximum(theta, 0.0)), applies, converged
 

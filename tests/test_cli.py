@@ -251,6 +251,20 @@ class TestRun:
         )
         assert rec2.summary["count"] == 8
 
+    def test_cover_over_absolute_glob(self, tmp_path):
+        run(
+            make_config(
+                "pack",
+                {"n": 2, "N": 3, "eps": 0.0, "delta": 0.0, "max_samples": 5},
+                tmp_path / "fam",
+                seed=9,
+            )
+        )
+        pattern = str((tmp_path / "fam").resolve() / "member_*.json")
+        rec = run(make_config("cover", {"tuples": pattern, "radius": 1e-9}, tmp_path / "cov"))
+        assert rec.summary["count"] == 5
+        assert json.loads((tmp_path / "cov" / "run.json").read_text())["status"] == "ok"
+
     def test_appendix_twirl_hastings_matrix_coeff(self, tmp_path):
         rec = run(
             make_config(
@@ -384,6 +398,28 @@ class TestMain:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(tpath) in err[0]
+
+    @pytest.mark.parametrize(
+        "argv, failed_run",
+        [
+            (["--seed", "-1", "sample-haar", "-p", "n=2", "-p", "N=2"], False),
+            (["--stream-id", "-3", "sample-haar", "-p", "n=2", "-p", "N=2"], False),
+            (["sample-haar", "-p", "n=0", "-p", "N=2"], True),
+            (["pack", "-p", "n=2", "-p", "N=2", "-p", "eps=0", "-p", "delta=1.5",
+              "-p", "max_samples=2"], True),
+        ],
+        ids=["negative-seed", "negative-stream", "n-zero", "delta-above-one"],
+    )
+    def test_out_of_range_value_is_one_line_error(self, tmp_path, capsys, argv, failed_run):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), *argv]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        if failed_run:
+            rec = json.loads((out / "run.json").read_text())
+            assert rec["status"] == "failed" and rec["error"] == err[0][len("error: "):]
+        else:
+            assert not out.exists()
 
     def test_dense_cap_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QEX_DENSE_CAP", "3")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qexpand as qx
-import qexpand.packing as packing
+import qexpand.superop as superop
 from qexpand.linalg import RngSpec
 
 
@@ -112,7 +112,7 @@ class TestGreedyPack:
 
     def test_pairwise_matches_dense_svd_across_chunks(self):
         fam = qx.greedy_pack(4, 4, 0.02, 0.08, 60, RngSpec(51, 0))
-        assert fam.count > packing._PAIR_CHUNK
+        assert fam.count > superop._batch_size(4, 4, 4)  # the pairs span two batches
         for i in range(fam.count):
             for j in range(i):
                 T = qx.SuperOperator(fam.members[i], fam.members[j])
@@ -120,7 +120,8 @@ class TestGreedyPack:
                 assert abs(fam.pairwise[i, j] - want) <= 1e-13
 
     def test_lanczos_pairs_above_dense_switch(self, monkeypatch):
-        # N^2 = 169 > AUTO_DENSE_DIM: every pair takes its own Lanczos solve
+        # N^2 = 169 > AUTO_DENSE_DIM: the pairs run Lanczos in lockstep, each
+        # exactly as its own solve would
         fam = qx.greedy_pack(3, 13, 0.0, 0.0, 4, RngSpec(62, 0))
         assert fam.count == 4 and fam.unconverged == 0
         for i in range(4):
@@ -128,12 +129,9 @@ class TestGreedyPack:
                 T = qx.SuperOperator(fam.members[i], fam.members[j])
                 rep = qx.operator_norm(T, method="lanczos", tol=1e-6, witness=False)
                 assert fam.pairwise[i, j] == max(1.0 - rep.value / 3, 0.0)
-        original = qx.operator_norm
-
-        def two_applies(*args, **kwargs):
-            return original(*args, **{**kwargs, "max_iter": 2})
-
-        monkeypatch.setattr(packing, "operator_norm", two_applies)
+        # the pair batches read the apply cap when called; the certificates'
+        # operator_norm bound its default when it was defined
+        monkeypatch.setattr(superop, "_MAX_APPLIES", 2)
         fam = qx.greedy_pack(3, 13, 0.0, 0.0, 4, RngSpec(62, 0))
         assert fam.unconverged == 6  # the 4 * 3 / 2 pair solves, none of the certificates
 

@@ -8,7 +8,7 @@ import qexpand as qx
 from qexpand import superop
 from qexpand.errors import DenseCapExceeded, DimensionMismatch
 from qexpand.linalg import RngSpec
-from qexpand.superop import LANCZOS_BASIS, center, dense_cap, pair_norms
+from qexpand.superop import LANCZOS_BASIS, center, dense_cap
 
 from conftest import identity_tuple, random_tuple
 
@@ -82,11 +82,14 @@ class TestMaterialize:
 class TestPairNorms:
     @pytest.mark.parametrize("unitary", [True, False])
     def test_matches_per_pair_dense_svd(self, rng, unitary):
+        # one shared left tuple against 40 right tuples, dense at N^2 = 16
         draw = (lambda: qx.haar_tuple(3, 4, rng)) if unitary else (lambda: random_tuple(3, 4, rng))
         u = draw()
         vs = [draw() for _ in range(40)]
-        got = pair_norms(u, np.stack([v.mats for v in vs]))
-        assert got.shape == (40,)
+        got, applies, converged = superop._norms(
+            u.mats[None], np.stack([v.mats for v in vs]), False, [None] * 40, 1e-10
+        )
+        assert got.shape == (40,) and np.all(applies == 1) and converged.all()
         for val, v in zip(got, vs):
             want = qx.operator_norm(qx.SuperOperator(u, v), method="dense").value
             assert abs(val - want) <= 1e-13 * max(want, 1.0)
@@ -99,15 +102,15 @@ class TestPairNorms:
                 gram = qx.operator_norm(T, method="dense", witness=witness).value
                 assert abs(gram - full) <= 1e-13 * full
 
-    def test_shape_and_cap(self, rng, monkeypatch):
-        u = qx.haar_tuple(2, 3, rng)
-        with pytest.raises(DimensionMismatch):
-            pair_norms(u, u.mats)
-        with pytest.raises(DimensionMismatch):
-            pair_norms(u, np.zeros((2, 3, 3, 3)))
+    def test_lanczos_above_dense_cap(self, rng, monkeypatch):
+        # N^2 = 9 is above a cap of 8, so the entry runs Lanczos, not materialize
+        u, v = qx.haar_tuple(2, 3, rng), qx.haar_tuple(2, 3, rng)
         monkeypatch.setenv("QEX_DENSE_CAP", "8")
-        with pytest.raises(DenseCapExceeded):
-            pair_norms(u, u.mats[None])
+        values, applies, converged = superop._norms(u.mats[None], v.mats[None], False, [5], 1e-10)
+        rep = qx.operator_norm(
+            qx.SuperOperator(u, v), method="lanczos", tol=1e-10, rng=5, witness=False
+        )
+        assert values[0] == rep.value and applies[0] == rep.iterations > 1 and converged[0]
 
 
 class TestOperatorNorm:
@@ -176,6 +179,20 @@ class TestOperatorNorm:
             attained = np.linalg.norm(qx.apply(T, xi)) / np.linalg.norm(xi)
             assert attained >= rep.value - rep.residual - 1e-9
 
+    def test_witness_free_lanczos_takes_no_residual_apply(self, rng, monkeypatch):
+        T = qx.SuperOperator.conjugation(qx.haar_tuple(3, 13, rng))
+        calls = []
+        gram_apply = superop._gram_apply
+
+        def counted(*args):
+            calls.append(1)
+            return gram_apply(*args)
+
+        monkeypatch.setattr(superop, "_gram_apply", counted)
+        rep = qx.operator_norm(T, method="lanczos", tol=1e-10, rng=rng, witness=False)
+        assert rep.top_vector is None and rep.residual == 0.0
+        assert len(calls) == rep.iterations > 1
+
     def test_unconverged_tag(self, rng):
         T = qx.SuperOperator(random_tuple(2, 6, rng), random_tuple(2, 6, rng))
         rep = qx.operator_norm(T, method="lanczos", tol=1e-16, max_iter=3, rng=rng)
@@ -192,34 +209,42 @@ class TestOperatorNorm:
 
 class TestLockstep:
     @staticmethod
-    def solo_and_lockstep(ops, tol):
-        """Each operator solved alone by operator_norm, and all of them by one lockstep call."""
+    def solo_and_lockstep(ops, tol, shared_left=False):
+        """Each operator solved alone by operator_norm, and all of them by one ``_norms`` call."""
         solo = [
-            qx.operator_norm(
-                T, method="lanczos", tol=tol, witness=False, rng=RngSpec(31, b).generator()
-            )
+            qx.operator_norm(T, tol=tol, witness=False, rng=RngSpec(31, b).generator())
             for b, T in enumerate(ops)
         ]
-        left = np.stack([T.left.mats for T in ops])
+        left = np.stack([T.left.mats for T in ops[: 1 if shared_left else len(ops)]])
         right = np.stack([T.right.mats for T in ops])
         gens = [RngSpec(31, b).generator() for b in range(len(ops))]
-        return solo, superop._lanczos_norms(left, right, ops[0].restrict_h0, gens, tol)
+        return solo, superop._norms(left, right, ops[0].restrict_h0, gens, tol)
+
+    def check_three_kinds(self, N, method):
+        """Restricted Haar unitary sums, unrestricted Ginibre sums and unitary pairs
+        (u, v_b) sharing u: each batch gives every operator exactly its solo report."""
+        gen = RngSpec(30, N).generator()
+        u = qx.haar_tuple(4, N, gen)
+        unitary = [qx.SuperOperator.conjugation(qx.haar_tuple(4, N, gen)) for _ in range(5)]
+        ginibre = [qx.SuperOperator(random_tuple(3, N, gen), random_tuple(3, N, gen)) for _ in range(5)]
+        pairs = [qx.SuperOperator(u, qx.haar_tuple(4, N, gen)) for _ in range(5)]
+        counts = set()
+        for ops, shared in ((unitary, False), (ginibre, False), (pairs, True)):
+            solo, (values, applies, converged) = self.solo_and_lockstep(ops, 1e-10, shared)
+            for rep, value, count, flag in zip(solo, values, applies, converged):
+                assert value == rep.value
+                assert count == rep.iterations
+                assert rep.method == (method if flag else "lanczos-unconverged") == method
+            counts.update(applies)
+        return counts
 
     def test_matches_solo_runs(self):
-        # restricted Haar unitary sums and unrestricted Ginibre sums at kN^2 = 169
-        gen = RngSpec(30, 0).generator()
-        unitary = [qx.SuperOperator.conjugation(qx.haar_tuple(4, 13, gen)) for _ in range(5)]
-        ginibre = [qx.SuperOperator(random_tuple(3, 13, gen), random_tuple(3, 13, gen)) for _ in range(5)]
-        counts = set()
-        for ops in (unitary, ginibre):
-            solo, (values, applies, converged) = self.solo_and_lockstep(ops, 1e-10)
-            for rep, value, count, flag in zip(solo, values, applies, converged):
-                assert abs(value - rep.value) <= 1e-13 * rep.value
-                assert count == rep.iterations
-                assert rep.method == ("lanczos" if flag else "lanczos-unconverged") == "lanczos"
-            counts.update(applies)
-        # the unitary runs stop after 48 or 60 applies: some left the batch early
-        assert len(counts) > 2
+        # Lanczos at kN^2 = 169; the unitary runs stop after 48 or 60 applies,
+        # so some left the batch early
+        assert len(self.check_three_kinds(13, "lanczos")) > 2
+
+    def test_dense_batch_matches_solo_runs(self):
+        assert self.check_three_kinds(6, "dense") == {1}
 
     def test_breakdown_and_cap_stop_each_run_on_its_own(self, monkeypatch):
         # one batch of n = 1 operators: a single unitary (T*T = I, breakdown at the
@@ -235,11 +260,12 @@ class TestLockstep:
         ]
         lanczos = superop._lanczos
         monkeypatch.setattr(superop, "_lanczos", lambda *args: lanczos(*args[:-1], 9))
+        monkeypatch.setenv("QEX_DENSE_CAP", "8")  # Lanczos at kN^2 = 16
         solo, (values, applies, converged) = self.solo_and_lockstep(ops, 1e-16)
         assert list(applies) == [rep.iterations for rep in solo] == [9, 1, 2]
         assert [rep.method for rep in solo] == ["lanczos-unconverged", "lanczos", "lanczos"]
         assert list(converged) == [False, True, True]
-        assert np.allclose(values, [rep.value for rep in solo], rtol=1e-13, atol=0)
+        assert list(values) == [rep.value for rep in solo]
         assert values[1] == pytest.approx(1.0, abs=1e-12) and values[2] == pytest.approx(2.0, abs=1e-12)
 
 
