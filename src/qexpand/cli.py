@@ -136,9 +136,12 @@ class ExperimentConfig:
                 raise ConfigError(f"param {key!r} must be {want.__name__}, got {val!r}")
         try:
             seed = RngSpec.from_json(obj["seed"])
-        except (ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"bad seed spec: {exc}") from exc
-        return cls(command, dict(params), seed, str(obj["out_dir"]))
+        out_dir = obj["out_dir"]
+        if not isinstance(out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
+        return cls(command, dict(params), seed, out_dir)
 
 
 @dataclass

@@ -107,15 +107,21 @@ class GroupPresentation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroupPresentation":
+        if not isinstance(obj, dict):
+            raise TupleFormatError("group file must be a JSON object")
         unknown = set(obj) - {"order", "generators", "labels"}
         if unknown:
             raise TupleFormatError(f"unknown group-file keys: {sorted(unknown)}")
         try:
-            return cls(
-                int(obj["order"]),
-                tuple(tuple(g) for g in obj["generators"]),
-                tuple(obj.get("labels", ())),
-            )
+            order = obj["order"]
+            gens = tuple(tuple(g) for g in obj["generators"])
+            labels = tuple(obj.get("labels", ()))
+            for val in (order, *(i for g in gens for i in g)):
+                if not isinstance(val, int) or isinstance(val, bool):
+                    raise TypeError(f"order and generator entries must be integers, got {val!r}")
+            if not all(isinstance(s, str) for s in labels):
+                raise TypeError(f"labels must be strings, got {list(labels)!r}")
+            return cls(order, gens, labels)
         except (KeyError, TypeError, ValueError) as exc:
             raise TupleFormatError(f"bad group file: {exc}") from exc
 

@@ -8,7 +8,6 @@ lower bounds for norms; the reports carry which side they certify.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -175,21 +174,6 @@ def _orbit_ascent(uv, vu, U0, V0, iters):
     return f, U, V
 
 
-def _orbit_restarts(u, v, restarts, gen, iters=_ORBIT_ITERS):
-    """Yield (F, U, V) of each orbit ascent: restart 0 from the identity pair,
-    each later one from a Haar pair drawn from gen when it is reached."""
-    N = u.dim
-    uv = _applier(SuperOperator(u, v))
-    vu = _applier(SuperOperator(v.adjoint(), u.adjoint()))
-    for r in range(max(restarts, 1)):
-        if r == 0:
-            U0 = V0 = np.eye(N, dtype=complex)
-        else:
-            U0 = sample_haar_unitary(N, gen)
-            V0 = sample_haar_unitary(N, gen)
-        yield _orbit_ascent(uv, vu, U0, V0, iters)
-
-
 def orbit_distance(
     u: MatrixTuple,
     v: MatrixTuple,
@@ -202,10 +186,13 @@ def orbit_distance(
 
     Each half-step is a globally optimal unitary (polar factor of the
     relevant trace matrix), so the ascent of F is monotone. Restart 0 starts
-    from the identity pair, later restarts from Haar pairs. ``upper`` is the
-    direct distance d(best_u . u . best_v, v) of the returned pair, not
-    sqrt(2n - 2F): that formula cancels and cannot resolve distances below
-    about 1e-8. ``f_best`` and ``f_values`` are the ascent values of F.
+    from the identity pair and draws nothing from ``rng``; each later restart
+    draws its Haar pair when it is reached, so ``restarts=1`` is one
+    draw-free ascent (the first step of ``find_norming_tuple``'s orbit
+    check). ``upper`` is the direct distance d(best_u . u . best_v, v) of
+    the returned pair, not sqrt(2n - 2F): that formula cancels and cannot
+    resolve distances below about 1e-8. ``f_best`` and ``f_values`` are the
+    ascent values of F.
 
     Every |tr(U u_j V v_j*)| is at most N for unitaries, so F <= n on every
     pair. The restarts therefore stop at the first one whose F reaches
@@ -217,11 +204,20 @@ def orbit_distance(
     _check_shapes(u, v)
     u.require_unitary()
     v.require_unitary()
+    gen = as_generator(rng)
+    N = u.dim
+    uv = _applier(SuperOperator(u, v))
+    vu = _applier(SuperOperator(v.adjoint(), u.adjoint()))
     f_max = u.n * (1.0 - _ORBIT_CERTIFIED)
     runs = []
-    for run in _orbit_restarts(u, v, restarts, as_generator(rng), iters):
-        runs.append(run)
-        if run[0] >= f_max:
+    for r in range(max(restarts, 1)):
+        if r == 0:
+            U0 = V0 = np.eye(N, dtype=complex)
+        else:
+            U0 = sample_haar_unitary(N, gen)
+            V0 = sample_haar_unitary(N, gen)
+        runs.append(_orbit_ascent(uv, vu, U0, V0, iters))
+        if runs[-1][0] >= f_max:
             break
     f_best, U, V = max(runs, key=lambda run: run[0])
     upper = tuple_distance(u.transform(left=U, right=V), v)
@@ -328,12 +324,12 @@ def mix_tuple(w: np.ndarray, t: MatrixTuple) -> MatrixTuple:
     return MatrixTuple((w @ t.mats.reshape(t.n, -1)).reshape(t.mats.shape))
 
 
-def _polar_ascent(operator, polar, p, xi, iters, inc_tol, norm_method, norm_tol, gen):
+def _polar_ascent(operator, polar, p, xi, iters, inc_tol, gen):
     """Alternate the top singular pair (xi, eta) of operator(p) with p = polar(xi, eta).
 
-    Each norm solve is warm-started from the previous xi; the ascent stops
-    once the value gains less than inc_tol. Returns the last value and the
-    parameter p whose operator attained it.
+    Each norm solve (tol 1e-10) is warm-started from the previous xi; the
+    ascent stops once the value gains less than inc_tol. Returns the last
+    value and the parameter p whose operator attained it.
     """
     val = -math.inf
     for step in range(iters):
@@ -344,7 +340,7 @@ def _polar_ascent(operator, polar, p, xi, iters, inc_tol, norm_method, norm_tol,
                 break
             p = polar(xi, image / nrm)
         T = operator(p)
-        rep = operator_norm(T, method=norm_method, tol=norm_tol, rng=gen, start=xi)
+        rep = operator_norm(T, tol=1e-10, rng=gen, start=xi)
         gain, val, xi = rep.value - val, rep.value, rep.top_vector
         if gain < inc_tol:
             break
@@ -393,7 +389,7 @@ def strong_separation_estimate(
             w = sample_haar_unitary(n, gen)
         val, _ = _polar_ascent(
             lambda w: SuperOperator(mix_tuple(w, u), v),
-            w_step, w, None, iters, 1e-12, "auto", 1e-10, gen,
+            w_step, w, None, iters, 1e-12, gen,
         )
         best = max(best, val)
     return best / n
@@ -432,13 +428,7 @@ def dcb_lower_bound(delta_strong: float, overlap: float, n: int) -> float:
 
 
 def find_norming_tuple(
-    x: MatrixTuple,
-    restarts: int = 20,
-    rng=None,
-    norm_method: str = "auto",
-    norm_tol: float = 1e-10,
-    check_orbit: Optional[bool] = None,
-    gap_value: Optional[float] = None,
+    x: MatrixTuple, restarts: int = 20, rng=None
 ) -> tuple[MatrixTuple, float]:
     """Ascend |sum x_j (x) conj(v_j)| over unit-ball tuples v.
 
@@ -448,19 +438,14 @@ def find_norming_tuple(
     xi = eta = I/sqrt(N), the channel fixed point; a restart stops after 200
     steps or once the value gains less than 1e-10. For a gapped x the
     maximizers form a single orbit, so the best v is checked to lie near
-    Orb(x): the check runs the 10 restarts of ``orbit_distance`` and passes
-    at the first whose witnesses bring x within 1e-4 sqrt(n) of v in direct
-    distance, else raises NormingOrbitError. Stopping early draws fewer Haar
-    starts from a caller's generator than a full ``orbit_distance``. A
-    gapless tuple such as a (+) b is normed off the orbit (by a (+) W for
-    any unitary W), which is what the error reports when the check is
-    forced. With ``check_orbit=None`` the check runs first and
-    ``spectral_gap(x)`` is solved only if its first restart misses: a
-    gapless x ends the check there, a gapped one continues it as if
-    forced (the gap solve draws from a copy of the generator, so the later
-    restarts draw the Haar starts they draw in forced mode). A caller's
-    ``gap_value`` decides up front instead, and a gapless one skips the
-    check. (v, value) are fixed before the check and do not depend on it.
+    Orb(x), with tolerance 1e-4 sqrt(n) on the direct distance. The check
+    is three calls: ``orbit_distance(x, v, restarts=1)``, whose identity
+    start draws nothing from the generator and usually settles a gapped x;
+    only if that misses, ``spectral_gap(x)``, and a gapless x passes there
+    (a (+) b is normed off its orbit by a (+) W for any unitary W); and
+    only if x is gapped, ``orbit_distance(x, v, restarts=10)``, whose miss
+    raises NormingOrbitError with its ``upper``. (v, value) are fixed
+    before the check and do not depend on it.
     """
     x.require_unitary()
     gen = as_generator(rng)
@@ -483,29 +468,17 @@ def find_norming_tuple(
             eta /= np.linalg.norm(eta)
         val, v = _polar_ascent(
             lambda v: SuperOperator(x, v),
-            polar, polar(xi, eta), xi, 200, 1e-10, norm_method, norm_tol, gen,
+            polar, polar(xi, eta), xi, 200, 1e-10, gen,
         )
         if val > best_val:
             best_val, best_v = val, v
-    if check_orbit is None and gap_value is not None:
-        check_orbit = gap_value < x.n - 1e-6
-    if check_orbit is None or check_orbit:
-        tol = 1e-4 * math.sqrt(x.n)
-        best_f, dist = -math.inf, math.inf
-        for f, U, V in _orbit_restarts(x, best_v, 10, gen):
-            d = tuple_distance(x.transform(left=U, right=V), best_v)
-            if d <= tol:
-                break
-            if f > best_f:
-                best_f, dist = f, d
-            if check_orbit is None:
-                # automatic mode, first miss: only a gapped x makes it an error.
-                # The gap solve draws from a copy of gen, so the later restarts
-                # start where they would in forced mode.
-                if spectral_gap(x, rng=copy.deepcopy(gen)).value >= x.n - 1e-6:
-                    break
-                check_orbit = True
-        else:
+    tol = 1e-4 * math.sqrt(x.n)
+    if (
+        orbit_distance(x, best_v, restarts=1, rng=gen).upper > tol
+        and spectral_gap(x, rng=gen).value < x.n - 1e-6
+    ):
+        dist = orbit_distance(x, best_v, restarts=10, rng=gen).upper
+        if dist > tol:
             raise NormingOrbitError(
                 f"norming witness sits {dist:.3e} from the orbit (tolerance {tol:.3e}); "
                 "the input tuple may not have a spectral gap"

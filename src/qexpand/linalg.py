@@ -143,7 +143,11 @@ class RngSpec:
         unknown = set(obj) - {"seed", "stream_id"}
         if unknown:
             raise TupleFormatError(f"unknown RngSpec keys: {sorted(unknown)}")
-        return cls(int(obj["seed"]), int(obj.get("stream_id", 0)))
+        seed, stream_id = obj["seed"], obj.get("stream_id", 0)
+        for key, val in (("seed", seed), ("stream_id", stream_id)):
+            if not isinstance(val, int) or isinstance(val, bool):
+                raise TupleFormatError(f"field '{key}' must be an integer, got {val!r}")
+        return cls(seed, stream_id)
 
 
 def as_generator(rng) -> np.random.Generator:

@@ -354,6 +354,8 @@ def subgaussian_tail_check(
 ) -> TailReport:
     """Monte Carlo exceedance frequencies of sum_j Re tr(u_j) against the tail bound
     at lambda = 0.5 k sqrt(n), k = 0, ..., 8."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
     b_n = ginibre_singular_mean(N, bn_samples, rng.substream(0))

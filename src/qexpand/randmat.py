@@ -80,6 +80,8 @@ def _sum_norm_report(coeffs, a, N, samples, rng, tol, draw, restrict_h0) -> Mome
     which picks the dense or the Lanczos solver; a sample's value does not
     depend on the chunk it fell in.
     """
+    if N < 1:
+        raise ValueError(f"N must be positive, got {N}")
     if samples < 10:
         raise ValueError(f"need at least 10 samples, got {samples}")
     n, k = a.shape[:2]
@@ -255,6 +257,8 @@ def twirl_identity_check(N: int, samples: int, rng: RngSpec) -> TwirlReport:
         raise ValueError(f"N must be >= 2, got {N}")
     if N > 8:
         raise DenseCapExceeded(f"twirl materializes N^4 entries; N={N} exceeds cap 8")
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
     d = N * N
     acc = np.zeros((d, d), dtype=complex)
     batch = 2048
@@ -293,8 +297,8 @@ def matrix_coefficient_sum(
     if not mats:
         raise ValueError("coeff_mats must be nonempty")
     k = mats[0].shape[0]
-    if any(a.shape != (k, k) for a in mats):
-        raise ValueError("all coefficient blocks must be square of equal size")
+    if k < 1 or any(a.shape != (k, k) for a in mats):
+        raise ValueError("all coefficient blocks must be square of equal positive size")
     draw = _unitary_draw(rng, N)
     rep = _sum_norm_report(mats, np.stack(mats), N, samples, rng, 1e-8, draw, True)
     sq1 = np.linalg.svd(sum(a.conj().T @ a for a in mats), compute_uv=False)[0]

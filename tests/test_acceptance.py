@@ -179,10 +179,7 @@ def test_criterion_6_separation_bound_validation():
         x = qx.haar_tuple(8, 32, gen)
         gap = qx.spectral_gap(x, method="lanczos", tol=1e-8, rng=gen).value
         eps = gap / 8
-        v, attained = qx.find_norming_tuple(
-            x, restarts=2, rng=gen, norm_method="lanczos", norm_tol=1e-9,
-            check_orbit=False,
-        )
+        v, attained = qx.find_norming_tuple(x, restarts=2, rng=gen)
         delta = 1e-4
         assert attained > 8 * (1 - delta)  # the hypothesis of the radius bound
         od = qx.orbit_distance(x, v, restarts=4, rng=gen)
@@ -211,9 +208,7 @@ def test_criterion_8_norming_smooth_point():
         x = qx.haar_tuple(4, 16, gen)
         cert = qx.certify(x, method="dense")
         assert cert.gap.value < 4  # gapped, so the orbit check applies
-        v, attained = qx.find_norming_tuple(
-            x, restarts=5, rng=gen, gap_value=cert.gap.value
-        )
+        v, attained = qx.find_norming_tuple(x, restarts=5, rng=gen)
         assert attained >= 4 - 1e-3
     # block-reducible tuple: the corner construction norms without the orbit
     gen = RngSpec(8002, 0).generator()

@@ -377,6 +377,31 @@ class TestMain:
         assert main(["--config", str(cpath)]) == 1
 
     @pytest.mark.parametrize(
+        "seed, out_dir",
+        [
+            ({"seed": 1.7}, "o"),
+            ({"seed": True}, "o"),
+            ({"seed": "5"}, "o"),
+            ({"seed": 1, "stream_id": 2.9}, "o"),
+            ({}, "o"),
+            ({"seed": 1}, None),
+        ],
+        ids=["float-seed", "bool-seed", "string-seed", "float-stream", "no-seed",
+             "null-out-dir"],
+    )
+    def test_config_file_rejects_non_integers(self, tmp_path, capsys, monkeypatch, seed, out_dir):
+        # nothing is coerced: 1.7 is not seed 1 and null is not a directory "None"
+        monkeypatch.chdir(tmp_path)
+        cfg = {"command": "sample-haar", "params": {"n": 2, "N": 2}, "seed": seed,
+               "out_dir": out_dir}
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps(cfg))
+        assert main(["--config", str(cpath)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize(
         "text",
         [
             '{"n": 1, "N": 1, "matrices": [[["1", "0"]]]}',
@@ -407,8 +432,13 @@ class TestMain:
             (["sample-haar", "-p", "n=0", "-p", "N=2"], True),
             (["pack", "-p", "n=2", "-p", "N=2", "-p", "eps=0", "-p", "delta=1.5",
               "-p", "max_samples=2"], True),
+            (["subgauss", "-p", "n=0", "-p", "N=4", "-p", "samples=100"], True),
+            (["appendix", "-p", "experiment=hastings", "-p", "N=0", "-p", "samples=10"], True),
+            (["appendix", "-p", "experiment=matrix-coeff", "-p", "k=0"], True),
+            (["appendix", "-p", "experiment=twirl", "-p", "N=4", "-p", "samples=0"], True),
         ],
-        ids=["negative-seed", "negative-stream", "n-zero", "delta-above-one"],
+        ids=["negative-seed", "negative-stream", "n-zero", "delta-above-one",
+             "subgauss-n-zero", "hastings-N-zero", "matrix-coeff-k-zero", "twirl-no-samples"],
     )
     def test_out_of_range_value_is_one_line_error(self, tmp_path, capsys, argv, failed_run):
         out = tmp_path / "o"

@@ -45,6 +45,26 @@ class TestGroupPresentation:
         obj["extra"] = 1
         with pytest.raises(TupleFormatError):
             GroupPresentation.from_json(obj)
+        with pytest.raises(TupleFormatError):
+            GroupPresentation.from_json(5)
+
+    @pytest.mark.parametrize(
+        "key, val",
+        [
+            ("order", 3.9),
+            ("order", "3"),
+            ("order", True),
+            ("generators", [[1.0, 2.0, 0.0], [2, 0, 1]]),
+            ("labels", [1, 2]),
+        ],
+        ids=["float-order", "string-order", "bool-order", "float-entries", "int-labels"],
+    )
+    def test_non_integer_fields_rejected(self, key, val):
+        # nothing is coerced: order 3.9 is not order 3
+        obj = cyclic_group(3).to_json()
+        obj[key] = val
+        with pytest.raises(TupleFormatError):
+            GroupPresentation.from_json(obj)
 
 
 class TestCayley:

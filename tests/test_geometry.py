@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,11 @@ from qexpand.errors import (
 from qexpand.linalg import RngSpec
 
 from conftest import identity_tuple, random_tuple
+
+
+def _gapped(x):
+    """Stand-in gap report that calls any tuple gapped (value n - 1)."""
+    return SimpleNamespace(value=x.n - 1.0)
 
 
 class TestTupleDistance:
@@ -111,7 +117,7 @@ class TestOrbitDistance:
         # upper must still be the direct distance of the returned pair
         x = qx.haar_tuple(2, 6, RngSpec(2, 1).generator())
         gen = RngSpec(2, 0).generator()
-        w, _ = qx.find_norming_tuple(x, restarts=2, rng=gen, check_orbit=False)
+        w, _ = qx.find_norming_tuple(x, restarts=2, rng=gen)
         rep = qx.orbit_distance(x, w, restarts=10, rng=gen)
         moved = x.transform(left=rep.best_u, right=rep.best_v)
         assert rep.upper == qx.tuple_distance(moved, w)
@@ -360,28 +366,28 @@ class TestNorming:
         assert attained >= 4 - 1e-3
         assert v.unitary
 
-    def test_orbit_check_raises_when_forced_tight(self):
+    def test_orbit_check_raises_when_forced_tight(self, monkeypatch):
         # x = a (+) b has gap n, so it is normed off its orbit by a (+) W-type
-        # witnesses; the forced check reports that at the default orbit_tol
+        # witnesses; the check reports that once x is made to look gapped
+        import qexpand.geometry as geo
+
         gen = RngSpec(2, 1).generator()
         x = qx.direct_sum(qx.haar_tuple(2, 3, gen), qx.haar_tuple(2, 3, gen))
-        # precondition: replay the search and the guard's own orbit_distance call
+        # precondition: replay the search and the check's last orbit_distance
+        # call (the dense gap solve draws nothing from gen)
         gen = RngSpec(2, 0).generator()
-        w, attained = qx.find_norming_tuple(x, restarts=2, rng=gen, check_orbit=False)
+        w, attained = qx.find_norming_tuple(x, restarts=2, rng=gen)
         assert attained == pytest.approx(2.0, abs=1e-9)
         assert qx.orbit_distance(x, w, restarts=10, rng=gen).upper > 1e-2
+        monkeypatch.setattr(geo, "spectral_gap", lambda x, rng=None: _gapped(x))
         with pytest.raises(NormingOrbitError):
-            qx.find_norming_tuple(
-                x, restarts=2, rng=RngSpec(2, 0).generator(), check_orbit=True
-            )
+            qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator())
         # negative control: a gapped Haar tuple is normed on its orbit, so the
         # check stays quiet. Every n = 2 tuple is gapless (x + W x W* with
         # W = u1* u2 has norm 2 on the trace-zero part of W), so it takes n = 3.
         y = qx.haar_tuple(3, 6, RngSpec(2, 1).generator())
         assert qx.spectral_gap(y, method="dense").value < 3 - 1e-6
-        _, attained = qx.find_norming_tuple(
-            y, restarts=2, rng=RngSpec(2, 0).generator(), check_orbit=True
-        )
+        _, attained = qx.find_norming_tuple(y, restarts=2, rng=RngSpec(2, 0).generator())
         assert attained == pytest.approx(3.0, abs=1e-9)
 
     def test_orbit_check_stops_once_decided(self, monkeypatch):
@@ -401,17 +407,20 @@ class TestNorming:
         assert len(ascents) == 1
         ascents.clear()
         # the check only reads the result: same witness and value bit for bit
-        w, unchecked = qx.find_norming_tuple(
-            x, restarts=2, rng=RngSpec(2, 0).generator(), check_orbit=False
-        )
+        # as a run whose orbit check is stubbed out
+        with monkeypatch.context() as m:
+            m.setattr(geo, "orbit_distance", lambda *a, **k: SimpleNamespace(upper=0.0))
+            w, unchecked = qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator())
         assert not ascents
         assert np.array_equal(v.mats, w.mats) and attained == unchecked
-        # gapless a (+) b: no restart reaches the orbit, so all 10 run
+        # a (+) b made to look gapped: no restart reaches the orbit, so the
+        # first check's restart and all 10 of the last one run
         gen = RngSpec(2, 1).generator()
         x = qx.direct_sum(qx.haar_tuple(2, 3, gen), qx.haar_tuple(2, 3, gen))
+        monkeypatch.setattr(geo, "spectral_gap", lambda x, rng=None: _gapped(x))
         with pytest.raises(NormingOrbitError):
-            qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator(), check_orbit=True)
-        assert len(ascents) == 10
+            qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator())
+        assert len(ascents) == 11
 
     def test_gap_solved_only_when_the_guard_fails(self, monkeypatch):
         import qexpand.geometry as geo
@@ -438,41 +447,10 @@ class TestNorming:
         ascents.clear()
         v, attained = qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator())
         assert len(gaps) == 1 and len(ascents) == 1
-        w, unchecked = qx.find_norming_tuple(
-            x, restarts=2, rng=RngSpec(2, 0).generator(), check_orbit=False
-        )
+        monkeypatch.setattr(geo, "orbit_distance", lambda *a, **k: SimpleNamespace(upper=0.0))
+        w, unchecked = qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator())
         assert len(gaps) == 1 and len(ascents) == 1
         assert np.array_equal(v.mats, w.mats) and attained == unchecked
-
-    def test_gap_solve_leaves_the_guard_starts_as_forced(self, monkeypatch):
-        # a gapped x at Lanczos size (N^2 = 169) whose every guard restart is made
-        # to miss: the automatic mode solves the gap after restart 0 and then runs
-        # the other 9 restarts from the Haar starts of the forced mode
-        import qexpand.geometry as geo
-
-        starts = []
-        ascent = geo._orbit_ascent
-
-        def recorded(uv, vu, U0, V0, iters):
-            starts.append((U0, V0))
-            return ascent(uv, vu, U0, V0, iters)
-
-        monkeypatch.setattr(geo, "_orbit_ascent", recorded)
-        monkeypatch.setattr(geo, "tuple_distance", lambda u, v: math.inf)
-        x = qx.haar_tuple(3, 13, RngSpec(2, 3).generator())
-        assert qx.spectral_gap(x, tol=1e-6).value < 3 - 1e-3
-        runs = []
-        for mode in (None, True):
-            starts.clear()
-            with pytest.raises(NormingOrbitError):
-                qx.find_norming_tuple(
-                    x, restarts=1, rng=RngSpec(2, 4).generator(), norm_method="dense",
-                    check_orbit=mode,
-                )
-            runs.append(list(starts))
-        auto, forced = runs
-        assert len(auto) == len(forced) == 10
-        assert all(np.array_equal(a, b) for a, b in zip(auto, forced))
 
     def test_orbit_check_skipped_for_gapless_tuple(self):
         # the identity tuple has no gap, so the auto mode skips the orbit assertion
