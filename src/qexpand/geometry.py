@@ -57,7 +57,10 @@ def tuple_distance(x: MatrixTuple, y: MatrixTuple) -> float:
 
 @dataclass
 class SeparationReport:
-    """Measured pair separation delta = 1 - |T_uv| / sqrt(|T_uu| |T_vv|)."""
+    """Measured pair separation delta = 1 - |T_uv| / sqrt(|T_uu| |T_vv|).
+
+    ``method`` and ``single_applies`` are those of the |T_uv| solve.
+    """
 
     delta: float
     norm_value: float
@@ -66,12 +69,14 @@ class SeparationReport:
     method: str = "dense"
     self_norm_u: float = 0.0
     self_norm_v: float = 0.0
+    single_applies: int = 0
 
     def to_json(self) -> dict:
         return {
             "delta": float(self.delta),
             "norm_value": float(self.norm_value),
             "method": self.method,
+            "single_applies": int(self.single_applies),
             "self_norm_u": float(self.self_norm_u),
             "self_norm_v": float(self.self_norm_v),
         }
@@ -113,6 +118,7 @@ def separation(
         method=cross.method,
         self_norm_u=su,
         self_norm_v=sv,
+        single_applies=cross.single_applies,
     )
 
 

@@ -13,7 +13,12 @@ matrix, for ``apply`` and (on the columns and rows) for ``materialize``.
 runs thick-restart Lanczos on T*T through the matrix-free action. The one
 Lanczos routine, ``_lanczos``, runs B operators of one shape in lockstep on
 stacked (B, kN, N) GEMMs and batched ``eigh``s, each run stopping after the
-applies it would take alone; ``operator_norm`` is its B = 1 call.
+applies it would take alone; ``operator_norm`` is its B = 1 call. At loose
+tolerances (tol >= _SINGLE_TOL = 1e-6) ``_mixed_lanczos`` runs the Krylov
+cycles in complex64, on members rescaled by powers of two, and certifies
+their Ritz vector with a complex128 run: the value is still a complex128
+Rayleigh-Ritz lower bound with a complex128 residual stop. Tighter solves
+run in complex128 throughout.
 
 Dense matrices sum_j x_j (x) conj(y_j) come from one matmul over the members
 (``_dense``), for one operator (``materialize``) or for a batch. Their norms
@@ -84,8 +89,24 @@ LANCZOS_CHECK = 4
 # Cap on T*T applies per Lanczos run.
 _MAX_APPLIES = 100_000
 # beta below this multiple of the largest ||T*T q|| seen is rounding noise:
-# the basis spans an invariant subspace.
+# the basis spans an invariant subspace. The multiple is for complex128; a
+# complex64 run scales it by the ratio of the machine epsilons (2^29).
 _BREAKDOWN = 1e-13
+# Lanczos solves at tol >= this run their Krylov cycles in complex64 and
+# finish in complex128 (``_mixed_lanczos``). Median ms per restricted gap of
+# n = 4 Haar tuples (one BLAS thread, 2-vCPU Xeon, 4-6 tuples x 3 rounds),
+# complex128 only / mixed, with the mixed run's complex128 applies:
+#
+#   N    tol=1e-6            tol=1e-8              tol=1e-10
+#   13   7.5 / 7.4 (1.0)     10.7 / 10.5 (11.3)    11.4 / 14.5 (26.0)
+#   17   11.2 / 10.9 (1.0)   13.9 / 14.9 (10.7)    15.0 / 19.7 (30.7)
+#   32   27.6 / 20.4 (1.0)   35.2 / 32.9 (18.0)    45.1 / 50.1 (45.7)
+#   64   133 / 74 (1.0)      146 / 111 (24.0)      201 / 216 (64.0)
+#
+# The complex64 phase takes the applies a complex128-only solve takes. Below
+# tol 1e-6 the complex128 run restarts from one vector and needs 10-64 more
+# applies; that loses at 1e-10 everywhere and at 1e-8 for small N.
+_SINGLE_TOL = 1e-6
 # Bytes per ``_norms`` batch (``_batch_size`` says what an operator costs).
 # Lanczos at n = 8, N = 16, 200 kB per operator (one BLAS thread, 10 unitary
 # and 10 Gaussian samples, fastest of 8 rounds): the norm statistics took 108
@@ -258,14 +279,21 @@ def _dense(left: np.ndarray, right: np.ndarray, restrict_h0: bool) -> np.ndarray
     """Dense (K, kN^2, kN^2) matrices of the K operators sum_j left_kj (.) right_kj*.
 
     The restriction Q m Q (Q = I - I_k (x) vv*, real symmetric) centres every
-    column, then every row, of each unrestricted matrix.
+    column, then every row, of each unrestricted matrix, in place: it
+    subtracts the block traces through views of the block-diagonal rows, then
+    of the block-diagonal columns. The column traces are summed from a
+    contiguous copy of those rows (d^2 / N entries), so that every trace is
+    summed in the order ``center`` sums it.
     """
     m = _kron_sums(left, right)
     if restrict_h0:
         K, d = m.shape[:2]
-        R, N = left.shape[-1], right.shape[-1]
-        m = center(m.swapaxes(1, 2).reshape(K, d, R, N)).reshape(K, d, d).swapaxes(1, 2)
-        m = center(m.reshape(K, d, R, N)).reshape(K, d, d)
+        N = right.shape[-1]
+        k = left.shape[-1] // N
+        rows = m.reshape(K, k, N * N, d)[:, :, :: N + 1]
+        rows -= np.ascontiguousarray(rows.swapaxes(2, 3)).sum(-1)[:, :, None] / N
+        cols = m.reshape(K, d, k, N * N)[..., :: N + 1]
+        cols -= cols.sum(-1, keepdims=True) / N
     return m
 
 
@@ -323,7 +351,8 @@ class GapReport:
     ``residual`` = ||T*T(xi) - theta xi||_F for the normalized witness xi,
     recomputed explicitly through the matrix-free action, except for a solve
     with ``witness=False``, which returns no witness and reports 0.0;
-    ``iterations`` counts the applies of T*T (1 for dense).
+    ``iterations`` counts the applies of T*T (1 for dense), and
+    ``single_applies`` those of them run in complex64 (see ``_mixed_lanczos``).
     """
 
     value: float
@@ -331,12 +360,14 @@ class GapReport:
     iterations: int
     residual: float
     top_vector: Optional[np.ndarray] = field(default=None, repr=False)
+    single_applies: int = 0
 
     def to_json(self) -> dict:
         return {
             "value": float(self.value),
             "method": self.method,
             "iterations": int(self.iterations),
+            "single_applies": int(self.single_applies),
             "residual": float(self.residual),
         }
 
@@ -350,13 +381,35 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt((a[:, None, :] @ a[:, :, None].conj())[:, 0, 0].real)
 
 
+def _scale_to_unit(a: np.ndarray, axes) -> np.ndarray:
+    """Copy of a complex array scaled by powers of two to max |entry| in [1/2, 1) over ``axes``.
+
+    A power of two scales without rounding (above the subnormals), so the
+    copy carries the same digits, and no finite input overflows on the way.
+    An all-zero slice is left as it is.
+    """
+    e = np.frexp(np.abs(a).max(axis=axes, keepdims=True))[1]
+    out = np.empty_like(a)
+    out.real, out.imag = np.ldexp(a.real, -e), np.ldexp(a.imag, -e)
+    return out
+
+
 def _start_vector(shape, restrict_h0: bool, start, rng) -> np.ndarray:
-    """Unit vector in the domain: ``start`` if nonzero there, else a random draw from ``rng``."""
+    """Unit vector in the domain: ``start`` if nonzero there, else a random draw from ``rng``.
+
+    A finite ``start`` of any size is scaled by a power of two (``_scale_to_unit``)
+    before it is projected and normalised; a non-finite one raises ValueError.
+    """
 
     def project(z):
         return center(z) if restrict_h0 else z
 
-    z = None if start is None else project(np.asarray(start, dtype=complex))
+    z = None
+    if start is not None:
+        z = np.asarray(start, dtype=complex)
+        if not np.all(np.isfinite(z)):
+            raise ValueError("start contains non-finite entries")
+        z = project(_scale_to_unit(z, None))
     if z is None or not _frob(z) > 0:
         gen = as_generator(rng)
         z = project(gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
@@ -396,16 +449,26 @@ def _lanczos(left, right, restrict_h0, Z, tol, max_iter):
     the applies it would take alone (B = 1), and its arithmetic does not
     depend on the other runs. Returns per-run arrays (theta, X, applies,
     converged) with X[b] the unit Ritz vector.
+
+    The basis Q, and so every apply, is kept in Z's dtype (complex128 or
+    complex64; the members must have the same), while H, theta and the Ritz
+    vectors X are float64 and complex128. The breakdown threshold scales
+    with the dtype's machine epsilon. ``max_iter`` is one int cap for every
+    run or an array of per-run caps (``_mixed_lanczos`` passes those only
+    after a complex64 phase).
     """
     B, R, N = Z.shape
     d = R * N
     m, keep = LANCZOS_BASIS, LANCZOS_KEEP
     operands = _gemm_operands(left, right)
+    noise = _BREAKDOWN * (np.finfo(Z.dtype).eps / np.finfo(complex).eps)
+    per_run = np.ndim(max_iter) > 0
+    cap = np.array(max_iter) if per_run else max_iter
 
     def op(a):
         return _gram_apply(operands, restrict_h0, a)
 
-    Q = np.empty((B, m + 1, d), dtype=complex)
+    Q = np.empty((B, m + 1, d), dtype=Z.dtype)
     Q[:, 0] = Z.reshape(B, d)
     H = np.zeros((B, m, m))
     scale = np.zeros(B)
@@ -425,10 +488,10 @@ def _lanczos(left, right, restrict_h0, Z, tol, max_iter):
             w -= (h2[:, None, :] @ basis)[:, 0]
             H[:, j, j] = (h[:, j] + h2[:, j]).real
             beta = _row_norms(w)
-            breakdown = beta <= _BREAKDOWN * scale
-            capped = applies >= max_iter
-            scheduled = capped or j == m - 1 or applies == 1 or applies % LANCZOS_CHECK == 0
-            if scheduled or breakdown.any():
+            breakdown = beta <= noise * scale
+            capped = applies >= cap
+            scheduled = capped | (j == m - 1 or applies == 1 or applies % LANCZOS_CHECK == 0)
+            if (scheduled.any() if per_run else scheduled) or breakdown.any():
                 theta, Y = np.linalg.eigh(H[:, : j + 1, : j + 1])
                 y = Y[:, :, -1]
                 converged = breakdown | (scheduled & (beta * np.abs(y[:, -1]) <= tol * theta[:, -1]))
@@ -446,6 +509,8 @@ def _lanczos(left, right, restrict_h0, Z, tol, max_iter):
                     live, Q, H, scale, w, beta, theta, Y = _compact(
                         (live, Q, H, scale, w, beta, theta, Y), run
                     )
+                    if per_run:
+                        cap = cap[run]
                     operands = _compact(operands, run)
             Q[:, j + 1] = w / beta[:, None]
             if j + 1 < m:
@@ -459,6 +524,32 @@ def _lanczos(left, right, restrict_h0, Z, tol, max_iter):
         H[:, np.arange(keep), np.arange(keep)] = theta[:, -keep:]
         H[:, keep, :keep] = H[:, :keep, keep] = beta[:, None] * Yk[:, -1]
         k = keep
+
+
+def _mixed_lanczos(left, right, restrict_h0, Z, tol, max_iter):
+    """``_lanczos`` to ``tol``, with its Krylov cycles in complex64 where tol >= _SINGLE_TOL.
+
+    The complex64 phase runs on the members scaled by powers of two to unit
+    max-abs (``_scale_to_unit`` per operator: the Krylov vectors do not
+    depend on the scale, and no finite member then overflows or underflows
+    in the cast), from Z cast to complex64, with at most max_iter - 1
+    applies. Its Ritz vectors, re-centred and normalised in complex128,
+    start the complex128 run on the given members with the rest of
+    max_iter. That run is the certificate: a complex128 Rayleigh-Ritz lower
+    bound with a complex128 residual stop, one apply when its start has
+    converged. Returns (theta, X, applies, single, converged) per run, with
+    applies counting both phases and single the complex64 ones.
+    """
+    if tol < _SINGLE_TOL or max_iter <= 1:
+        theta, X, applies, converged = _lanczos(left, right, restrict_h0, Z, tol, max_iter)
+        return theta, X, applies, np.zeros_like(applies), converged
+    low = (_scale_to_unit(a, (1, 2, 3)).astype(np.complex64) for a in (left, right))
+    _, Z, single, _ = _lanczos(*low, restrict_h0, Z.astype(np.complex64), tol, max_iter - 1)
+    if restrict_h0:
+        _center_in_place(Z)
+    Z /= _row_norms(Z.reshape(len(Z), -1))[:, None, None]
+    theta, X, applies, converged = _lanczos(left, right, restrict_h0, Z, tol, max_iter - single)
+    return theta, X, applies + single, single, converged
 
 
 def operator_norm(
@@ -480,7 +571,10 @@ def operator_norm(
     ``tol`` is a relative Ritz residual bound on T*T: the run stops once the
     top Ritz pair (theta, x) has ||T*T x - theta x|| <= tol * theta, or
     after ``max_iter`` applies of T*T, when the method reads
-    "lanczos-unconverged". "auto" picks dense for
+    "lanczos-unconverged". At tol >= _SINGLE_TOL (1e-6) the Krylov cycles run
+    in complex64 before a complex128 run certifies their Ritz vector
+    (``_mixed_lanczos``); ``single_applies`` counts the complex64 applies
+    within ``iterations``. "auto" picks dense for
     kN^2 <= min(AUTO_DENSE_DIM, dense_cap()), which is kN^2 <= 144 (N <= 12
     for k = 1) by default, and lanczos above. A restricted T with
     N = 1 acts on {0}; Lanczos reports value 0 there without a witness.
@@ -493,24 +587,28 @@ def operator_norm(
     if method not in ("dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
     if method == "dense" and not witness:
-        return GapReport(float(_top_singular_values(materialize(T))), "dense", 1, 0.0, None)
+        return GapReport(float(_top_singular_values(materialize(T))), "dense", 1, 0.0)
     if method == "lanczos" and T.restrict_h0 and N == 1:
-        return GapReport(0.0, "lanczos", 0, 0.0, None)
+        return GapReport(0.0, "lanczos", 0, 0.0)
     left, right = T.left.mats[None], T.right.mats[None]
     if method == "dense":
         m = materialize(T)
         evals, evecs = np.linalg.eigh(m.conj().T @ m)
         theta, x, applies, converged = float(evals[-1]), evecs[:, -1].reshape(R, N), 1, True
+        single = 0
     else:
         z = _start_vector(T.shape, T.restrict_h0, start, rng)
-        thetas, xs, iters, flags = _lanczos(left, right, T.restrict_h0, z[None], tol, max_iter)
+        thetas, xs, iters, singles, flags = _mixed_lanczos(
+            left, right, T.restrict_h0, z[None], tol, max_iter
+        )
         theta, x, applies, converged = float(thetas[0]), xs[0], int(iters[0]), bool(flags[0])
+        single = int(singles[0])
     tag = method if converged else "lanczos-unconverged"
     value = math.sqrt(max(theta, 0.0))
     if not witness:
-        return GapReport(value, tag, applies, 0.0, None)
+        return GapReport(value, tag, applies, 0.0, single_applies=single)
     tx = _gram_apply(_gemm_operands(left, right), T.restrict_h0, center(x) if T.restrict_h0 else x)
-    return GapReport(value, tag, applies, _frob(tx[0] - theta * x), x)
+    return GapReport(value, tag, applies, _frob(tx[0] - theta * x), x, single)
 
 
 def _norms(left, right, restrict_h0: bool, rngs, tol: float):
@@ -521,7 +619,7 @@ def _norms(left, right, restrict_h0: bool, rngs, tol: float):
     stack is shared by all. The call writes into neither. Operator b gets
     the value, applies and convergence flag of operator_norm(..., tol=tol,
     rng=rngs[b], witness=False): a batched dense Gram solve where
-    ``auto_dense(kN^2)``, lockstep ``_lanczos`` above, with run b's start
+    ``auto_dense(kN^2)``, lockstep ``_mixed_lanczos`` above, with run b's start
     drawn from rngs[b]. ``_batch_size`` bounds B. Returns (values, applies,
     converged) arrays.
     """
@@ -536,7 +634,7 @@ def _norms(left, right, restrict_h0: bool, rngs, tol: float):
     Z = np.stack([_start_vector((R, N), restrict_h0, None, g) for g in rngs])
     # _lanczos moves the rows of its operand stacks as runs finish
     left = np.repeat(left, B // len(left), axis=0)
-    theta, _, applies, converged = _lanczos(left, right, restrict_h0, Z, tol, _MAX_APPLIES)
+    theta, _, applies, _, converged = _mixed_lanczos(left, right, restrict_h0, Z, tol, _MAX_APPLIES)
     return np.sqrt(np.maximum(theta, 0.0)), applies, converged
 
 

@@ -166,6 +166,29 @@ class TestRun:
         rec2 = run(make_config("separate", {"u": str(up), "v": str(vp)}, tmp_path / "s"))
         assert rec2.summary["norm_value"] == pytest.approx(2.0, abs=1e-8)
 
+    def test_reports_say_which_applies_ran_in_complex64(self, tmp_path):
+        # at N = 13 (kN^2 = 169) the default method is Lanczos; at tol 1e-6 it
+        # runs its Krylov cycles in complex64 and finishes in complex128
+        gen = RngSpec(6, 0).generator()
+        up, vp = tmp_path / "u.json", tmp_path / "v.json"
+        qx.save_tuple(up, qx.haar_tuple(3, 13, gen))
+        qx.save_tuple(vp, qx.haar_tuple(3, 13, gen))
+        for tol, mixed in ((1e-6, True), (1e-10, False)):
+            out = tmp_path / f"{tol:.0e}"
+            run(make_config("gap", {"tuple": str(up), "tol": tol}, out / "g"))
+            run(make_config("certify", {"tuple": str(up), "tol": tol}, out / "c"))
+            gap = json.loads((out / "g" / "gap.json").read_text())
+            cert = json.loads((out / "c" / "certificate.json").read_text())
+            assert gap["method"] == cert["gap"]["method"] == "lanczos"
+            for obj in (gap, cert["gap"]):
+                assert (obj["single_applies"] > 0) == mixed
+            assert gap["single_applies"] < gap["iterations"]
+        # separate solves at its fixed tol 1e-10, so entirely in complex128
+        run(make_config("separate", {"u": str(up), "v": str(vp)}, tmp_path / "s"))
+        sep = json.loads((tmp_path / "s" / "separation.json").read_text())
+        assert sep["method"] == "lanczos"
+        assert sep["single_applies"] == 0
+
     def test_dcb_bound_and_overlap(self, tmp_path):
         rec = run(
             make_config(

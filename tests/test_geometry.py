@@ -72,6 +72,18 @@ class TestSeparation:
             hits += rep.delta > 0.2
         assert hits >= 9
 
+    def test_reports_complex64_applies_of_the_cross_solve(self):
+        gen = RngSpec(6, 0).generator()
+        u, v = qx.haar_tuple(3, 13, gen), qx.haar_tuple(3, 13, gen)
+        for tol, mixed in ((1e-6, True), (1e-10, False)):
+            rep = qx.separation(u, v, method="lanczos", tol=tol, rng=RngSpec(6, 1).generator())
+            cross = qx.operator_norm(
+                qx.SuperOperator(u, v), method="lanczos", tol=tol, rng=RngSpec(6, 1).generator()
+            )
+            assert rep.single_applies == cross.single_applies
+            assert (rep.single_applies > 0) == mixed
+            assert rep.to_json()["single_applies"] == rep.single_applies
+
     def test_witnesses_reproduce_norm(self, rng):
         u = qx.haar_tuple(3, 6, rng)
         v = qx.haar_tuple(3, 6, rng)

@@ -102,6 +102,24 @@ def test_auto_lanczos_matches_dense_above_switch(kN, n, unitary, seed):
 
 
 @SETTINGS
+@given(
+    st.tuples(st.integers(1, 3), st.integers(1, 5), st.sampled_from([1, 2]), st.integers(0, 2**32 - 1)),
+    st.booleans(),
+    st.sampled_from([1e-6, 1e-7]),
+)
+def test_lanczos_is_a_lower_bound_at_loose_tol(shape, restrict_h0, tol):
+    # at tol 1e-6 the Krylov cycles run in complex64 and a complex128 run
+    # certifies their Ritz vector; at 1e-7 the solve is complex128 throughout.
+    # Either way the value is a complex128 Rayleigh-Ritz lower bound.
+    T, _, _ = _operator(*shape, restrict_h0)
+    n = shape[0]
+    rep = qx.operator_norm(T, method="lanczos", tol=tol, rng=shape[-1])
+    dense = qx.operator_norm(T, method="dense", witness=False).value
+    assert rep.method == "lanczos"
+    assert dense - 1e-9 * n <= rep.value <= dense * (1 + 1e-13)
+
+
+@SETTINGS
 @given(st.integers(1, 4), st.integers(2, 5), st.integers(0, 2**32 - 1))
 def test_separation_is_bi_unitarily_invariant(n, N, seed):
     # sum_j (c u_j e) (x) conj(a v_j b) = (c (x) conj(a)) [sum_j u_j (x) conj(v_j)] (e (x) conj(b))

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -207,6 +208,63 @@ class TestOperatorNorm:
             qx.operator_norm(T, tol=0.0)
 
 
+class TestStartVector:
+    @staticmethod
+    def gap_operator():
+        return qx.SuperOperator.conjugation(qx.haar_tuple(3, 13, RngSpec(33, 0).generator()))
+
+    def test_huge_start_is_scaled_before_its_norm(self):
+        # the Frobenius norm of the raw start overflows to inf
+        T = self.gap_operator()
+        rep = qx.operator_norm(T, method="lanczos", start=np.full((13, 13), 1e300))
+        unit = qx.operator_norm(T, method="lanczos", start=np.ones((13, 13)))
+        assert rep.method == "lanczos" and math.isfinite(rep.residual)
+        assert rep.value == pytest.approx(unit.value, rel=1e-12) and rep.value > 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_raises(self, bad):
+        start = np.ones((13, 13), dtype=complex)
+        start[2, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            qx.operator_norm(self.gap_operator(), method="lanczos", start=start)
+
+
+class TestMixedPrecision:
+    def test_complex64_phase_only_at_loose_tol(self, rng):
+        T = qx.SuperOperator.conjugation(qx.haar_tuple(4, 13, rng))
+        for tol, mixed in ((1e-5, True), (1e-6, True), (9e-7, False), (1e-10, False)):
+            rep = qx.operator_norm(T, method="lanczos", tol=tol, rng=RngSpec(34, 0).generator())
+            assert rep.method == "lanczos"
+            assert (rep.single_applies > 0) == mixed
+            assert rep.iterations > rep.single_applies
+            assert rep.residual <= 10 * tol * rep.value**2
+
+    @pytest.mark.parametrize("restrict", [True, False])
+    def test_scaled_members_stay_in_complex64_range(self, rng, restrict):
+        # kN^2 = 169: members times 1e25 overflow a complex64 T*T apply, times
+        # 1e-25 underflow it, unless the complex64 phase rescales them
+        x, y = random_tuple(3, 13, rng), random_tuple(3, 13, rng)
+
+        def solve(s):
+            T = qx.SuperOperator(qx.MatrixTuple(s * x.mats), qx.MatrixTuple(s * y.mats), restrict)
+            return qx.operator_norm(T, method="lanczos", tol=1e-6, rng=RngSpec(35, 0).generator())
+
+        base = solve(1.0)
+        assert base.single_applies > 0
+        for s in (1e25, 1e-25):
+            rep = solve(s)
+            assert rep.method == "lanczos"
+            assert abs(rep.value - base.value * s**2) <= 1e-12 * base.value * s**2
+            assert (rep.iterations, rep.single_applies) == (base.iterations, base.single_applies)
+
+    def test_max_iter_caps_both_phases(self, rng):
+        T = qx.SuperOperator(random_tuple(3, 13, rng), random_tuple(3, 13, rng))
+        for cap in (1, 2, 5):
+            rep = qx.operator_norm(T, method="lanczos", tol=1e-6, max_iter=cap, rng=rng)
+            assert rep.method == "lanczos-unconverged"
+            assert rep.iterations == cap and rep.single_applies == cap - 1
+
+
 class TestLockstep:
     @staticmethod
     def solo_and_lockstep(ops, tol, shared_left=False):
@@ -220,7 +278,7 @@ class TestLockstep:
         gens = [RngSpec(31, b).generator() for b in range(len(ops))]
         return solo, superop._norms(left, right, ops[0].restrict_h0, gens, tol)
 
-    def check_three_kinds(self, N, method):
+    def check_three_kinds(self, N, method, tol=1e-10):
         """Restricted Haar unitary sums, unrestricted Ginibre sums and unitary pairs
         (u, v_b) sharing u: each batch gives every operator exactly its solo report."""
         gen = RngSpec(30, N).generator()
@@ -230,7 +288,7 @@ class TestLockstep:
         pairs = [qx.SuperOperator(u, qx.haar_tuple(4, N, gen)) for _ in range(5)]
         counts = set()
         for ops, shared in ((unitary, False), (ginibre, False), (pairs, True)):
-            solo, (values, applies, converged) = self.solo_and_lockstep(ops, 1e-10, shared)
+            solo, (values, applies, converged) = self.solo_and_lockstep(ops, tol, shared)
             for rep, value, count, flag in zip(solo, values, applies, converged):
                 assert value == rep.value
                 assert count == rep.iterations
@@ -242,6 +300,27 @@ class TestLockstep:
         # Lanczos at kN^2 = 169; the unitary runs stop after 48 or 60 applies,
         # so some left the batch early
         assert len(self.check_three_kinds(13, "lanczos")) > 2
+
+    def test_matches_solo_runs_in_mixed_precision(self):
+        # at tol 1e-6 every run takes its complex64 phase, then its complex128 one
+        assert len(self.check_three_kinds(13, "lanczos", 1e-6)) > 2
+
+    def test_per_run_caps_after_the_complex64_phase(self, monkeypatch):
+        # under a 40-apply cap two runs finish their complex64 phase at 36 applies
+        # and three are capped at 39: each complex128 phase gets its own rest of
+        # the cap (4 or 1), so no run exceeds 40 and lockstep still equals solo
+        gen = RngSpec(30, 13).generator()
+        ops = [qx.SuperOperator.conjugation(qx.haar_tuple(4, 13, gen)) for _ in range(5)]
+        mixed = superop._mixed_lanczos
+        monkeypatch.setattr(superop, "_mixed_lanczos", lambda *args: mixed(*args[:-1], 40))
+        solo, (values, applies, converged) = self.solo_and_lockstep(ops, 1e-6)
+        assert list(applies) == [rep.iterations for rep in solo] == [37, 37, 40, 40, 40]
+        assert [rep.single_applies for rep in solo] == [36, 36, 39, 39, 39]
+        assert list(values) == [rep.value for rep in solo]
+        assert [rep.method for rep in solo] == [
+            "lanczos" if flag else "lanczos-unconverged" for flag in converged
+        ]
+        assert not converged.all()
 
     def test_dense_batch_matches_solo_runs(self):
         assert self.check_three_kinds(6, "dense") == {1}
@@ -314,8 +393,12 @@ def test_gap_report_json_round_trip(rng):
     T = qx.SuperOperator(random_tuple(2, 3, rng), random_tuple(2, 3, rng))
     rep = qx.operator_norm(T, method="dense")
     obj = rep.to_json()
-    assert set(obj) == {"value", "method", "iterations", "residual"}
-    assert obj["method"] == "dense"
+    assert set(obj) == {"value", "method", "iterations", "single_applies", "residual"}
+    assert obj["method"] == "dense" and obj["single_applies"] == 0
+    mixed = qx.operator_norm(T, method="lanczos", tol=1e-6, rng=rng)
+    obj = json.loads(json.dumps(mixed.to_json()))
+    assert obj["value"] == mixed.value and obj["iterations"] == mixed.iterations
+    assert 0 < obj["single_applies"] == mixed.single_applies < mixed.iterations
 
 
 def test_shape_mismatch_in_constructor(rng):
