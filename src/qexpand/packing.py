@@ -26,7 +26,7 @@ from .linalg import (
     polar_unitary,
     save_tuple,
 )
-from .superop import _batch_size, _gap, _norms
+from .superop import SuperOperator, _batch_size, _norms, operator_norm
 
 __all__ = [
     "PackingFamily",
@@ -159,7 +159,7 @@ def greedy_pack(
     for idx in range(max_samples):
         gen = rng.substream(idx)
         u = haar_tuple(n, N, gen)
-        gap = _gap(u, "auto", 1e-6, gen, witness=False)
+        gap = operator_norm(SuperOperator.conjugation(u), tol=1e-6, rng=gen, witness=False)
         unconverged += gap.method == "lanczos-unconverged"
         since += 1
         if _epsilon(gap.value, n) < eps:

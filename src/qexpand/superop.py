@@ -9,24 +9,24 @@ as the dense oracle. ``restrict_h0`` composes the action with the projection
 onto the blockwise trace-zero subspace on both sides. ``center`` applies it
 analytically as xi_b -> xi_b - tr(xi_b)/N * I on every block, never as a
 matrix, for ``apply`` and (on the columns and rows) for ``materialize``.
-``operator_norm`` takes a dense Gram eigen-solve for small kN^2 and otherwise
-runs thick-restart Lanczos on T*T through the matrix-free action. The one
-Lanczos routine, ``_lanczos``, runs B operators of one shape in lockstep on
-stacked (B, kN, N) GEMMs and batched ``eigh``s, each run stopping after the
-applies it would take alone; ``operator_norm`` is its B = 1 call. At loose
-tolerances (tol >= _SINGLE_TOL = 1e-6) ``_mixed_lanczos`` runs the Krylov
-cycles in complex64, on members rescaled by powers of two, and certifies
-their Ritz vector with a complex128 run: the value is still a complex128
-Rayleigh-Ritz lower bound with a complex128 residual stop. Tighter solves
-run in complex128 throughout.
 
-Dense matrices sum_j x_j (x) conj(y_j) come from one matmul over the members
-(``_dense``), for one operator (``materialize``) or for a batch. Their norms
-come from one batched ``eigvalsh`` of the Gram matrices M*M, the kernel of
-the dense ``operator_norm`` without a witness too. The batched norm entry
-``_norms`` owns the choice between the two solvers for the Monte Carlo
-samples of ``randmat`` and the pair norms of ``packing``, and
-``_batch_size`` sizes their batches under one byte budget.
+``_solve`` is the one norm solve, for B operators of one shape: it checks
+``tol`` and ``max_iter``, answers the restricted N = 1 case (the domain is
+{0}), and takes one batched Gram eigen-solve of given dense matrices or
+runs thick-restart Lanczos on T*T through the matrix-free action. The one
+Lanczos routine, ``_lanczos``, runs the B operators in lockstep on stacked
+(B, kN, N) GEMMs and batched ``eigh``s, each run stopping after the applies
+it would take alone. At loose tolerances (tol >= _SINGLE_TOL = 1e-6)
+``_mixed_lanczos`` runs the Krylov cycles in complex64, on members rescaled
+by powers of two, and certifies their Ritz vector with a complex128 run:
+the value is still a complex128 Rayleigh-Ritz lower bound with a complex128
+residual stop. Tighter solves run in complex128 throughout.
+
+``operator_norm`` is its batch of one (on ``materialize(T)`` when dense),
+``spectral_gap`` that on the restricted conjugation, and ``_norms`` its
+batches (on the ``_dense`` matrices, one matmul over the members, when
+dense) for the Monte Carlo samples of ``randmat`` and the pair norms of
+``packing``, sized under one byte budget by ``_batch_size``.
 """
 from __future__ import annotations
 
@@ -312,17 +312,6 @@ def materialize(T: SuperOperator) -> np.ndarray:
     return _dense(T.left.mats[None], T.right.mats[None], T.restrict_h0)[0]
 
 
-def _top_singular_values(m: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of a (..., r, c) stack.
-
-    Taken as the square root of the top eigenvalue of the Gram matrix m*m:
-    one batched ``eigvalsh`` costs less than a batched SVD and agrees with it
-    to rounding (relative error O(machine eps) in the top singular value).
-    """
-    gram = m.conj().swapaxes(-1, -2) @ m
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
-
-
 def auto_dense(dim: int) -> bool:
     """Whether method="auto" solves an operator on kN^2 = dim entries densely."""
     return dim <= min(AUTO_DENSE_DIM, dense_cap())
@@ -398,7 +387,8 @@ def _start_vector(shape, restrict_h0: bool, start, rng) -> np.ndarray:
     """Unit vector in the domain: ``start`` if nonzero there, else a random draw from ``rng``.
 
     A finite ``start`` of any size is scaled by a power of two (``_scale_to_unit``)
-    before it is projected and normalised; a non-finite one raises ValueError.
+    before it is projected and normalised; a non-finite one raises ValueError,
+    and one of another shape DimensionMismatch.
     """
 
     def project(z):
@@ -407,6 +397,8 @@ def _start_vector(shape, restrict_h0: bool, start, rng) -> np.ndarray:
     z = None
     if start is not None:
         z = np.asarray(start, dtype=complex)
+        if z.shape != shape:
+            raise DimensionMismatch(f"start has shape {z.shape}, operator acts on {shape}")
         if not np.all(np.isfinite(z)):
             raise ValueError("start contains non-finite entries")
         z = project(_scale_to_unit(z, None))
@@ -552,6 +544,42 @@ def _mixed_lanczos(left, right, restrict_h0, Z, tol, max_iter):
     return theta, X, applies + single, single, converged
 
 
+def _solve(left, right, restrict_h0, m, rngs, starts, tol, max_iter, vectors):
+    """Top eigenvalues theta of T_b*T_b for B operators of one shape: every norm solve.
+
+    Operator b is SuperOperator(left[b], right[b], restrict_h0) for complex
+    (B, n, kN, kN) and (B, n, N, N) member stacks, a (1, n, kN, kN) left
+    stack shared by all; the call writes into neither. Given m, their dense
+    matrices, one batched Gram eigen-solve of m*m (``eigh`` with
+    ``vectors``, else ``eigvalsh``) counts as one apply. Otherwise run b
+    starts from starts[b], or where that is None from a draw from rngs[b],
+    and the runs go through ``_mixed_lanczos`` in lockstep. A restricted
+    N = 1 operator acts on {0}: value 0, no vector, no Lanczos apply.
+    Returns per-run (theta, X, applies, single, converged): X the (B, kN, N)
+    unit vectors or None, single the complex64 applies.
+    """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    B, R, N = len(right), left.shape[-1], right.shape[-1]
+    zeros, converged = np.zeros(B, dtype=int), np.ones(B, dtype=bool)
+    if restrict_h0 and N == 1:
+        return np.zeros(B), None, zeros + (m is not None), zeros, converged
+    if m is not None:
+        gram = m.conj().swapaxes(-1, -2) @ m
+        if vectors:
+            evals, evecs = np.linalg.eigh(gram)
+            X = evecs[..., -1].reshape(B, R, N)
+        else:
+            evals, X = np.linalg.eigvalsh(gram), None
+        return evals[:, -1], X, zeros + 1, zeros, converged
+    Z = np.stack([_start_vector((R, N), restrict_h0, z, g) for z, g in zip(starts, rngs)])
+    if B > 1:  # _lanczos moves the rows of its operand stacks as runs finish
+        left = np.repeat(left, B // len(left), axis=0)
+    return _mixed_lanczos(left, right, restrict_h0, Z, tol, max_iter)
+
+
 def operator_norm(
     T: SuperOperator,
     method: str = "auto",
@@ -561,80 +589,56 @@ def operator_norm(
     start: Optional[np.ndarray] = None,
     witness: bool = True,
 ) -> GapReport:
-    """Operator norm of T on Hilbert-Schmidt space.
+    """Operator norm of T on Hilbert-Schmidt space, as a batch of one for ``_solve``.
 
     method "dense" computes the exact top singular value of the materialized
-    matrix m by a Gram eigen-solve on m*m (``eigh`` for the witness, the
-    ``eigvalsh`` that ``_norms`` uses without one); "lanczos" runs
-    matrix-free thick-restart Lanczos on T*T from ``start`` (or a random
-    vector drawn from ``rng``), as a batch of one for ``_lanczos``. There
-    ``tol`` is a relative Ritz residual bound on T*T: the run stops once the
-    top Ritz pair (theta, x) has ||T*T x - theta x|| <= tol * theta, or
-    after ``max_iter`` applies of T*T, when the method reads
-    "lanczos-unconverged". At tol >= _SINGLE_TOL (1e-6) the Krylov cycles run
-    in complex64 before a complex128 run certifies their Ritz vector
-    (``_mixed_lanczos``); ``single_applies`` counts the complex64 applies
-    within ``iterations``. "auto" picks dense for
+    matrix m by a Gram eigen-solve on m*m; "lanczos" runs matrix-free
+    thick-restart Lanczos on T*T from ``start`` (or a random vector drawn
+    from ``rng``). There ``tol`` is a relative Ritz residual bound on T*T:
+    the run stops once the top Ritz pair (theta, x) has ||T*T x - theta x||
+    <= tol * theta, or after ``max_iter`` applies of T*T, when the method
+    reads "lanczos-unconverged". At tol >= _SINGLE_TOL (1e-6) the Krylov
+    cycles run in complex64 before a complex128 run certifies their Ritz
+    vector (``_mixed_lanczos``); ``single_applies`` counts the complex64
+    applies within ``iterations``. "auto" picks dense for
     kN^2 <= min(AUTO_DENSE_DIM, dense_cap()), which is kN^2 <= 144 (N <= 12
-    for k = 1) by default, and lanczos above. A restricted T with
-    N = 1 acts on {0}; Lanczos reports value 0 there without a witness.
+    for k = 1) by default, and lanczos above. A restricted T with N = 1 acts
+    on {0}; both methods report value 0 there without a witness.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     R, N = T.shape
     if method == "auto":
         method = "dense" if auto_dense(R * N) else "lanczos"
     if method not in ("dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "dense" and not witness:
-        return GapReport(float(_top_singular_values(materialize(T))), "dense", 1, 0.0)
-    if method == "lanczos" and T.restrict_h0 and N == 1:
-        return GapReport(0.0, "lanczos", 0, 0.0)
     left, right = T.left.mats[None], T.right.mats[None]
-    if method == "dense":
-        m = materialize(T)
-        evals, evecs = np.linalg.eigh(m.conj().T @ m)
-        theta, x, applies, converged = float(evals[-1]), evecs[:, -1].reshape(R, N), 1, True
-        single = 0
-    else:
-        z = _start_vector(T.shape, T.restrict_h0, start, rng)
-        thetas, xs, iters, singles, flags = _mixed_lanczos(
-            left, right, T.restrict_h0, z[None], tol, max_iter
-        )
-        theta, x, applies, converged = float(thetas[0]), xs[0], int(iters[0]), bool(flags[0])
-        single = int(singles[0])
-    tag = method if converged else "lanczos-unconverged"
+    m = materialize(T)[None] if method == "dense" else None
+    thetas, X, applies, singles, converged = _solve(
+        left, right, T.restrict_h0, m, [rng], [start], tol, max_iter, witness
+    )
+    theta, iters, single = float(thetas[0]), int(applies[0]), int(singles[0])
+    tag = method if converged[0] else "lanczos-unconverged"
     value = math.sqrt(max(theta, 0.0))
-    if not witness:
-        return GapReport(value, tag, applies, 0.0, single_applies=single)
+    if not witness or X is None:
+        return GapReport(value, tag, iters, 0.0, single_applies=single)
+    x = X[0]
     tx = _gram_apply(_gemm_operands(left, right), T.restrict_h0, center(x) if T.restrict_h0 else x)
-    return GapReport(value, tag, applies, _frob(tx[0] - theta * x), x, single)
+    return GapReport(value, tag, iters, _frob(tx[0] - theta * x), x, single)
 
 
 def _norms(left, right, restrict_h0: bool, rngs, tol: float):
-    """Norms of B operators of one shape, solved as one batch.
+    """Norms of B operators of one shape, solved as one batch by ``_solve``.
 
-    Operator b is SuperOperator(left[b], right[b], restrict_h0) for complex
-    (B, n, kN, kN) and (B, n, N, N) member stacks; a (1, n, kN, kN) left
-    stack is shared by all. The call writes into neither. Operator b gets
-    the value, applies and convergence flag of operator_norm(..., tol=tol,
-    rng=rngs[b], witness=False): a batched dense Gram solve where
-    ``auto_dense(kN^2)``, lockstep ``_mixed_lanczos`` above, with run b's start
-    drawn from rngs[b]. ``_batch_size`` bounds B. Returns (values, applies,
+    Operator b (member stacks as for ``_solve``) gets the value, applies and
+    convergence flag of operator_norm(..., tol=tol, rng=rngs[b],
+    witness=False): a dense Gram solve of the ``_dense`` matrices where
+    ``auto_dense(kN^2)``, lockstep Lanczos with run b's start drawn from
+    rngs[b] above. ``_batch_size`` bounds B. Returns (values, applies,
     converged) arrays.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    B, R, N = len(right), left.shape[-1], right.shape[-1]
-    if auto_dense(R * N):
-        values = _top_singular_values(_dense(left, right, restrict_h0))
-        return values, np.ones(B, dtype=int), np.ones(B, dtype=bool)
-    if restrict_h0 and N == 1:
-        return np.zeros(B), np.zeros(B, dtype=int), np.ones(B, dtype=bool)
-    Z = np.stack([_start_vector((R, N), restrict_h0, None, g) for g in rngs])
-    # _lanczos moves the rows of its operand stacks as runs finish
-    left = np.repeat(left, B // len(left), axis=0)
-    theta, _, applies, _, converged = _mixed_lanczos(left, right, restrict_h0, Z, tol, _MAX_APPLIES)
+    m = _dense(left, right, restrict_h0) if auto_dense(left.shape[-1] * right.shape[-1]) else None
+    theta, _, applies, _, converged = _solve(
+        left, right, restrict_h0, m, rngs, [None] * len(rngs), tol, _MAX_APPLIES, False
+    )
     return np.sqrt(np.maximum(theta, 0.0)), applies, converged
 
 
@@ -648,11 +652,5 @@ def spectral_gap(
 
     The expander parameter of a unitary tuple is eps = 1 - value/n.
     """
-    return _gap(u, method, tol, rng, witness=True)
-
-
-def _gap(u: MatrixTuple, method: str, tol: float, rng, witness: bool) -> GapReport:
-    """``spectral_gap``, computing the witness only if asked."""
     u.require_unitary()
-    T = SuperOperator.conjugation(u, restrict_h0=True)
-    return operator_norm(T, method=method, tol=tol, rng=rng, witness=witness)
+    return operator_norm(SuperOperator.conjugation(u), method=method, tol=tol, rng=rng)

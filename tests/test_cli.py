@@ -115,6 +115,16 @@ class TestRun:
         err = capsys.readouterr().err.strip()
         assert err == "error: " + json.loads((out / "run.json").read_text())["error"]
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_is_one_line_error(self, tmp_path, capsys, tol):
+        tpath = tmp_path / "pauli.json"
+        qx.save_tuple(tpath, qx.pauli_tuple())
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "gap", "-p", f"tuple={tpath}", "-p", f"tol={tol}"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "tol" in err[0]
+        assert json.loads((out / "run.json").read_text())["status"] == "failed"
+
     def test_sample_haar_and_validate(self, tmp_path):
         rec = run(make_config("sample-haar", {"n": 2, "N": 3}, tmp_path / "o", seed=3))
         assert rec.summary["unitarity_residual"] < 1e-9

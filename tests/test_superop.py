@@ -126,12 +126,14 @@ class TestOperatorNorm:
             assert qx.operator_norm(T, method=method).value < 1e-10
 
     def test_n1_restricted_is_zero_for_both_methods(self):
-        # at N = 1 the trace-zero space is {0}
+        # at N = 1 the trace-zero space is {0}: value 0 and no witness from either method
         T = qx.SuperOperator.conjugation(qx.MatrixTuple(np.ones((1, 1, 1)), unitary=True))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for method in ("dense", "lanczos"):
-                assert qx.operator_norm(T, method=method).value == 0.0
+            for method, iterations in (("dense", 1), ("lanczos", 0)):
+                rep = qx.operator_norm(T, method=method)
+                assert (rep.value, rep.method, rep.iterations) == (0.0, method, iterations)
+                assert rep.residual == 0.0 and rep.top_vector is None
 
     def test_lanczos_matches_dense_haar(self):
         u = qx.haar_tuple(8, 32, RngSpec(21, 0).generator())
@@ -204,8 +206,15 @@ class TestOperatorNorm:
         T = qx.SuperOperator(random_tuple(1, 2, rng), random_tuple(1, 2, rng))
         with pytest.raises(ValueError):
             qx.operator_norm(T, method="magic")
-        with pytest.raises(ValueError):
-            qx.operator_norm(T, tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            for method in ("dense", "lanczos"):
+                with pytest.raises(ValueError, match="tol"):
+                    qx.operator_norm(T, method=method, tol=tol)
+            with pytest.raises(ValueError, match="tol"):
+                qx.unitary_sum_norm([1.0, 1.0], 13, 10, RngSpec(1, 0), tol=tol)
+        for cap in (0, -5):
+            with pytest.raises(ValueError, match="max_iter"):
+                qx.operator_norm(T, method="lanczos", max_iter=cap)
 
 
 class TestStartVector:
@@ -220,6 +229,11 @@ class TestStartVector:
         unit = qx.operator_norm(T, method="lanczos", start=np.ones((13, 13)))
         assert rep.method == "lanczos" and math.isfinite(rep.residual)
         assert rep.value == pytest.approx(unit.value, rel=1e-12) and rep.value > 1.0
+
+    @pytest.mark.parametrize("shape", [(13, 1), (169,), (13,), (1, 13), (1, 13, 13)])
+    def test_start_of_another_shape_raises(self, shape):
+        with pytest.raises(DimensionMismatch, match="start"):
+            qx.operator_norm(self.gap_operator(), method="lanczos", start=np.ones(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_raises(self, bad):
