@@ -6,8 +6,10 @@ declared artifacts plus ``run.json`` (configuration, timestamps, artifact
 list, summary metrics, a one-line statement of the claim the command
 exercises and a status). A command that fails with a ``QexError`` or a
 ``ValueError`` still leaves a ``run.json``, with status "failed" and the error
-line. Every JSON file is written to a temp file in its directory and moved
-into place, so a reader never sees a half-written one.
+line. A non-finite float parameter is a ``ConfigError`` before any run.
+Every JSON file is strict JSON (no NaN or Infinity tokens), written to a
+temp file in its directory and moved into place, so a reader never sees a
+half-written one.
 """
 from __future__ import annotations
 
@@ -131,6 +133,8 @@ class ExperimentConfig:
             if want is None:
                 raise ConfigError(f"unknown param key {key!r}")
             if want is float and isinstance(val, (int, float)) and not isinstance(val, bool):
+                if not math.isfinite(val):
+                    raise ConfigError(f"param {key!r} must be finite, got {val!r}")
                 continue
             if not isinstance(val, want) or isinstance(val, bool):
                 raise ConfigError(f"param {key!r} must be {want.__name__}, got {val!r}")
@@ -191,8 +195,12 @@ def _get(cfg, key, default):
 
 
 def _write_json(path: Path, obj: dict):
-    """Write obj through a temp file in the same directory, then os.replace it."""
-    text = json.dumps(obj, indent=2) + "\n"
+    """Write obj through a temp file in the same directory, then os.replace it.
+
+    A non-finite float raises ValueError instead of being written as a bare
+    NaN or Infinity token, which strict JSON parsers reject.
+    """
+    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_text(text)
@@ -615,9 +623,12 @@ def _coerce(key: str, raw: str):
     if want is str:
         return raw
     try:
-        return want(raw)
+        val = want(raw)
     except ValueError as exc:
         raise ConfigError(f"param {key!r}: cannot parse {raw!r} as {want.__name__}") from exc
+    if want is float and not math.isfinite(val):
+        raise ConfigError(f"param {key!r} must be finite, got {raw!r}")
+    return val
 
 
 def config_from_args(args) -> ExperimentConfig:

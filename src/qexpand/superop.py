@@ -3,12 +3,15 @@
 The operator acts on (kN x N) matrices xi, read as k stacked N x N blocks:
 the x_j are kN x kN and the y_j are N x N, so a left member a (x) u maps the
 blocks as a (x) (u . u*). k = 1 is the square case. The operator is held as a
-pair of matrix tuples and applied matrix-free at cost O(n k^2 N^3); an
-explicit kN^2 x kN^2 matrix is only built on request (and under a size cap)
-as the dense oracle. ``restrict_h0`` composes the action with the projection
-onto the blockwise trace-zero subspace on both sides. ``center`` applies it
-analytically as xi_b -> xi_b - tr(xi_b)/N * I on every block, never as a
-matrix, for ``apply`` and (on the columns and rows) for ``materialize``.
+pair of matrix tuples and applied matrix-free at cost O(n k^2 N^3), as two
+GEMMs with no copy in between (``_product``) on its members laid out once
+for them (``_gemm_operands``); a Gram solve lays out T* as well
+(``_gram_operands``), once per solve. An explicit kN^2 x kN^2 matrix is
+only built on request (and under a size cap) as the dense oracle.
+``restrict_h0`` composes the action with the projection onto the blockwise
+trace-zero subspace on both sides. ``center`` applies it analytically as
+xi_b -> xi_b - tr(xi_b)/N * I on every block, never as a matrix, for
+``apply`` and (on the columns and rows) for ``materialize``.
 
 ``_solve`` is the one norm solve, for B operators of one shape: it checks
 ``tol`` and ``max_iter``, answers the restricted N = 1 case (the domain is
@@ -16,11 +19,12 @@ matrix, for ``apply`` and (on the columns and rows) for ``materialize``.
 runs thick-restart Lanczos on T*T through the matrix-free action. The one
 Lanczos routine, ``_lanczos``, runs the B operators in lockstep on stacked
 (B, kN, N) GEMMs and batched ``eigh``s, each run stopping after the applies
-it would take alone. At loose tolerances (tol >= _SINGLE_TOL = 1e-6)
-``_mixed_lanczos`` runs the Krylov cycles in complex64, on members rescaled
-by powers of two, and certifies their Ritz vector with a complex128 run:
-the value is still a complex128 Rayleigh-Ritz lower bound with a complex128
-residual stop. Tighter solves run in complex128 throughout.
+it would take alone; its recurrence runs on the real view of its basis. At
+loose tolerances (tol >= _SINGLE_TOL = 1e-6) ``_mixed_lanczos`` runs the
+Krylov cycles in complex64, on operands rescaled by powers of two, and
+certifies their Ritz vector with a complex128 run: the value is still a
+complex128 Rayleigh-Ritz lower bound with a complex128 residual stop.
+Tighter solves run in complex128 throughout.
 
 ``operator_norm`` is its batch of one (on ``materialize(T)`` when dense),
 ``spectral_gap`` that on the restricted conjugation, and ``_norms`` its
@@ -108,16 +112,19 @@ _BREAKDOWN = 1e-13
 # applies; that loses at 1e-10 everywhere and at 1e-8 for small N.
 _SINGLE_TOL = 1e-6
 # Bytes per ``_norms`` batch (``_batch_size`` says what an operator costs).
-# Lanczos at n = 8, N = 16, 200 kB per operator (one BLAS thread, 10 unitary
-# and 10 Gaussian samples, fastest of 8 rounds): the norm statistics took 108
-# ms one sample at a time and 82, 69, 64 and 60 ms in batches of 2 to 5, for
-# 0.2, 0.4, 0.6, 1.1 and 1.35 MB more peak RSS; batches of 4 keep the
-# benchmark's montecarlo peak RSS (41 MB) within 3%. Dense at d = 16: the
-# temporaries peak at 3 d^2 entries per operator (tracemalloc), but
-# greedy_pack(6, 4, 0.05, 0.05, 100) took 1.08x, 1.11x and 1.12x as long in
-# batches of 39, 48 and 66 as in 32, and 0.99-1.03x in 16 to 28 (one BLAS
-# thread, median of 12 rotating rounds), so the dense charge is 5 d^2.
-_LOCKSTEP_BYTES = 800 << 10
+# Lanczos at n = 8, N = 16 is charged 292 KiB per operator: a basis of 25
+# vectors, the members and their four ``_gram_operands`` stacks. With one
+# BLAS thread, 10 unitary and 10 Gaussian samples at tol 1e-8 (fastest of 24
+# rounds in 3 processes, 2-vCPU Xeon), the norm statistics took 96 ms one
+# sample at a time and 71, 73, 59 and 58 ms in batches of 2 to 5, at a
+# process peak RSS of 37.7, 37.9, 38.4, 38.8 and 39.0 MB; the budget holds
+# batches of 4. Dense at d = 16: the temporaries peak at 3 d^2 entries per
+# operator (tracemalloc), but greedy_pack(6, 4, 0.05, 0.05, 100) took 1.08x,
+# 1.11x and 1.12x as long in batches of 39, 48 and 66 as in 32, and
+# 0.99-1.03x in 16 to 28 (one BLAS thread, median of 12 rotating rounds), so
+# the dense charge is 8 d^2: with the members of an n = 6, N = 4 operator,
+# 36.5 KiB and batches of 32.
+_LOCKSTEP_BYTES = 1200 << 10
 
 
 def dense_cap() -> int:
@@ -181,48 +188,63 @@ def center(xi: np.ndarray) -> np.ndarray:
 
 
 def _center_in_place(out: np.ndarray) -> None:
-    """``center`` on a C-contiguous complex (..., kN, N) stack, overwriting it."""
+    """``center`` on a C-contiguous complex (..., kN, N) stack, overwriting it.
+
+    Sums each block's strided diagonal view (``diag.sum(-1)`` without its
+    Python wrapper), the reduction ``np.trace`` runs, so the bits agree.
+    """
     N = out.shape[-1]
     diag = out.reshape(-1, N * N)[:, :: N + 1]
-    diag -= np.trace(out.reshape(-1, N, N), axis1=1, axis2=2)[:, None] / N
-
-
-def _adjoint_members(m: np.ndarray) -> np.ndarray:
-    """C-contiguous member-wise conjugate transpose of a (..., N, N) stack."""
-    return np.conj(m.swapaxes(-1, -2), order="C")
+    diag -= np.add.reduce(diag, -1, keepdims=True) / N
 
 
 def _gemm_operands(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked members [x_1; ...; x_n] and [y_1*; ...; y_n*] of T = sum_j x_j (.) y_j*.
+    """GEMM layout (X, Y) of T = sum_j x_j (.) y_j* for ``_product``.
 
-    Takes the (..., n, R, R) and (..., n, N, N) member arrays and returns
-    (..., nR, R) and (..., nN, N) stacks for ``_product``.
+    Takes the (..., n, R, R) and (..., n, N, N) member arrays and returns new
+    C-contiguous arrays X (..., R, Rn) with X[i, (r, j)] = x_j[i, r] and
+    Y = [y_1* | ... | y_n*] (..., N, nN).
     """
     *lead, n, R, _ = left.shape
     N = right.shape[-1]
-    return left.reshape(*lead, n * R, R), _adjoint_members(right).reshape(*lead, n * N, N)
+    X = np.array(np.moveaxis(left, -3, -1), order="C").reshape(*lead, R, R * n)
+    Y = np.conj(np.moveaxis(right, -1, -3), order="C").reshape(*lead, N, n * N)
+    return X, Y
 
 
-def _product(xs: np.ndarray, ys: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum_j x_j a y_j* from ``_gemm_operands``, batched over leading axes.
+def _gram_operands(X: np.ndarray, Y: np.ndarray) -> tuple:
+    """T's ``_gemm_operands`` (X, Y), then T*'s pair, for ``_gram_apply``.
 
-    Two stacked GEMMs (faster than a matmul per member): sum_j x_j a y_j* =
-    [x_1 a | ... | x_n a] @ [y_1*; ...; y_n*]. The result is a new
-    C-contiguous array.
+    T* = sum_j x_j* (.) y_j has X'[i, (r, j)] = conj(x_j[r, i]) = conj(X[r, (i, j)])
+    and Y' = [y_1 | ... | y_n], Y'[s, (j, c)] = conj(Y[c, (j, s)]): each is a
+    new C-contiguous conjugated transpose of T's, with the same entries.
     """
-    *lead, R, N = a.shape
-    n = xs.shape[-2] // R
-    w = (xs @ a).reshape(*lead, n, R, N)
-    return w.swapaxes(-3, -2).reshape(*lead, R, n * N) @ ys
+    *lead, R, Rn = X.shape
+    N, nN = Y.shape[-2:]
+    Xa = np.conj(np.swapaxes(X.reshape(*lead, R, R, Rn // R), -3, -2), order="C")
+    Ya = np.conj(np.swapaxes(Y.reshape(*lead, N, nN // N, N), -3, -1), order="C")
+    return X, Y, Xa.reshape(X.shape), Ya.reshape(Y.shape)
+
+
+def _product(X: np.ndarray, Y: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_j x_j a y_j* from its ``_gemm_operands`` (X, Y), batched over leading axes.
+
+    Two GEMMs and no copy: a @ Y = [a y_1* | ... | a y_n*] is C-contiguous,
+    so it reshapes for free to the (Rn, N) stack of the rows of the a y_j*,
+    interleaved as X's columns are, and X @ that is sum_j x_j a y_j*. The
+    result is a new C-contiguous array.
+    """
+    p = a @ Y
+    return X @ p.reshape(*p.shape[:-2], -1, a.shape[-1])
 
 
 def _applier(T: SuperOperator):
     """Closure evaluating T on a kN x N matrix, centring its input and output when restricted."""
-    xs, ys = _gemm_operands(T.left.mats, T.right.mats)
+    X, Y = _gemm_operands(T.left.mats, T.right.mats)
     restrict = T.restrict_h0
 
     def f(a: np.ndarray) -> np.ndarray:
-        out = _product(xs, ys, center(a) if restrict else a)
+        out = _product(X, Y, center(a) if restrict else a)
         if restrict:
             _center_in_place(out)
         return out
@@ -233,17 +255,16 @@ def _applier(T: SuperOperator):
 def _gram_apply(operands, restrict: bool, a: np.ndarray) -> np.ndarray:
     """T_b*T_b a_b for every b of a (B, kN, N) stack a inside the operators' domain.
 
-    ``operands`` are T's ``_gemm_operands`` (xs, ys). T* needs no operands of
-    its own: T*(b) = (sum_j y_j* b* x_j)* is ``_product(ys, xs, b*)``
-    conjugate-transposed. With the restriction the input is not centred
-    again (it already lies in the trace-zero space); each of the two
-    products is centred once, in place.
+    ``operands`` are T's ``_gram_operands`` (X, Y, X', Y'): T on its pair,
+    then T* on its own. With the restriction the input is not centred again
+    (it already lies in the trace-zero space); each of the two products is
+    centred once, in place.
     """
-    xs, ys = operands
-    out = _product(xs, ys, a)
+    X, Y, Xa, Ya = operands
+    out = _product(X, Y, a)
     if restrict:
         _center_in_place(out)
-    out = _adjoint_members(_product(ys, xs, _adjoint_members(out)))
+    out = _product(Xa, Ya, out)
     if restrict:
         _center_in_place(out)
     return out
@@ -320,15 +341,20 @@ def auto_dense(dim: int) -> bool:
 def _batch_size(n: int, R: int, N: int) -> int:
     """Operators of n members acting on R x N matrices per ``_norms`` batch.
 
-    Each operator is charged its left and right member stacks and the
-    conjugated right stack, plus, with d = RN, a Lanczos basis of
-    LANCZOS_BASIS + 1 vectors of d entries or, on the dense side, 5 d^2
-    entries (see _LOCKSTEP_BYTES). A batch holds as many operators as
-    _LOCKSTEP_BYTES allows, and at least one.
+    Each operator is charged, in complex128 entries, with d = RN: its left
+    and right member stacks; on the dense side the conjugated right stack
+    of ``_kron_sums`` and 8 d^2 (see _LOCKSTEP_BYTES); on the Lanczos side
+    its four ``_gram_operands`` stacks (two more copies of the members) and
+    a basis of LANCZOS_BASIS + 1 vectors of d entries. A batch holds as many
+    operators as _LOCKSTEP_BYTES allows, and at least one.
     """
     d = R * N
-    work = 5 * d * d if auto_dense(d) else (LANCZOS_BASIS + 1) * d
-    return max(1, _LOCKSTEP_BYTES // (16 * (work + n * (R * R + 2 * N * N))))
+    members = n * (R * R + N * N)
+    if auto_dense(d):
+        work = 8 * d * d + members + n * N * N
+    else:
+        work = (LANCZOS_BASIS + 1) * d + 3 * members
+    return max(1, _LOCKSTEP_BYTES // (16 * work))
 
 
 @dataclass
@@ -420,48 +446,54 @@ def _compact(arrays, rows) -> tuple:
     return tuple(a[: len(rows)] for a in arrays)
 
 
-def _lanczos(left, right, restrict_h0, Z, tol, max_iter):
+def _lanczos(operands, restrict_h0, Z, tol, max_iter):
     """Top eigenpairs of T_b*T_b for B operators of one shape, by thick-restart Lanczos in lockstep.
 
-    Operator b is sum_j left[b, j] (.) right[b, j]* (optionally restricted),
-    from the (B, n, kN, kN) and (B, n, N, N) member stacks, and its run
-    starts from the unit vector Z[b] of the (B, kN, N) stack Z. One closure
-    applies all live T_b*T_b as stacked GEMMs. Every run keeps full
-    reorthogonalization (two classical Gram-Schmidt passes against its
-    basis). When a basis holds LANCZOS_BASIS vectors it restarts Krylov-Schur
-    style from the top LANCZOS_KEEP Ritz vectors plus the residual vector.
-    Breakdown (beta negligible: the basis spans an invariant subspace) is
-    tested after every apply. The Ritz pairs come from a batched eigh of the
-    projected matrices, run on the first apply (so a start that is already
-    an eigenvector stops after one), every LANCZOS_CHECK applies, at the last
-    step of each cycle (whose eigh also serves the restart), on a breakdown
-    and at max_iter. A run stops when such a scheduled check finds its
-    residual bound beta * |y_last| at most tol * theta, on its own breakdown,
-    or after max_iter applies; it then leaves the batch. So every run takes
-    the applies it would take alone (B = 1), and its arithmetic does not
-    depend on the other runs. Returns per-run arrays (theta, X, applies,
-    converged) with X[b] the unit Ritz vector.
+    Operator b is given by row b of its ``_gram_operands`` (optionally
+    restricted), and its run starts from the unit vector Z[b] of the
+    (B, kN, N) stack Z. One ``_gram_apply`` applies all live T_b*T_b as
+    stacked GEMMs; as runs finish, the rows of the operand stacks are moved
+    in place (``_compact``). Every run keeps full reorthogonalization (two classical
+    Gram-Schmidt passes against its basis). When a basis holds LANCZOS_BASIS
+    vectors it restarts Krylov-Schur style from the top LANCZOS_KEEP Ritz
+    vectors plus the residual vector. Breakdown (beta negligible: the basis
+    spans an invariant subspace) is tested after every apply. The Ritz pairs
+    come from a batched eigh of the projected matrices, run on the first
+    apply (so a start that is already an eigenvector stops after one), every
+    LANCZOS_CHECK applies, at the last step of each cycle (whose eigh also
+    serves the restart), on a breakdown and at max_iter. A run stops when
+    such a scheduled check finds its residual bound beta * |y_last| at most
+    tol * theta, on its own breakdown, or after max_iter applies; it then
+    leaves the batch. So every run takes the applies it would take alone
+    (B = 1), and its arithmetic does not depend on the other runs. Returns
+    per-run arrays (theta, X, applies, converged) with X[b] the unit Ritz
+    vector.
+
+    T*T is Hermitian, so its Lanczos coefficients are real, and the
+    recurrence runs on the real view of the basis (each complex vector of d
+    entries read as 2d reals): Gram-Schmidt, the norms, the Ritz combination
+    and the restart are real GEMMs with no conjugated copies. This is
+    Lanczos on T*T as a real symmetric map of R^2d, whose eigenvalues are
+    those of T*T, so theta is still a Rayleigh-Ritz lower bound.
 
     The basis Q, and so every apply, is kept in Z's dtype (complex128 or
-    complex64; the members must have the same), while H, theta and the Ritz
-    vectors X are float64 and complex128. The breakdown threshold scales
-    with the dtype's machine epsilon. ``max_iter`` is one int cap for every
-    run or an array of per-run caps (``_mixed_lanczos`` passes those only
-    after a complex64 phase).
+    complex64; the operands must have the same), while H, theta and the
+    Ritz vectors X are float64 and complex128. The breakdown threshold
+    scales with the dtype's machine epsilon. ``max_iter`` is one int cap for
+    every run or an array of per-run caps (``_mixed_lanczos`` passes those
+    only after a complex64 phase).
     """
     B, R, N = Z.shape
     d = R * N
     m, keep = LANCZOS_BASIS, LANCZOS_KEEP
-    operands = _gemm_operands(left, right)
     noise = _BREAKDOWN * (np.finfo(Z.dtype).eps / np.finfo(complex).eps)
     per_run = np.ndim(max_iter) > 0
     cap = np.array(max_iter) if per_run else max_iter
-
-    def op(a):
-        return _gram_apply(operands, restrict_h0, a)
+    real = np.finfo(Z.dtype).dtype
 
     Q = np.empty((B, m + 1, d), dtype=Z.dtype)
     Q[:, 0] = Z.reshape(B, d)
+    Qr = Q.view(real)
     H = np.zeros((B, m, m))
     scale = np.zeros(B)
     live = np.arange(B)  # input index of each row still running
@@ -470,15 +502,16 @@ def _lanczos(left, right, restrict_h0, Z, tol, max_iter):
     k = applies = 0
     while True:
         for j in range(k, m):
-            w = op(Q[:, j].reshape(-1, R, N)).reshape(-1, d)
+            w = _gram_apply(operands, restrict_h0, Q[:, j].reshape(-1, R, N))
+            w = w.reshape(-1, d).view(real)
             applies += 1
             scale = np.maximum(scale, _row_norms(w))
-            basis = Q[:, : j + 1]
-            h = (basis @ w[:, :, None].conj())[:, :, 0].conj()
-            w -= (h[:, None, :] @ basis)[:, 0]
-            h2 = (basis @ w[:, :, None].conj())[:, :, 0].conj()
-            w -= (h2[:, None, :] @ basis)[:, 0]
-            H[:, j, j] = (h[:, j] + h2[:, j]).real
+            basis = Qr[:, : j + 1]
+            h = basis @ w[:, :, None]
+            w -= (h.swapaxes(1, 2) @ basis)[:, 0]
+            h2 = basis @ w[:, :, None]
+            w -= (h2.swapaxes(1, 2) @ basis)[:, 0]
+            H[:, j, j] = h[:, j, 0] + h2[:, j, 0]
             beta = _row_norms(w)
             breakdown = beta <= noise * scale
             capped = applies >= cap
@@ -489,10 +522,10 @@ def _lanczos(left, right, restrict_h0, Z, tol, max_iter):
                 converged = breakdown | (scheduled & (beta * np.abs(y[:, -1]) <= tol * theta[:, -1]))
                 done = converged | capped
                 if done.any():
-                    x = (y[:, None, :] @ basis)[done, 0]
+                    x = (y[done, None, :] @ basis[done])[:, 0]
                     rows = live[done]
                     theta_out[rows] = theta[done, -1]
-                    X[rows] = x / _row_norms(x)[:, None]
+                    X.view(float)[rows] = x / _row_norms(x)[:, None]
                     applies_out[rows] = applies
                     converged_out[rows] = converged[done]
                     if done.all():
@@ -501,68 +534,70 @@ def _lanczos(left, right, restrict_h0, Z, tol, max_iter):
                     live, Q, H, scale, w, beta, theta, Y = _compact(
                         (live, Q, H, scale, w, beta, theta, Y), run
                     )
+                    Qr = Q.view(real)
                     if per_run:
                         cap = cap[run]
                     operands = _compact(operands, run)
-            Q[:, j + 1] = w / beta[:, None]
+            # q = w / beta, as numpy divides a complex array by a real one: times 1/beta
+            np.multiply(w, 1 / beta[:, None], out=Qr[:, j + 1])
             if j + 1 < m:
                 H[:, j + 1, j] = H[:, j, j + 1] = beta
         # Thick restart from the last step's eigh of the full H:
         # A Q_keep = Q_keep diag(theta) + q_m (beta Y[-1])^T.
         Yk = Y[:, :, -keep:]
-        Q[:, :keep] = Yk.swapaxes(1, 2) @ Q[:, :m]
-        Q[:, keep] = Q[:, m]
+        Qr[:, :keep] = Yk.swapaxes(1, 2) @ Qr[:, :m]
+        Qr[:, keep] = Qr[:, m]
         H[:] = 0.0
         H[:, np.arange(keep), np.arange(keep)] = theta[:, -keep:]
         H[:, keep, :keep] = H[:, :keep, keep] = beta[:, None] * Yk[:, -1]
         k = keep
 
 
-def _mixed_lanczos(left, right, restrict_h0, Z, tol, max_iter):
+def _mixed_lanczos(operands, restrict_h0, Z, tol, max_iter):
     """``_lanczos`` to ``tol``, with its Krylov cycles in complex64 where tol >= _SINGLE_TOL.
 
-    The complex64 phase runs on the members scaled by powers of two to unit
-    max-abs (``_scale_to_unit`` per operator: the Krylov vectors do not
-    depend on the scale, and no finite member then overflows or underflows
-    in the cast), from Z cast to complex64, with at most max_iter - 1
-    applies. Its Ritz vectors, re-centred and normalised in complex128,
-    start the complex128 run on the given members with the rest of
-    max_iter. That run is the certificate: a complex128 Rayleigh-Ritz lower
-    bound with a complex128 residual stop, one apply when its start has
-    converged. Returns (theta, X, applies, single, converged) per run, with
-    applies counting both phases and single the complex64 ones.
+    The complex64 phase runs on T's operands (X, Y) scaled by powers of two
+    to unit max-abs (``_scale_to_unit`` per operator: the Krylov vectors do
+    not depend on the scale, and no finite member then overflows or
+    underflows in the cast), cast to complex64, and T*'s pair transposed
+    from those (``_gram_operands``), from Z cast to complex64, with at most
+    max_iter - 1 applies. Its Ritz vectors, re-centred and normalised in
+    complex128, start the complex128 run on the given operands with the rest
+    of max_iter. That run is the certificate: a complex128 Rayleigh-Ritz
+    lower bound with a complex128 residual stop, one apply when its start
+    has converged. Returns (theta, X, applies, single, converged) per run,
+    with applies counting both phases and single the complex64 ones.
     """
     if tol < _SINGLE_TOL or max_iter <= 1:
-        theta, X, applies, converged = _lanczos(left, right, restrict_h0, Z, tol, max_iter)
+        theta, X, applies, converged = _lanczos(operands, restrict_h0, Z, tol, max_iter)
         return theta, X, applies, np.zeros_like(applies), converged
-    low = (_scale_to_unit(a, (1, 2, 3)).astype(np.complex64) for a in (left, right))
-    _, Z, single, _ = _lanczos(*low, restrict_h0, Z.astype(np.complex64), tol, max_iter - 1)
+    low = _gram_operands(*(_scale_to_unit(a, (1, 2)).astype(np.complex64) for a in operands[:2]))
+    _, Z, single, _ = _lanczos(low, restrict_h0, Z.astype(np.complex64), tol, max_iter - 1)
     if restrict_h0:
         _center_in_place(Z)
     Z /= _row_norms(Z.reshape(len(Z), -1))[:, None, None]
-    theta, X, applies, converged = _lanczos(left, right, restrict_h0, Z, tol, max_iter - single)
+    theta, X, applies, converged = _lanczos(operands, restrict_h0, Z, tol, max_iter - single)
     return theta, X, applies + single, single, converged
 
 
-def _solve(left, right, restrict_h0, m, rngs, starts, tol, max_iter, vectors):
-    """Top eigenvalues theta of T_b*T_b for B operators of one shape: every norm solve.
+def _solve(operands, shape, restrict_h0, m, rngs, starts, tol, max_iter, vectors):
+    """Top eigenvalues theta of T_b*T_b for B operators of shape (kN, N): every norm solve.
 
-    Operator b is SuperOperator(left[b], right[b], restrict_h0) for complex
-    (B, n, kN, kN) and (B, n, N, N) member stacks, a (1, n, kN, kN) left
-    stack shared by all; the call writes into neither. Given m, their dense
-    matrices, one batched Gram eigen-solve of m*m (``eigh`` with
-    ``vectors``, else ``eigvalsh``) counts as one apply. Otherwise run b
-    starts from starts[b], or where that is None from a draw from rngs[b],
-    and the runs go through ``_mixed_lanczos`` in lockstep. A restricted
-    N = 1 operator acts on {0}: value 0, no vector, no Lanczos apply.
-    Returns per-run (theta, X, applies, single, converged): X the (B, kN, N)
-    unit vectors or None, single the complex64 applies.
+    Given m, the operators' dense matrices, one batched Gram eigen-solve of
+    m*m (``eigh`` with ``vectors``, else ``eigvalsh``) counts as one apply.
+    Otherwise ``operands`` are the operators' (B-row) ``_gram_operands``,
+    which the runs may reorder when B > 1; run b starts from starts[b], or
+    where that is None from a draw from rngs[b], and the runs go through
+    ``_mixed_lanczos`` in lockstep. A restricted N = 1 operator acts on {0}:
+    value 0, no vector, no Lanczos apply. Returns per-run (theta, X,
+    applies, single, converged): X the (B, kN, N) unit vectors or None,
+    single the complex64 applies.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not max_iter >= 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    B, R, N = len(right), left.shape[-1], right.shape[-1]
+    B, (R, N) = len(rngs), shape
     zeros, converged = np.zeros(B, dtype=int), np.ones(B, dtype=bool)
     if restrict_h0 and N == 1:
         return np.zeros(B), None, zeros + (m is not None), zeros, converged
@@ -574,10 +609,8 @@ def _solve(left, right, restrict_h0, m, rngs, starts, tol, max_iter, vectors):
         else:
             evals, X = np.linalg.eigvalsh(gram), None
         return evals[:, -1], X, zeros + 1, zeros, converged
-    Z = np.stack([_start_vector((R, N), restrict_h0, z, g) for z, g in zip(starts, rngs)])
-    if B > 1:  # _lanczos moves the rows of its operand stacks as runs finish
-        left = np.repeat(left, B // len(left), axis=0)
-    return _mixed_lanczos(left, right, restrict_h0, Z, tol, max_iter)
+    Z = np.stack([_start_vector(shape, restrict_h0, z, g) for z, g in zip(starts, rngs)])
+    return _mixed_lanczos(operands, restrict_h0, Z, tol, max_iter)
 
 
 def operator_norm(
@@ -603,17 +636,20 @@ def operator_norm(
     applies within ``iterations``. "auto" picks dense for
     kN^2 <= min(AUTO_DENSE_DIM, dense_cap()), which is kN^2 <= 144 (N <= 12
     for k = 1) by default, and lanczos above. A restricted T with N = 1 acts
-    on {0}; both methods report value 0 there without a witness.
+    on {0}; both methods report value 0 there without a witness. The
+    witness residual reuses the solve's GEMM operands.
     """
     R, N = T.shape
     if method == "auto":
         method = "dense" if auto_dense(R * N) else "lanczos"
     if method not in ("dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
-    left, right = T.left.mats[None], T.right.mats[None]
     m = materialize(T)[None] if method == "dense" else None
+    operands = None
+    if m is None or witness:
+        operands = _gram_operands(*_gemm_operands(T.left.mats[None], T.right.mats[None]))
     thetas, X, applies, singles, converged = _solve(
-        left, right, T.restrict_h0, m, [rng], [start], tol, max_iter, witness
+        operands, T.shape, T.restrict_h0, m, [rng], [start], tol, max_iter, witness
     )
     theta, iters, single = float(thetas[0]), int(applies[0]), int(singles[0])
     tag = method if converged[0] else "lanczos-unconverged"
@@ -621,23 +657,31 @@ def operator_norm(
     if not witness or X is None:
         return GapReport(value, tag, iters, 0.0, single_applies=single)
     x = X[0]
-    tx = _gram_apply(_gemm_operands(left, right), T.restrict_h0, center(x) if T.restrict_h0 else x)
+    tx = _gram_apply(operands, T.restrict_h0, center(x) if T.restrict_h0 else x)
     return GapReport(value, tag, iters, _frob(tx[0] - theta * x), x, single)
 
 
 def _norms(left, right, restrict_h0: bool, rngs, tol: float):
     """Norms of B operators of one shape, solved as one batch by ``_solve``.
 
-    Operator b (member stacks as for ``_solve``) gets the value, applies and
-    convergence flag of operator_norm(..., tol=tol, rng=rngs[b],
+    Operator b is SuperOperator(left[b], right[b], restrict_h0) for complex
+    (B, n, kN, kN) and (B, n, N, N) member stacks, or a (1, n, kN, kN) left
+    stack shared by all; the call writes into neither. It gets the value,
+    applies and convergence flag of operator_norm(..., tol=tol, rng=rngs[b],
     witness=False): a dense Gram solve of the ``_dense`` matrices where
-    ``auto_dense(kN^2)``, lockstep Lanczos with run b's start drawn from
-    rngs[b] above. ``_batch_size`` bounds B. Returns (values, applies,
-    converged) arrays.
+    ``auto_dense(kN^2)``, lockstep Lanczos on the ``_gram_operands`` with run
+    b's start drawn from rngs[b] above. ``_batch_size`` bounds B. Returns
+    (values, applies, converged) arrays.
     """
-    m = _dense(left, right, restrict_h0) if auto_dense(left.shape[-1] * right.shape[-1]) else None
+    shape = left.shape[-1], right.shape[-1]
+    m = operands = None
+    if auto_dense(shape[0] * shape[1]):
+        m = _dense(left, right, restrict_h0)
+    else:
+        left = np.broadcast_to(left, right.shape[:1] + left.shape[1:])
+        operands = _gram_operands(*_gemm_operands(left, right))
     theta, _, applies, _, converged = _solve(
-        left, right, restrict_h0, m, rngs, [None] * len(rngs), tol, _MAX_APPLIES, False
+        operands, shape, restrict_h0, m, rngs, [None] * len(rngs), tol, _MAX_APPLIES, False
     )
     return np.sqrt(np.maximum(theta, 0.0)), applies, converged
 

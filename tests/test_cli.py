@@ -123,7 +123,24 @@ class TestRun:
         assert main(["--out", str(out), "gap", "-p", f"tuple={tpath}", "-p", f"tol={tol}"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "tol" in err[0]
-        assert json.loads((out / "run.json").read_text())["status"] == "failed"
+        assert not out.exists()  # rejected with the config, before any run
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_float_in_config_file_is_one_line_error(self, tmp_path, capsys, token):
+        # json.loads accepts these tokens; the config check must not
+        tpath = tmp_path / "pauli.json"
+        qx.save_tuple(tpath, qx.pauli_tuple())
+        out = tmp_path / "o"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"command": "gap", "params": {"tuple": %s, "tol": %s}, '
+            '"seed": {"seed": 0, "stream_id": 0}, "out_dir": %s}'
+            % (json.dumps(str(tpath)), token, json.dumps(str(out)))
+        )
+        assert main(["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "'tol'" in err[0]
+        assert not out.exists()
 
     def test_sample_haar_and_validate(self, tmp_path):
         rec = run(make_config("sample-haar", {"n": 2, "N": 3}, tmp_path / "o", seed=3))

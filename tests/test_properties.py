@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qexpand as qx
+from qexpand import superop
 from qexpand.errors import TupleFormatError
 from qexpand.linalg import sample_ginibre
 
@@ -71,6 +72,27 @@ def test_adjoint_identity(shape, restrict_h0):
     lhs = np.vdot(eta, qx.apply(T, xi))
     rhs = np.vdot(qx.apply(T.adjoint(), eta), xi)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+@SETTINGS
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 40)),
+    st.sampled_from([np.complex64, np.complex128]),
+    st.integers(0, 2**32 - 1),
+)
+def test_center_in_place_matches_the_trace_form(shape, dtype, seed):
+    # the block traces come from the diagonal views themselves; np.trace runs
+    # the same reduction on the same strides, so the bits agree
+    B, k, N = shape
+    gen = np.random.default_rng(seed)
+    dims = (B, k * N, N)
+    xi = (gen.standard_normal(dims) + 1j * gen.standard_normal(dims)) * 10.0 ** gen.integers(-8, 9)
+    xi = xi.astype(dtype)
+    got, want = xi.copy(), xi.copy()
+    superop._center_in_place(got)
+    diag = want.reshape(-1, N * N)[:, :: N + 1]
+    diag -= np.trace(want.reshape(-1, N, N), axis1=1, axis2=2)[:, None] / N
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # (k, N) just above AUTO_DENSE_DIM = 144, where "auto" runs Lanczos and

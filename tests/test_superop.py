@@ -362,6 +362,32 @@ class TestLockstep:
         assert values[1] == pytest.approx(1.0, abs=1e-12) and values[2] == pytest.approx(2.0, abs=1e-12)
 
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    @pytest.mark.parametrize("restrict_h0", [False, True])
+    def test_real_view_lanczos_matches_dense_gram(self, tol, restrict_h0):
+        # lockstep batches of 4 Ginibre operators above the dense switch, square
+        # (kN^2 = 169) and with k = 2 blocks (kN^2 = 162), on both sides of
+        # _SINGLE_TOL (1e-6 takes the complex64 phase): the real-view recurrence
+        # finds the top eigenvalue of T*T, and runs leave the batch at different applies
+        counts = set()
+        for k, N in ((1, 13), (2, 9)):
+            gen = RngSpec(33, 10 * k + restrict_h0).generator()
+            ops = [
+                qx.SuperOperator(random_tuple(3, k * N, gen), random_tuple(3, N, gen), restrict_h0)
+                for _ in range(4)
+            ]
+            left = np.stack([T.left.mats for T in ops])
+            right = np.stack([T.right.mats for T in ops])
+            gens = [RngSpec(34, b).generator() for b in range(4)]
+            values, applies, converged = superop._norms(left, right, restrict_h0, gens, tol)
+            assert converged.all() and applies.min() > 1
+            counts.update(applies)
+            for T, value in zip(ops, values):
+                dense = qx.operator_norm(T, method="dense", witness=False).value
+                assert abs(value - dense) <= 1e-10 * dense
+        assert len(counts) > 1
+
+
 class TestSpectralGap:
     def test_identity_tuple_has_no_gap(self):
         for n in (1, 3, 5):
