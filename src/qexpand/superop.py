@@ -474,7 +474,9 @@ def _lanczos(operands, restrict_h0, Z, tol, max_iter):
     entries read as 2d reals): Gram-Schmidt, the norms, the Ritz combination
     and the restart are real GEMMs with no conjugated copies. This is
     Lanczos on T*T as a real symmetric map of R^2d, whose eigenvalues are
-    those of T*T, so theta is still a Rayleigh-Ritz lower bound.
+    those of T*T, so theta is still a Rayleigh-Ritz lower bound. With the
+    restriction each new basis vector is centred after Gram-Schmidt, so the
+    basis stays in the domain on which the T_b*T_b are Hermitian.
 
     The basis Q, and so every apply, is kept in Z's dtype (complex128 or
     complex64; the operands must have the same), while H, theta and the
@@ -502,8 +504,8 @@ def _lanczos(operands, restrict_h0, Z, tol, max_iter):
     k = applies = 0
     while True:
         for j in range(k, m):
-            w = _gram_apply(operands, restrict_h0, Q[:, j].reshape(-1, R, N))
-            w = w.reshape(-1, d).view(real)
+            a = _gram_apply(operands, restrict_h0, Q[:, j].reshape(-1, R, N))
+            w = a.reshape(-1, d).view(real)
             applies += 1
             scale = np.maximum(scale, _row_norms(w))
             basis = Qr[:, : j + 1]
@@ -511,6 +513,11 @@ def _lanczos(operands, restrict_h0, Z, tol, max_iter):
             w -= (h.swapaxes(1, 2) @ basis)[:, 0]
             h2 = basis @ w[:, :, None]
             w -= (h2.swapaxes(1, 2) @ basis)[:, 0]
+            if restrict_h0:
+                # _gram_apply does not centre its input, so every basis vector
+                # must stay in the trace-zero space: near a missed breakdown,
+                # w / beta would carry rounding out of it, magnified by 1/beta
+                _center_in_place(a)
             H[:, j, j] = h[:, j, 0] + h2[:, j, 0]
             beta = _row_norms(w)
             breakdown = beta <= noise * scale
