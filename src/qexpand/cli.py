@@ -104,6 +104,13 @@ class ExperimentConfig:
     seed: RngSpec
     out_dir: str
 
+    def __post_init__(self):
+        # every config (flags, config file or Python) passes here, so no run
+        # and no run.json ever sees a non-finite float
+        for key, val in self.params.items():
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ConfigError(f"param {key!r} must be finite, got {val!r}")
+
     def to_json(self) -> dict:
         return {
             "command": self.command,
@@ -133,8 +140,6 @@ class ExperimentConfig:
             if want is None:
                 raise ConfigError(f"unknown param key {key!r}")
             if want is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-                if not math.isfinite(val):
-                    raise ConfigError(f"param {key!r} must be finite, got {val!r}")
                 continue
             if not isinstance(val, want) or isinstance(val, bool):
                 raise ConfigError(f"param {key!r} must be {want.__name__}, got {val!r}")
@@ -623,12 +628,9 @@ def _coerce(key: str, raw: str):
     if want is str:
         return raw
     try:
-        val = want(raw)
+        return want(raw)
     except ValueError as exc:
         raise ConfigError(f"param {key!r}: cannot parse {raw!r} as {want.__name__}") from exc
-    if want is float and not math.isfinite(val):
-        raise ConfigError(f"param {key!r} must be finite, got {raw!r}")
-    return val
 
 
 def config_from_args(args) -> ExperimentConfig:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BoundViolation, DimensionMismatch, InfeasibleOverlap, NormingOrbitError
 from .linalg import MatrixTuple, as_generator, polar_unitary, sample_haar_unitary
-from .superop import SuperOperator, _applier, apply, operator_norm, spectral_gap
+from .superop import SuperOperator, _applier, operator_norm, spectral_gap
 
 __all__ = [
     "SeparationReport",
@@ -106,7 +106,7 @@ def separation(
     eta = None
     xi = cross.top_vector
     if xi is not None and cross.value > 0:
-        image = apply(SuperOperator(u, v), xi)
+        image = cross.top_image
         nrm = np.linalg.norm(image)
         if nrm > 0:
             eta = image / nrm
@@ -333,21 +333,20 @@ def mix_tuple(w: np.ndarray, t: MatrixTuple) -> MatrixTuple:
 def _polar_ascent(operator, polar, p, xi, iters, inc_tol, gen):
     """Alternate the top singular pair (xi, eta) of operator(p) with p = polar(xi, eta).
 
-    Each norm solve (tol 1e-10) is warm-started from the previous xi; the
-    ascent stops once the value gains less than inc_tol. Returns the last
-    value and the parameter p whose operator attained it.
+    Each norm solve (tol 1e-10) is warm-started from the previous xi, and
+    its report's ``top_image`` = operator(p)(xi) gives eta; the ascent stops
+    once the value gains less than inc_tol. Returns the last value and the
+    parameter p whose operator attained it.
     """
     val = -math.inf
     for step in range(iters):
         if step:
-            image = apply(T, xi)
             nrm = np.linalg.norm(image)
             if nrm == 0:
                 break
             p = polar(xi, image / nrm)
-        T = operator(p)
-        rep = operator_norm(T, tol=1e-10, rng=gen, start=xi)
-        gain, val, xi = rep.value - val, rep.value, rep.top_vector
+        rep = operator_norm(operator(p), tol=1e-10, rng=gen, start=xi)
+        gain, val, xi, image = rep.value - val, rep.value, rep.top_vector, rep.top_image
         if gain < inc_tol:
             break
     return val, p

@@ -121,9 +121,10 @@ _SINGLE_TOL = 1e-6
 # batches of 4. Dense at d = 16: the temporaries peak at 3 d^2 entries per
 # operator (tracemalloc), but greedy_pack(6, 4, 0.05, 0.05, 100) took 1.08x,
 # 1.11x and 1.12x as long in batches of 39, 48 and 66 as in 32, and
-# 0.99-1.03x in 16 to 28 (one BLAS thread, median of 12 rotating rounds), so
-# the dense charge is 8 d^2: with the members of an n = 6, N = 4 operator,
-# 36.5 KiB and batches of 32.
+# 0.99-1.03x in 16 to 28 (one BLAS thread, median of 12 rotating rounds).
+# So the dense charge, 8 d^2, is not a measured peak: it is set so that this
+# budget, sized for the Lanczos side, still gives the dense batches of 32
+# (36.5 KiB per n = 6, N = 4 operator with its members).
 _LOCKSTEP_BYTES = 1200 << 10
 
 
@@ -203,13 +204,15 @@ def _gemm_operands(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.
 
     Takes the (..., n, R, R) and (..., n, N, N) member arrays and returns new
     C-contiguous arrays X (..., R, Rn) with X[i, (r, j)] = x_j[i, r] and
-    Y = [y_1* | ... | y_n*] (..., N, nN).
+    Y = [y_1* | ... | y_n*] (..., N, nN). Each is one copy of a transposed
+    2-D view, (n, R^2) -> (R^2, n) and (nN, N) -> (N, nN), which numpy runs
+    about twice as fast as the equivalent 3-D ``moveaxis`` copy.
     """
     *lead, n, R, _ = left.shape
     N = right.shape[-1]
-    X = np.array(np.moveaxis(left, -3, -1), order="C").reshape(*lead, R, R * n)
-    Y = np.conj(np.moveaxis(right, -1, -3), order="C").reshape(*lead, N, n * N)
-    return X, Y
+    X = np.array(left.reshape(*lead, n, R * R).swapaxes(-1, -2), order="C")
+    Y = np.conj(right.reshape(*lead, n * N, N).swapaxes(-1, -2), order="C")
+    return X.reshape(*lead, R, R * n), Y
 
 
 def _gram_operands(X: np.ndarray, Y: np.ndarray) -> tuple:
@@ -238,16 +241,21 @@ def _product(X: np.ndarray, Y: np.ndarray, a: np.ndarray) -> np.ndarray:
     return X @ p.reshape(*p.shape[:-2], -1, a.shape[-1])
 
 
+def _image(X: np.ndarray, Y: np.ndarray, restrict: bool, a: np.ndarray) -> np.ndarray:
+    """``_product(X, Y, a)`` for a inside the domain, centred in place when restricted."""
+    out = _product(X, Y, a)
+    if restrict:
+        _center_in_place(out)
+    return out
+
+
 def _applier(T: SuperOperator):
     """Closure evaluating T on a kN x N matrix, centring its input and output when restricted."""
     X, Y = _gemm_operands(T.left.mats, T.right.mats)
     restrict = T.restrict_h0
 
     def f(a: np.ndarray) -> np.ndarray:
-        out = _product(X, Y, center(a) if restrict else a)
-        if restrict:
-            _center_in_place(out)
-        return out
+        return _image(X, Y, restrict, center(a) if restrict else a)
 
     return f
 
@@ -261,13 +269,7 @@ def _gram_apply(operands, restrict: bool, a: np.ndarray) -> np.ndarray:
     centred once, in place.
     """
     X, Y, Xa, Ya = operands
-    out = _product(X, Y, a)
-    if restrict:
-        _center_in_place(out)
-    out = _product(Xa, Ya, out)
-    if restrict:
-        _center_in_place(out)
-    return out
+    return _image(Xa, Ya, restrict, _image(X, Y, restrict, a))
 
 
 def apply(T: SuperOperator, xi) -> np.ndarray:
@@ -343,10 +345,11 @@ def _batch_size(n: int, R: int, N: int) -> int:
 
     Each operator is charged, in complex128 entries, with d = RN: its left
     and right member stacks; on the dense side the conjugated right stack
-    of ``_kron_sums`` and 8 d^2 (see _LOCKSTEP_BYTES); on the Lanczos side
-    its four ``_gram_operands`` stacks (two more copies of the members) and
-    a basis of LANCZOS_BASIS + 1 vectors of d entries. A batch holds as many
-    operators as _LOCKSTEP_BYTES allows, and at least one.
+    of ``_kron_sums`` and 8 d^2 (a batch-size choice, see _LOCKSTEP_BYTES);
+    on the Lanczos side its four ``_gram_operands`` stacks (two more copies
+    of the members) and a basis of LANCZOS_BASIS + 1 vectors of d entries.
+    A batch holds as many operators as _LOCKSTEP_BYTES allows, and at least
+    one.
     """
     d = R * N
     members = n * (R * R + N * N)
@@ -368,6 +371,9 @@ class GapReport:
     with ``witness=False``, which returns no witness and reports 0.0;
     ``iterations`` counts the applies of T*T (1 for dense), and
     ``single_applies`` those of them run in complex64 (see ``_mixed_lanczos``).
+    ``top_image`` is T(top_vector), the product the residual is computed
+    from, so that a caller needing the top left singular vector
+    T(xi) / ||T(xi)|| applies T no more.
     """
 
     value: float
@@ -376,6 +382,7 @@ class GapReport:
     residual: float
     top_vector: Optional[np.ndarray] = field(default=None, repr=False)
     single_applies: int = 0
+    top_image: Optional[np.ndarray] = field(default=None, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -644,7 +651,8 @@ def operator_norm(
     kN^2 <= min(AUTO_DENSE_DIM, dense_cap()), which is kN^2 <= 144 (N <= 12
     for k = 1) by default, and lanczos above. A restricted T with N = 1 acts
     on {0}; both methods report value 0 there without a witness. The
-    witness residual reuses the solve's GEMM operands.
+    witness residual reuses the solve's GEMM operands, and its first
+    product is the report's ``top_image``.
     """
     R, N = T.shape
     if method == "auto":
@@ -663,9 +671,10 @@ def operator_norm(
     value = math.sqrt(max(theta, 0.0))
     if not witness or X is None:
         return GapReport(value, tag, iters, 0.0, single_applies=single)
-    x = X[0]
-    tx = _gram_apply(operands, T.restrict_h0, center(x) if T.restrict_h0 else x)
-    return GapReport(value, tag, iters, _frob(tx[0] - theta * x), x, single)
+    x, restrict = X[0], T.restrict_h0
+    image = _image(*operands[:2], restrict, (center(x) if restrict else x)[None])
+    tx = _image(*operands[2:], restrict, image)
+    return GapReport(value, tag, iters, _frob(tx[0] - theta * x), x, single, image[0])
 
 
 def _norms(left, right, restrict_h0: bool, rngs, tol: float):

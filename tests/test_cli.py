@@ -142,6 +142,16 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith("error: ") and "'tol'" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), np.float64("-inf")])
+    def test_non_finite_float_in_python_config_is_rejected_before_run(self, tmp_path, tol):
+        # run() writes a failed run.json from its config, which must be strict JSON
+        tpath = tmp_path / "pauli.json"
+        qx.save_tuple(tpath, qx.pauli_tuple())
+        out = tmp_path / "o"
+        with pytest.raises(ConfigError, match="'tol' must be finite"):
+            run(make_config("gap", {"tuple": str(tpath), "tol": tol}, out))
+        assert not out.exists()
+
     def test_sample_haar_and_validate(self, tmp_path):
         rec = run(make_config("sample-haar", {"n": 2, "N": 3}, tmp_path / "o", seed=3))
         assert rec.summary["unitarity_residual"] < 1e-9

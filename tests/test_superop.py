@@ -182,6 +182,14 @@ class TestOperatorNorm:
             attained = np.linalg.norm(qx.apply(T, xi)) / np.linalg.norm(xi)
             assert attained >= rep.value - rep.residual - 1e-9
 
+    @pytest.mark.parametrize("restrict_h0", [False, True])
+    def test_top_image_is_t_of_the_witness(self, rng, restrict_h0):
+        T = qx.SuperOperator(random_tuple(3, 4, rng), random_tuple(3, 4, rng), restrict_h0=restrict_h0)
+        for method in ("dense", "lanczos"):
+            rep = qx.operator_norm(T, method=method, tol=1e-12, rng=rng)
+            assert np.array_equal(rep.top_image, qx.apply(T, rep.top_vector))
+        assert qx.operator_norm(T, witness=False).top_image is None
+
     def test_witness_free_lanczos_takes_no_residual_apply(self, rng, monkeypatch):
         T = qx.SuperOperator.conjugation(qx.haar_tuple(3, 13, rng))
         calls = []
