@@ -373,7 +373,7 @@ class GapReport:
     ``single_applies`` those of them run in complex64 (see ``_mixed_lanczos``).
     ``top_image`` is T(top_vector), the product the residual is computed
     from, so that a caller needing the top left singular vector
-    T(xi) / ||T(xi)|| applies T no more.
+    T(xi) / ||T(xi)|| need not apply T again.
     """
 
     value: float
