@@ -470,9 +470,18 @@ class TestMain:
             '{"n": 0, "N": 1, "matrices": []}',
             '{"n": -1, "N": 1, "matrices": [[[1, 0]]]}',
             '{"n": 1, "N": 1, "unitray": true, "matrices": [[[1, 0]]]}',
+            # base64 form; "AAAAAAAA8D8AAAAAAAAAAA==" holds the pair [1.0, 0.0]
+            '{"n": 1, "N": 1, "matrices_b64": "AAAAAAAA8D8AAAAAAAAAA*=="}',
+            '{"n": 1, "N": 1, "matrices_b64": "AAAAAAAA8D8="}',
+            '{"n": 1, "N": 1, "matrices": [[[1, 0]]], "matrices_b64": "AAAAAAAA8D8AAAAAAAAAAA=="}',
+            '{"n": 1, "N": 1, "unitary": false}',
+            '{"n": 1, "N": 1, "matrices_b64": "AAAAAAAA+H8AAAAAAAAAAA=="}',
+            '{"n": 1, "N": 1, "matrices_b64": "AAAAAAAAAAAAAAAAAADw/w=="}',
+            '{"n": 1, "N": 1, "matrices_b64": 5}',
         ],
         ids=["string-entries", "nan-entries", "missing-file", "n-zero", "n-negative",
-             "unknown-key"],
+             "unknown-key", "b64-bad-char", "b64-byte-count", "both-forms", "no-form",
+             "b64-nan", "b64-inf", "b64-not-string"],
     )
     def test_bad_tuple_file_is_one_line_error(self, tmp_path, capsys, text):
         tpath = tmp_path / "t.json"

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 
@@ -267,18 +268,37 @@ class TestTupleFiles:
         assert back.n == 3 and back.dim == 4 and back.unitary
         assert np.array_equal(back.mats, t.mats)  # full double precision
 
-    def test_file_text_matches_per_entry_floats(self, tmp_path):
-        # the float view writes the text a per-entry [re, im] list writes,
-        # signed zeros, subnormals and the largest magnitudes included
-        parts = [-0.0, 5e-324, 1e308, -1e308, 0.0, -5e-324, 2.2250738585072014e-308, -1e-310]
-        t = qx.MatrixTuple(np.array(parts + parts[::-1]).view(complex).reshape(2, 2, 2))
+    # signed zeros, subnormals, the smallest normal and the largest magnitudes
+    EDGE = [-0.0, 5e-324, 1e308, -1e308, 0.0, -5e-324, 2.2250738585072014e-308, -1e-310]
+
+    def edge_tuple(self):
+        return qx.MatrixTuple(np.array(self.EDGE + self.EDGE[::-1]).view(complex).reshape(2, 2, 2))
+
+    def test_list_form_text_loads_bit_identically(self, tmp_path):
+        t = self.edge_tuple()
         p = tmp_path / "t.json"
-        qx.save_tuple(p, t)
-        per_entry = {
+        p.write_text(json.dumps({
             "n": t.n, "N": t.dim, "unitary": False,
             "matrices": [[[float(z.real), float(z.imag)] for z in m.reshape(-1)] for m in t.mats],
-        }
-        assert p.read_text() == json.dumps(per_entry) + "\n"
+        }))
+        assert qx.load_tuple(p).mats.view(np.uint64).tolist() == t.mats.view(np.uint64).tolist()
+
+    def test_save_load_is_bit_identical(self, tmp_path):
+        t = self.edge_tuple()
+        p = tmp_path / "t.json"
+        qx.save_tuple(p, t)
+        assert qx.load_tuple(p).mats.view(np.uint64).tolist() == t.mats.view(np.uint64).tolist()
+
+    def test_written_text_is_strict_json(self, tmp_path):
+        def no_constants(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        t = self.edge_tuple()
+        p = tmp_path / "t.json"
+        qx.save_tuple(p, t)
+        obj = json.loads(p.read_text(), parse_constant=no_constants)
+        assert obj["n"] == 2 and obj["N"] == 2 and obj["unitary"] is False
+        assert base64.b64decode(obj["matrices_b64"], validate=True) == t.mats.astype("<c16").tobytes()
 
     def test_pauli_file_shape(self, tmp_path, pauli):
         p = tmp_path / "pauli.json"

@@ -1,4 +1,5 @@
 """Property tests over small random shapes: superoperator algebra and tuple files."""
+import base64
 import json
 import math
 
@@ -206,25 +207,46 @@ def test_json_round_trip_is_bit_exact(t):
     assert back.mats.view(np.uint64).tobytes() == t.mats.view(np.uint64).tobytes()
 
 
+# float64 bit patterns whose exponent field is not all ones: every finite value
+finite_bits = st.integers(0, 2**64 - 1).filter(lambda b: (b >> 52) & 0x7FF != 0x7FF)
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_any_finite_bit_pattern_round_trips_in_both_forms(n, N, data):
+    bits = data.draw(st.lists(finite_bits, min_size=2 * n * N * N, max_size=2 * n * N * N))
+    t = qx.MatrixTuple(np.array(bits, dtype=np.uint64).view(complex).reshape(n, N, N))
+    listed = {"n": n, "N": N, "matrices": t.mats.reshape(n, -1).view(float).reshape(n, -1, 2).tolist()}
+    for obj in (t.to_json(), listed):
+        back = qx.MatrixTuple.from_json(json.loads(json.dumps(obj, allow_nan=False)))
+        assert back.mats.view(np.uint64).tolist() == t.mats.view(np.uint64).tolist()
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=20,
 )
+b64_values = st.binary(max_size=48).map(lambda b: base64.b64encode(b).decode()) | json_values
 entries = st.floats() | st.integers(-(2**70), 2**70) | st.text(max_size=2) | st.none() | st.booleans()
 near_valid = st.fixed_dictionaries(
     {
         "n": st.integers(-1, 2) | json_values,
         "N": st.integers(-1, 2) | json_values,
+    },
+    # a file must hold exactly one of the two matrix forms: draw neither, one or both
+    optional={
         "matrices": st.lists(st.lists(st.lists(entries, max_size=3), max_size=4), max_size=3)
         | json_values,
+        "matrices_b64": b64_values,
+        "unitary": st.booleans() | json_values,
     },
-    optional={"unitary": st.booleans() | json_values},
 )
 
 
 @SETTINGS
-@given(near_valid | st.dictionaries(st.sampled_from(["n", "N", "matrices", "unitary"]), json_values))
+@given(near_valid | st.dictionaries(
+    st.sampled_from(["n", "N", "matrices", "matrices_b64", "unitary"]), json_values))
 def test_fuzzed_tuple_objects_raise_only_format_errors(obj):
     try:
         t = qx.MatrixTuple.from_json(obj)
