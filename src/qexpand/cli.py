@@ -6,10 +6,13 @@ declared artifacts plus ``run.json`` (configuration, timestamps, artifact
 list, summary metrics, a one-line statement of the claim the command
 exercises and a status). A command that fails with a ``QexError`` or a
 ``ValueError`` still leaves a ``run.json``, with status "failed" and the error
-line. A non-finite float parameter is a ``ConfigError`` before any run.
-Every JSON file is strict JSON (no NaN or Infinity tokens), written to a
-temp file in its directory and moved into place, so a reader never sees a
-half-written one.
+line. An ``ExperimentConfig`` with an unknown command or param key, or with
+a mistyped or non-finite param, is a ``ConfigError`` at construction, before
+any run. Every JSON file, tuple files and ``meta.json`` included, is read by
+``linalg._load_json`` (a bad file is one error line that names it) and
+written by ``linalg._write_json``: strict JSON (no NaN or Infinity tokens),
+written to a temp file in its directory and moved into place, so a reader
+never sees a half-written one.
 """
 from __future__ import annotations
 
@@ -19,7 +22,6 @@ import functools
 import glob
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -47,7 +49,7 @@ from .geometry import (
     separation,
     strong_separation_estimate,
 )
-from .linalg import MatrixTuple, RngSpec, load_tuple, save_tuple
+from .linalg import MatrixTuple, RngSpec, _load_json, _write_json, load_tuple, save_tuple
 from .packing import (
     greedy_cover,
     greedy_pack,
@@ -64,27 +66,6 @@ from .randmat import (
     unitary_sum_norm,
 )
 from .superop import spectral_gap
-
-# One-line statement of what each command measures, recorded for traceability.
-CLAIMS = {
-    "sample-haar": "independent Haar unitaries via the Ginibre polar factor",
-    "cayley": "regular-representation tuple of a finite group presentation",
-    "certify": "contraction certificate eps = 1 - gap/n and Ramanujan slack",
-    "gap": "norm of the twirl superoperator on the trace-zero subspace",
-    "mix": "geometric decay of channel iterates toward the normalized trace",
-    "separate": "pair separation delta from the cross superoperator norm",
-    "orbit-dist": "upper bound on the two-sided unitary orbit distance",
-    "strong-sep": "estimated separation against all unitary recombinations",
-    "norming": "norming-tuple search; gapped tuples are normed only on their orbit",
-    "delta-overlap": "largest off-diagonal normalized trace overlap, scaled by n^2",
-    "dcb-bound": "conditional cb-distance lower bound (1 - delta)^-1",
-    "pack": "greedy delta-separated packing of certified expander tuples",
-    "cover": "farthest-point covering estimate of a tuple cloud",
-    "bounds": "closed-form packing/net count bounds and separation radii",
-    "subgauss": "subGaussian tail check for sums of unitary traces",
-    "appendix": "unitary-vs-Gaussian norm comparison statistics",
-    "validate": "tuple file schema and unitarity validation",
-}
 
 _PARAM_TYPES = {
     "n": int, "N": int, "k": int, "steps": int, "samples": int, "restarts": int,
@@ -106,10 +87,24 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # every config (flags, config file or Python) passes here, so no run
-        # and no run.json ever sees a non-finite float
+        # and no run.json ever sees an unknown key, a mistyped value or a
+        # non-finite float
+        if not isinstance(self.command, str) or self.command not in COMMANDS:
+            raise ConfigError(f"unknown command {self.command!r}")
+        if not isinstance(self.params, dict):
+            raise ConfigError("params must be an object")
         for key, val in self.params.items():
+            want = _PARAM_TYPES.get(key)
+            if want is None:
+                raise ConfigError(f"unknown param key {key!r}")
+            if not isinstance(val, (int, float) if want is float else want) or isinstance(val, bool):
+                raise ConfigError(f"param {key!r} must be {want.__name__}, got {val!r}")
             if isinstance(val, float) and not math.isfinite(val):
                 raise ConfigError(f"param {key!r} must be finite, got {val!r}")
+        if not isinstance(self.seed, RngSpec):
+            raise ConfigError(f"seed must be an RngSpec, got {self.seed!r}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
 
     def to_json(self) -> dict:
         return {
@@ -129,28 +124,11 @@ class ExperimentConfig:
         for key in ("command", "params", "seed", "out_dir"):
             if key not in obj:
                 raise ConfigError(f"config missing key '{key}'")
-        command = obj["command"]
-        if command not in CLAIMS:
-            raise ConfigError(f"unknown command {command!r}")
-        params = obj["params"]
-        if not isinstance(params, dict):
-            raise ConfigError("params must be an object")
-        for key, val in params.items():
-            want = _PARAM_TYPES.get(key)
-            if want is None:
-                raise ConfigError(f"unknown param key {key!r}")
-            if want is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-                continue
-            if not isinstance(val, want) or isinstance(val, bool):
-                raise ConfigError(f"param {key!r} must be {want.__name__}, got {val!r}")
         try:
             seed = RngSpec.from_json(obj["seed"])
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"bad seed spec: {exc}") from exc
-        out_dir = obj["out_dir"]
-        if not isinstance(out_dir, str):
-            raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
-        return cls(command, dict(params), seed, out_dir)
+        return cls(obj["command"], obj["params"], seed, obj["out_dir"])
 
 
 @dataclass
@@ -197,21 +175,6 @@ def _need(cfg: ExperimentConfig, *keys):
 
 def _get(cfg, key, default):
     return cfg.params.get(key, default)
-
-
-def _write_json(path: Path, obj: dict):
-    """Write obj through a temp file in the same directory, then os.replace it.
-
-    A non-finite float raises ValueError instead of being written as a bare
-    NaN or Infinity token, which strict JSON parsers reject.
-    """
-    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _write_csv(path: Path, rows):
@@ -536,24 +499,26 @@ def _cmd_validate(cfg, out):
     return [path], {"n": t.n, "N": t.dim, "unitary": t.unitary}
 
 
-_HANDLERS = {
-    "sample-haar": _cmd_sample_haar,
-    "cayley": _cmd_cayley,
-    "certify": _cmd_certify,
-    "gap": _cmd_gap,
-    "mix": _cmd_mix,
-    "separate": _cmd_separate,
-    "orbit-dist": _cmd_orbit_dist,
-    "strong-sep": _cmd_strong_sep,
-    "norming": _cmd_norming,
-    "delta-overlap": _cmd_delta_overlap,
-    "dcb-bound": _cmd_dcb_bound,
-    "pack": _cmd_pack,
-    "cover": _cmd_cover,
-    "bounds": _cmd_bounds,
-    "subgauss": _cmd_subgauss,
-    "appendix": _cmd_appendix,
-    "validate": _cmd_validate,
+# Each command's handler, returning (artifact paths, summary dict), and the
+# one-line statement of what it measures, recorded in run.json for traceability.
+COMMANDS = {
+    "sample-haar": (_cmd_sample_haar, "independent Haar unitaries via the Ginibre polar factor"),
+    "cayley": (_cmd_cayley, "regular-representation tuple of a finite group presentation"),
+    "certify": (_cmd_certify, "contraction certificate eps = 1 - gap/n and Ramanujan slack"),
+    "gap": (_cmd_gap, "norm of the twirl superoperator on the trace-zero subspace"),
+    "mix": (_cmd_mix, "geometric decay of channel iterates toward the normalized trace"),
+    "separate": (_cmd_separate, "pair separation delta from the cross superoperator norm"),
+    "orbit-dist": (_cmd_orbit_dist, "upper bound on the two-sided unitary orbit distance"),
+    "strong-sep": (_cmd_strong_sep, "estimated separation against all unitary recombinations"),
+    "norming": (_cmd_norming, "norming-tuple search; gapped tuples are normed only on their orbit"),
+    "delta-overlap": (_cmd_delta_overlap, "largest off-diagonal normalized trace overlap, scaled by n^2"),
+    "dcb-bound": (_cmd_dcb_bound, "conditional cb-distance lower bound (1 - delta)^-1"),
+    "pack": (_cmd_pack, "greedy delta-separated packing of certified expander tuples"),
+    "cover": (_cmd_cover, "farthest-point covering estimate of a tuple cloud"),
+    "bounds": (_cmd_bounds, "closed-form packing/net count bounds and separation radii"),
+    "subgauss": (_cmd_subgauss, "subGaussian tail check for sums of unitary traces"),
+    "appendix": (_cmd_appendix, "unitary-vs-Gaussian norm comparison statistics"),
+    "validate": (_cmd_validate, "tuple file schema and unitarity validation"),
 }
 
 
@@ -564,19 +529,17 @@ def run(config: ExperimentConfig) -> RunRecord:
     re-raised after a run.json with status "failed" and the error line is
     written.
     """
-    if config.command not in _HANDLERS:
-        raise ConfigError(f"unknown command {config.command!r}")
+    handler, claim = COMMANDS[config.command]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = _now()
     try:
-        artifacts, summary = _HANDLERS[config.command](config, out)
+        artifacts, summary = handler(config, out)
         for p in artifacts:
             if not Path(p).exists():
                 raise QexError(f"declared artifact missing: {p}")
     except (QexError, ValueError) as exc:
-        failed = RunRecord(config, started, _now(), [], {}, claim=CLAIMS[config.command],
-                           error=str(exc))
+        failed = RunRecord(config, started, _now(), [], {}, claim=claim, error=str(exc))
         _write_json(out / "run.json", failed.to_json())
         raise
     record = RunRecord(
@@ -585,7 +548,7 @@ def run(config: ExperimentConfig) -> RunRecord:
         finished=_now(),
         artifacts=[str(Path(p).relative_to(out)) for p in artifacts],
         summary=_json_safe(summary),
-        claim=CLAIMS[config.command],
+        claim=claim,
     )
     _write_json(out / "run.json", record.to_json())
     return record
@@ -614,17 +577,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=str, default="out", help="output directory")
     parser.add_argument("--config", type=str, default=None, help="JSON config overriding flags")
     sub = parser.add_subparsers(dest="command")
-    for name in _HANDLERS:
-        p = sub.add_parser(name, help=CLAIMS[name])
+    for name, (_, claim) in COMMANDS.items():
+        p = sub.add_parser(name, help=claim)
         p.add_argument("--param", "-p", action="append", default=[],
                        metavar="KEY=VALUE", help="command parameter")
     return parser
 
 
 def _coerce(key: str, raw: str):
-    want = _PARAM_TYPES.get(key)
-    if want is None:
-        raise ConfigError(f"unknown param key {key!r}")
+    # the type check is ExperimentConfig's; an unknown key stays a string for it
+    want = _PARAM_TYPES.get(key, str)
     if want is str:
         return raw
     try:
@@ -635,11 +597,7 @@ def _coerce(key: str, raw: str):
 
 def config_from_args(args) -> ExperimentConfig:
     if args.config is not None:
-        try:
-            obj = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: invalid JSON: {exc.msg}") from exc
-        return ExperimentConfig.from_json(obj)
+        return _load_json(args.config, ExperimentConfig.from_json, ConfigError)
     if not args.command:
         raise ConfigError("no command given (and no --config)")
     params = {}

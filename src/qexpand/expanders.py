@@ -7,14 +7,12 @@ and the slack over the Ramanujan value 2 sqrt(n-1).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 import numpy as np
 
 from .errors import TupleFormatError
-from .linalg import MatrixTuple, _haar_stack, as_generator, as_square_matrix
+from .linalg import MatrixTuple, _haar_stack, _load_json, as_generator, as_square_matrix
 from .superop import GapReport, SuperOperator, _applier, center, spectral_gap
 
 __all__ = [
@@ -113,27 +111,21 @@ class GroupPresentation:
         if unknown:
             raise TupleFormatError(f"unknown group-file keys: {sorted(unknown)}")
         try:
-            order = obj["order"]
-            gens = tuple(tuple(g) for g in obj["generators"])
-            labels = tuple(obj.get("labels", ()))
+            order, gens, labels = obj["order"], obj["generators"], obj.get("labels", [])
+            if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
+                raise TypeError("generators must be a list of lists")
             for val in (order, *(i for g in gens for i in g)):
                 if not isinstance(val, int) or isinstance(val, bool):
                     raise TypeError(f"order and generator entries must be integers, got {val!r}")
-            if not all(isinstance(s, str) for s in labels):
-                raise TypeError(f"labels must be strings, got {list(labels)!r}")
-            return cls(order, gens, labels)
+            if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+                raise TypeError(f"labels must be a list of strings, got {labels!r}")
+            return cls(order, tuple(map(tuple, gens)), tuple(labels))
         except (KeyError, TypeError, ValueError) as exc:
             raise TupleFormatError(f"bad group file: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> "GroupPresentation":
-        try:
-            obj = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise TupleFormatError(
-                f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}"
-            ) from exc
-        return cls.from_json(obj)
+        return _load_json(path, cls.from_json, TupleFormatError)
 
 
 def cyclic_group(m: int, steps=(1, -1)) -> GroupPresentation:

@@ -10,12 +10,13 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, TupleFormatError, UnitarityError
+from .errors import DimensionMismatch, QexError, TupleFormatError, UnitarityError
 
 __all__ = [
     "UNITARY_TOL",
@@ -384,33 +385,60 @@ def _decode_entries(text, n: int, N: int) -> np.ndarray:
     return np.frombuffer(raw, "<f8").astype(float).reshape(n, N * N, 2)
 
 
+def _write_json(path, obj) -> None:
+    """Write obj as strict JSON, indent 2, through a temp file in the same
+    directory that is then moved into place, so a reader never sees a
+    half-written file.
+
+    A non-finite float raises ValueError instead of being written as a bare
+    NaN or Infinity token, which strict JSON parsers reject.
+    """
+    path = Path(path)
+    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _load_json(path, from_json, error):
+    """``from_json`` of the JSON object in the file at path.
+
+    A file that cannot be read, is not UTF-8 or is not JSON (nesting too
+    deep included) raises one ``error`` line that starts with the path; a
+    ``QexError`` from ``from_json`` is re-raised as its own type with the
+    path in front.
+    """
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise error(f"{path}: cannot read file: {reason}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:  # how json's decoder reports nesting too deep
+        raise error(f"{path}: invalid JSON: nested too deeply") from exc
+    try:
+        return from_json(obj)
+    except QexError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def save_tuple(path, t: MatrixTuple) -> None:
-    """Write ``t.to_json()`` as one line of strict JSON.
+    """Write ``t.to_json()`` with ``_write_json``: strict JSON, moved into place.
 
     The entries travel as base64 bytes, so every one reloads bit-exactly, in
     about half the size of the decimal list form.
     """
-    Path(path).write_text(json.dumps(t.to_json()) + "\n")
+    _write_json(path, t.to_json())
 
 
 def load_tuple(path) -> MatrixTuple:
-    """Read and validate a tuple file, with parse context on failure.
+    """Read and validate a tuple file, with the path on any failure.
 
     Reads the base64 form ``save_tuple`` writes and the list form of
     per-entry [re, im] numbers; both go through ``MatrixTuple.from_json``.
     """
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise TupleFormatError(f"{path}: cannot read tuple file: {reason}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TupleFormatError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    try:
-        return MatrixTuple.from_json(obj)
-    except TupleFormatError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    return _load_json(path, MatrixTuple.from_json, TupleFormatError)

@@ -9,7 +9,6 @@ for the sizes where the true counts are astronomically large.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +21,7 @@ from .linalg import (
     MatrixTuple,
     RngSpec,
     _ginibre_stack,
+    _write_json,
     ginibre_singular_mean,
     polar_unitary,
     save_tuple,
@@ -95,28 +95,25 @@ class PackingFamily:
         meta = out / "meta.json"
         n = self.members[0].n if self.members else 0
         N = self.members[0].dim if self.members else 0
-        meta.write_text(
-            json.dumps(
-                {
-                    "n": n,
-                    "N": N,
-                    "eps": self.eps,
-                    "delta": self.accept_delta,
-                    "seed": self.seed.to_json(),
-                    "members": self.count,
-                    "rejected": self.rejected_count,
-                    "rejected_uncertified": self.rejected_uncertified,
-                    "rejected_close": self.rejected_close,
-                    "since_last_admission": self.since_last_admission,
-                    "unconverged": self.unconverged,
-                    "log_count": self.log_count() if self.count else None,
-                    "log_count_upper_bound": packing_upper_bound(n, N, self.accept_delta)
-                    if self.count and self.accept_delta > 0
-                    else None,
-                },
-                indent=2,
-            )
-            + "\n"
+        _write_json(
+            meta,
+            {
+                "n": n,
+                "N": N,
+                "eps": self.eps,
+                "delta": self.accept_delta,
+                "seed": self.seed.to_json(),
+                "members": self.count,
+                "rejected": self.rejected_count,
+                "rejected_uncertified": self.rejected_uncertified,
+                "rejected_close": self.rejected_close,
+                "since_last_admission": self.since_last_admission,
+                "unconverged": self.unconverged,
+                "log_count": self.log_count() if self.count else None,
+                "log_count_upper_bound": packing_upper_bound(n, N, self.accept_delta)
+                if self.count and self.accept_delta > 0
+                else None,
+            },
         )
         paths.append(meta)
         return paths
@@ -148,6 +145,8 @@ def greedy_pack(
     """
     if n < 1 or N < 1 or max_samples < 0:
         raise ValueError("n, N must be positive and max_samples non-negative")
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"eps must be in [0, 1], got {eps}")
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must be in [0, 1], got {delta}")
     chunk = _batch_size(n, N, N)

@@ -262,15 +262,9 @@ def twirl_identity_check(N: int, samples: int, rng: RngSpec) -> TwirlReport:
     d = N * N
     acc = np.zeros((d, d), dtype=complex)
     batch = 2048
-    done = 0
-    chunk_idx = 0
-    while done < samples:
-        take = min(batch, samples - done)
-        gen = rng.substream(0, chunk_idx)
-        ys = _ginibre_stack(N, take, gen)[None]
+    for c, lo in enumerate(range(0, samples, batch)):
+        ys = _ginibre_stack(N, min(batch, samples - lo), rng.substream(0, c))[None]
         acc += _kron_sums(ys, ys)[0]
-        done += take
-        chunk_idx += 1
     est = acc / samples
     v = np.eye(N, dtype=complex).reshape(-1) / math.sqrt(N)
     p = np.outer(v, v.conj())

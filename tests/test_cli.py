@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qexpand as qx
-from qexpand.cli import CLAIMS, ExperimentConfig, main, run
+from qexpand.cli import COMMANDS, ExperimentConfig, main, run
 from qexpand.errors import ConfigError
 from qexpand.linalg import RngSpec
 
@@ -45,10 +45,35 @@ class TestConfig:
                 {"command": "pack", "params": {"n": "six"}, "seed": {"seed": 0}, "out_dir": "."}
             )
 
-    def test_every_command_has_a_claim(self):
-        from qexpand.cli import _HANDLERS
+    @pytest.mark.parametrize(
+        "command, params",
+        [
+            ("frobnicate", {}),
+            ("sample-haar", {"n": 2, "N": 2, "bogus": 1}),
+            ("sample-haar", {"n": "six", "N": 2}),
+            ("sample-haar", {"n": True, "N": 2}),
+            ("sample-haar", {"n": np.int64(2), "N": 2}),
+            ("gap", {"tuple": "t.json", "tol": "1e-8"}),
+            ("sample-haar", [("n", 2)]),
+        ],
+        ids=["unknown-command", "unknown-key", "string-int", "bool-int", "np-int64",
+             "string-float", "params-not-dict"],
+    )
+    def test_python_config_is_checked_at_construction(self, tmp_path, command, params):
+        out = tmp_path / "o"
+        with pytest.raises(ConfigError):
+            make_config(command, params, out)
+        assert not out.exists()
 
-        assert set(_HANDLERS) == set(CLAIMS)
+    def test_python_config_seed_must_be_rng_spec(self, tmp_path):
+        out = tmp_path / "o"
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig("sample-haar", {"n": 2, "N": 2}, 5, str(out))
+        assert not out.exists()
+
+    def test_int_is_accepted_for_float(self, tmp_path):
+        cfg = make_config("gap", {"tuple": "t.json", "tol": 1}, tmp_path)
+        assert cfg.params["tol"] == 1
 
 
 class TestRun:
@@ -58,7 +83,7 @@ class TestRun:
         record = run(make_config("certify", {"tuple": str(tpath)}, tmp_path / "out"))
         assert record.summary["epsilon"] == pytest.approx(1.0, abs=1e-10)
         run_json = json.loads((tmp_path / "out" / "run.json").read_text())
-        assert run_json["claim"] == CLAIMS["certify"]
+        assert run_json["claim"] == COMMANDS["certify"][1]
         assert run_json["tool_version"] == qx.__version__
         for art in run_json["artifacts"]:
             assert (tmp_path / "out" / art).exists()
@@ -105,7 +130,7 @@ class TestRun:
         assert record["status"] == "failed"
         assert record["error"] == str(info.value)
         assert "\n" not in record["error"]
-        assert record["artifacts"] == [] and record["claim"] == CLAIMS["certify"]
+        assert record["artifacts"] == [] and record["claim"] == COMMANDS["certify"][1]
         assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["run.json"]
 
     def test_main_failure_writes_run_json(self, tmp_path, capsys):
@@ -151,6 +176,22 @@ class TestRun:
         with pytest.raises(ConfigError, match="'tol' must be finite"):
             run(make_config("gap", {"tuple": str(tpath), "tol": tol}, out))
         assert not out.exists()
+
+    def test_writers_leave_strict_json_and_no_temp_files(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"non-strict JSON token {token}")
+
+        qx.save_tuple(tmp_path / "t.json", qx.pauli_tuple())
+        qx.greedy_pack(2, 3, 0.0, 0.0, 3, RngSpec(50, 0)).save(tmp_path / "fam")
+        run(make_config("sample-haar", {"n": 2, "N": 3}, tmp_path / "o"))
+        files = [f for f in tmp_path.rglob("*") if f.is_file()]
+        assert not [f for f in files if f.name.endswith(".tmp")]
+        written = sorted(str(f.relative_to(tmp_path)) for f in files if f.suffix == ".json")
+        assert written == ["fam/member_0000.json", "fam/member_0001.json", "fam/member_0002.json",
+                           "fam/meta.json", "o/run.json", "o/tuple.json", "t.json"]
+        for f in files:
+            if f.suffix == ".json":
+                json.loads(f.read_text(), parse_constant=reject)
 
     def test_sample_haar_and_validate(self, tmp_path):
         rec = run(make_config("sample-haar", {"n": 2, "N": 3}, tmp_path / "o", seed=3))
@@ -437,6 +478,36 @@ class TestMain:
         assert main(["--config", str(cpath)]) == 1
 
     @pytest.mark.parametrize(
+        "kind, content",
+        [
+            ("group", None),
+            ("group", b'{"order": \xff}'),
+            ("group", b'{"order": 3'),
+            ("group", b"[1, 2]"),
+            ("group", b'{"order": 3, "generators": [[1, 2, 0], [2, 0, 1]], "labels": "ab"}'),
+            ("config", None),
+            ("config", b'{"command": \xff}'),
+            ("config", b'{"command": "gap"'),
+            ("config", b"[1, 2]"),
+        ],
+        ids=["group-missing", "group-non-utf8", "group-invalid-json", "group-not-object",
+             "group-string-labels", "config-missing", "config-non-utf8",
+             "config-invalid-json", "config-not-object"],
+    )
+    def test_bad_group_or_config_file_is_one_line_error(self, tmp_path, capsys, kind, content):
+        path = tmp_path / f"{kind}.json"
+        if content is not None:
+            path.write_bytes(content)
+        if kind == "group":
+            argv = ["--out", str(tmp_path / "o"), "cayley", "-p", f"group={path}"]
+        else:
+            argv = ["--config", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(path) in err[0]
+
+    @pytest.mark.parametrize(
         "seed, out_dir",
         [
             ({"seed": 1.7}, "o"),
@@ -478,10 +549,11 @@ class TestMain:
             '{"n": 1, "N": 1, "matrices_b64": "AAAAAAAA+H8AAAAAAAAAAA=="}',
             '{"n": 1, "N": 1, "matrices_b64": "AAAAAAAAAAAAAAAAAADw/w=="}',
             '{"n": 1, "N": 1, "matrices_b64": 5}',
+            "[" * 100_000,
         ],
         ids=["string-entries", "nan-entries", "missing-file", "n-zero", "n-negative",
              "unknown-key", "b64-bad-char", "b64-byte-count", "both-forms", "no-form",
-             "b64-nan", "b64-inf", "b64-not-string"],
+             "b64-nan", "b64-inf", "b64-not-string", "nested-too-deep"],
     )
     def test_bad_tuple_file_is_one_line_error(self, tmp_path, capsys, text):
         tpath = tmp_path / "t.json"

@@ -56,11 +56,16 @@ class TestGroupPresentation:
             ("order", True),
             ("generators", [[1.0, 2.0, 0.0], [2, 0, 1]]),
             ("labels", [1, 2]),
+            ("labels", "ab"),
+            ("labels", {"a": 1, "b": 2}),
+            ("generators", "ab"),
         ],
-        ids=["float-order", "string-order", "bool-order", "float-entries", "int-labels"],
+        ids=["float-order", "string-order", "bool-order", "float-entries", "int-labels",
+             "string-labels", "dict-labels", "string-generators"],
     )
     def test_non_integer_fields_rejected(self, key, val):
-        # nothing is coerced: order 3.9 is not order 3
+        # nothing is coerced: order 3.9 is not order 3, and the characters or
+        # keys of a string or dict are not a list of labels
         obj = cyclic_group(3).to_json()
         obj[key] = val
         with pytest.raises(TupleFormatError):

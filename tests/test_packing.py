@@ -40,6 +40,12 @@ class TestGreedyPack:
         assert fam.count + fam.rejected_count == 30
         assert fam.count == 30  # eps = 0 certifies everything
 
+    @pytest.mark.parametrize("eps", [float("nan"), -0.1, 1.5])
+    def test_eps_outside_unit_interval_is_rejected(self, eps):
+        # NaN would certify every sample, since epsilon < NaN is False
+        with pytest.raises(ValueError, match="eps"):
+            qx.greedy_pack(2, 3, eps, 0.0, 5, RngSpec(50, 0))
+
     def test_family_invariants(self):
         fam = qx.greedy_pack(4, 4, 0.02, 0.08, 60, RngSpec(51, 0))
         m = fam.count
