@@ -1,31 +1,31 @@
 """Reproducible command-line front end.
 
-Every command is a pure function of its configuration and the tool version:
-fixed seeds reproduce all numeric outputs bit-exactly. Each run writes its
-declared artifacts plus ``run.json`` (configuration, timestamps, artifact
-list, summary metrics, a one-line statement of the claim the command
-exercises and a status). A command that fails with a ``QexError`` or a
-``ValueError`` still leaves a ``run.json``, with status "failed" and the error
-line. An ``ExperimentConfig`` with an unknown command or param key, or with
-a mistyped or non-finite param, is a ``ConfigError`` at construction, before
-any run. Every JSON file, tuple files and ``meta.json`` included, is read by
-``linalg._load_json`` (a bad file is one error line that names it) and
-written by ``linalg._write_json``: strict JSON (no NaN or Infinity tokens),
-written to a temp file in its directory and moved into place, so a reader
-never sees a half-written one.
+Every command handler is a pure function of its configuration and the tool
+version: it returns its files as ``{file name: content}`` plus a summary, and
+fixed seeds reproduce all numeric outputs bit-exactly. ``run`` writes the
+files, in order, then ``run.json`` (configuration, timestamps, artifact list,
+summary metrics, the claim the command exercises and a status); a run that
+fails with a ``QexError`` or a ``ValueError`` leaves a ``run.json`` with
+status "failed" and the error line. An unknown command or param key, or a
+mistyped or non-finite param, is a ``ConfigError`` when the frozen
+``ExperimentConfig`` is built. JSON files are read by ``linalg._load_json``
+(a bad file is one error line that names it), and every file, CSV included,
+is written by ``linalg._write_file``: strict JSON, CSV rows or a tuple, to a
+temp file that is then moved into place, so no reader sees it half-written.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import glob
 import json
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .geometry import (
     separation,
     strong_separation_estimate,
 )
-from .linalg import MatrixTuple, RngSpec, _load_json, _write_json, load_tuple, save_tuple
+from .linalg import MatrixTuple, RngSpec, _load_json, _write_file, load_tuple
 from .packing import (
     greedy_cover,
     greedy_pack,
@@ -78,21 +78,23 @@ _PARAM_TYPES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     command: str
-    params: dict
+    params: Mapping
     seed: RngSpec
     out_dir: str
 
     def __post_init__(self):
         # every config (flags, config file or Python) passes here, so no run
         # and no run.json ever sees an unknown key, a mistyped value or a
-        # non-finite float
+        # non-finite float; the config is frozen and params a read-only copy,
+        # so none can be put in after the check either
         if not isinstance(self.command, str) or self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if not isinstance(self.params, dict):
+        if not isinstance(self.params, Mapping):
             raise ConfigError("params must be an object")
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         for key, val in self.params.items():
             want = _PARAM_TYPES.get(key)
             if want is None:
@@ -177,11 +179,6 @@ def _get(cfg, key, default):
     return cfg.params.get(key, default)
 
 
-def _write_csv(path: Path, rows):
-    with path.open("w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-
-
 def _g17(x) -> str:
     return format(float(x), ".17g")
 
@@ -191,26 +188,22 @@ def _load(cfg, key) -> MatrixTuple:
     return load_tuple(path)
 
 
-# --- command handlers: each returns (artifact paths, summary dict) ----------
+# --- command handlers: each returns ({file name: content}, summary dict) -----
 
-def _cmd_sample_haar(cfg, out):
+def _cmd_sample_haar(cfg):
     n, N = _need(cfg, "n", "N")
     t = haar_tuple(n, N, cfg.seed.generator())
-    path = out / "tuple.json"
-    save_tuple(path, t)
-    return [path], {"n": n, "N": N, "unitarity_residual": t.unitarity_residual()}
+    return {"tuple.json": t}, {"n": n, "N": N, "unitarity_residual": t.unitarity_residual()}
 
 
-def _cmd_cayley(cfg, out):
+def _cmd_cayley(cfg):
     (gpath,) = _need(cfg, "group")
     g = GroupPresentation.load(gpath)
     t = cayley_regular_tuple(g)
-    path = out / "tuple.json"
-    save_tuple(path, t)
-    return [path], {"n": g.n, "N": g.order, "classical_gap": classical_gap(g)}
+    return {"tuple.json": t}, {"n": g.n, "N": g.order, "classical_gap": classical_gap(g)}
 
 
-def _cmd_certify(cfg, out):
+def _cmd_certify(cfg):
     t = _load(cfg, "tuple")
     cert = certify(
         t,
@@ -218,16 +211,14 @@ def _cmd_certify(cfg, out):
         method=_get(cfg, "method", "auto"),
         rng=cfg.seed.generator(),
     )
-    path = out / "certificate.json"
-    _write_json(path, cert.to_json())
-    return [path], {
+    return {"certificate.json": cert.to_json()}, {
         "epsilon": cert.epsilon,
         "ramanujan_slack": cert.ramanujan_slack,
         "gap": cert.gap.value,
     }
 
 
-def _cmd_gap(cfg, out):
+def _cmd_gap(cfg):
     t = _load(cfg, "tuple")
     rep = spectral_gap(
         t,
@@ -235,17 +226,13 @@ def _cmd_gap(cfg, out):
         tol=_get(cfg, "tol", 1e-10),
         rng=cfg.seed.generator(),
     )
-    path = out / "gap.json"
-    _write_json(path, rep.to_json())
-    artifacts = [path]
+    files = {"gap.json": rep.to_json()}
     if rep.top_vector is not None:
-        wpath = out / "witness.json"
-        save_tuple(wpath, MatrixTuple(rep.top_vector[None]))
-        artifacts.append(wpath)
-    return artifacts, {"value": rep.value, "method": rep.method}
+        files["witness.json"] = MatrixTuple(rep.top_vector[None])
+    return files, {"value": rep.value, "method": rep.method}
 
 
-def _cmd_mix(cfg, out):
+def _cmd_mix(cfg):
     t = _load(cfg, "tuple")
     steps = _get(cfg, "steps", 50)
     if "x0" in cfg.params:
@@ -254,27 +241,22 @@ def _cmd_mix(cfg, out):
         gen = cfg.seed.generator()
         x0 = gen.standard_normal((t.dim, t.dim)) + 1j * gen.standard_normal((t.dim, t.dim))
     curve = mixing_curve(t, x0, steps)
-    path = out / "mix.csv"
-    _write_csv(path, [["k", "residual"]] + [[k, _g17(r)] for k, r in enumerate(curve)])
-    return [path], {"steps": steps, "final_residual": float(curve[-1])}
+    rows = [["k", "residual"]] + [[k, _g17(r)] for k, r in enumerate(curve)]
+    return {"mix.csv": rows}, {"steps": steps, "final_residual": float(curve[-1])}
 
 
-def _cmd_separate(cfg, out):
+def _cmd_separate(cfg):
     u, v = _load(cfg, "u"), _load(cfg, "v")
     rep = separation(u, v, method=_get(cfg, "method", "auto"), rng=cfg.seed.generator())
-    path = out / "separation.json"
-    _write_json(path, rep.to_json())
-    return [path], {"delta": rep.delta, "norm_value": rep.norm_value}
+    return {"separation.json": rep.to_json()}, {"delta": rep.delta, "norm_value": rep.norm_value}
 
 
-def _cmd_orbit_dist(cfg, out):
+def _cmd_orbit_dist(cfg):
     u, v = _load(cfg, "u"), _load(cfg, "v")
     rep = orbit_distance(
         u, v, restarts=_get(cfg, "restarts", 20), rng=cfg.seed.generator()
     )
-    path = out / "orbit.json"
-    _write_json(path, rep.to_json())
-    return [path], {
+    return {"orbit.json": rep.to_json()}, {
         "upper": rep.upper,
         "lower": rep.lower,
         "restarts_used": rep.restarts_used,
@@ -282,62 +264,52 @@ def _cmd_orbit_dist(cfg, out):
     }
 
 
-def _cmd_strong_sep(cfg, out):
+def _cmd_strong_sep(cfg):
     u, v = _load(cfg, "u"), _load(cfg, "v")
     est = strong_separation_estimate(
         u, v, restarts=_get(cfg, "restarts", 20), rng=cfg.seed.generator()
     )
-    path = out / "strong.json"
     payload = {
         "estimate_norm_over_n": est,
         "estimated_strong_delta": max(1.0 - est, 0.0),
         "qualifier": "estimated (lower bound on the supremum; not a certificate)",
     }
-    _write_json(path, payload)
-    return [path], payload
+    return {"strong.json": payload}, payload
 
 
-def _cmd_norming(cfg, out):
+def _cmd_norming(cfg):
     x = _load(cfg, "tuple")
     v, attained = find_norming_tuple(
         x, restarts=_get(cfg, "restarts", 20), rng=cfg.seed.generator()
     )
-    wpath = out / "norming_witness.json"
-    save_tuple(wpath, v)
-    jpath = out / "norming.json"
-    _write_json(jpath, {"attained": attained, "n": x.n, "witness": wpath.name})
-    return [wpath, jpath], {"attained": attained}
+    return {
+        "norming_witness.json": v,
+        "norming.json": {"attained": attained, "n": x.n, "witness": "norming_witness.json"},
+    }, {"attained": attained}
 
 
-def _cmd_delta_overlap(cfg, out):
+def _cmd_delta_overlap(cfg):
     t = _load(cfg, "tuple")
     val = delta_overlap(t)
-    path = out / "overlap.json"
-    _write_json(path, {"overlap": val, "n": t.n, "N": t.dim})
-    return [path], {"overlap": val}
+    return {"overlap.json": {"overlap": val, "n": t.n, "N": t.dim}}, {"overlap": val}
 
 
-def _cmd_dcb_bound(cfg, out):
+def _cmd_dcb_bound(cfg):
     delta_strong, overlap, n = _need(cfg, "delta_strong", "overlap", "n")
     bound = dcb_lower_bound(delta_strong, overlap, n)
-    path = out / "dcb.json"
-    _write_json(
-        path,
-        {
-            "bound": bound,
-            "delta_strong": delta_strong,
-            "overlap": overlap,
-            "qualifier": "conditional on delta_strong being a true strong-separation constant",
-        },
-    )
-    return [path], {"bound": bound}
+    payload = {
+        "bound": bound,
+        "delta_strong": delta_strong,
+        "overlap": overlap,
+        "qualifier": "conditional on delta_strong being a true strong-separation constant",
+    }
+    return {"dcb.json": payload}, {"bound": bound}
 
 
-def _cmd_pack(cfg, out):
+def _cmd_pack(cfg):
     n, N, eps, delta, max_samples = _need(cfg, "n", "N", "eps", "delta", "max_samples")
     fam = greedy_pack(n, N, eps, delta, max_samples, cfg.seed)
-    paths = fam.save(out)
-    return paths, {
+    return fam.files(), {
         "members": fam.count,
         "rejected": fam.rejected_count,
         "rejected_uncertified": fam.rejected_uncertified,
@@ -348,7 +320,7 @@ def _cmd_pack(cfg, out):
     }
 
 
-def _cmd_cover(cfg, out):
+def _cmd_cover(cfg):
     (pattern,) = _need(cfg, "tuples")
     radius = _need(cfg, "radius")[0]
     files = sorted(map(Path, glob.glob(pattern, recursive=True))) if any(
@@ -358,9 +330,7 @@ def _cmd_cover(cfg, out):
     if not points:
         raise ConfigError(f"no tuple files matched {pattern!r}")
     est = greedy_cover(points, radius, metric=_get(cfg, "metric", "d"), rng=cfg.seed.generator())
-    path = out / "cover.json"
-    _write_json(path, est.to_json())
-    return [path], {"count": est.count, "radius": radius}
+    return {"cover.json": est.to_json()}, {"count": est.count, "radius": radius}
 
 
 def _parse_grid(raw, default):
@@ -369,43 +339,36 @@ def _parse_grid(raw, default):
     return [float(x) for x in str(raw).split(",") if x]
 
 
-def _cmd_bounds(cfg, out):
+def _cmd_bounds(cfg):
     n, N = _need(cfg, "n", "N")
     eps_grid = _parse_grid(_get(cfg, "eps_grid", None), [0.1, 0.3, 0.5, 0.7])
     delta_grid = _parse_grid(_get(cfg, "delta_grid", None), [0.01, 0.05, 0.1, 0.2, 0.5])
-    radius_rows = [["eps", "delta", "value"]]
-    for e in eps_grid:
-        for d in delta_grid:
-            radius_rows.append([_g17(e), _g17(d), _g17(near_norming_radius(e, d))])
-    rpath = out / "radius.csv"
-    _write_csv(rpath, radius_rows)
-    sep_rows = [["eps", "delta", "value"]]
-    for d in delta_grid:
-        sep_rows.append(["", _g17(d), _g17(lower_bound_from_separation(d, n))])
-    spath = out / "separation_lower.csv"
-    _write_csv(spath, sep_rows)
-    count_rows = [["n", "N", "delta", "log_packing_bound", "log_net_bound"]]
-    for d in delta_grid:
-        count_rows.append(
+    files = {
+        "radius.csv": [["eps", "delta", "value"]] + [
+            [_g17(e), _g17(d), _g17(near_norming_radius(e, d))]
+            for e in eps_grid
+            for d in delta_grid
+        ],
+        "separation_lower.csv": [["eps", "delta", "value"]] + [
+            ["", _g17(d), _g17(lower_bound_from_separation(d, n))] for d in delta_grid
+        ],
+        "count_bounds.csv": [["n", "N", "delta", "log_packing_bound", "log_net_bound"]] + [
             [n, N, _g17(d), _g17(packing_upper_bound(n, N, d)), _g17(net_size_bound(n, N, d))]
-        )
-    cpath = out / "count_bounds.csv"
-    _write_csv(cpath, count_rows)
-    summary = {
+            for d in delta_grid
+        ],
+    }
+    return files, {
         "n": n,
         "N": N,
         "matching_lower_bound": "exp(b*n*N^2) for some b > 0 (existential constant, "
         "not computable from these formulas)",
     }
-    return [rpath, spath, cpath], summary
 
 
-def _cmd_subgauss(cfg, out):
+def _cmd_subgauss(cfg):
     n, N, samples = _need(cfg, "n", "N", "samples")
     rep = subgaussian_tail_check(n, N, samples, cfg.seed)
-    path = out / "subgauss.csv"
-    _write_csv(path, rep.to_csv_rows())
-    return [path], {
+    return {"subgauss.csv": rep.to_csv_rows()}, {
         "b_n": rep.b_n,
         "k_hat": rep.k_hat,
         "any_flagged": rep.any_flagged,
@@ -422,26 +385,20 @@ def _parse_coeffs(raw, n):
     return vals
 
 
-def _cmd_appendix(cfg, out):
+def _cmd_appendix(cfg):
     (experiment,) = _need(cfg, "experiment")
     N = _get(cfg, "N", 16)
     samples = _get(cfg, "samples", 20)
     if experiment == "chi":
         rep = chi_n_estimate(N, samples, cfg.seed)
-        path = out / "chi.csv"
-        _write_csv(
-            path,
-            [
-                ["N", "samples", "estimate", "ci_lo", "ci_hi"],
-                [N, samples, _g17(rep.value), _g17(rep.ci_lo), _g17(rep.ci_hi)],
-            ],
-        )
-        return [path], {"estimate": rep.value, "ci_lo": rep.ci_lo, "ci_hi": rep.ci_hi}
+        rows = [
+            ["N", "samples", "estimate", "ci_lo", "ci_hi"],
+            [N, samples, _g17(rep.value), _g17(rep.ci_lo), _g17(rep.ci_hi)],
+        ]
+        return {"chi.csv": rows}, {"estimate": rep.value, "ci_lo": rep.ci_lo, "ci_hi": rep.ci_hi}
     if experiment == "twirl":
         rep = twirl_identity_check(N, samples, cfg.seed)
-        path = out / "twirl.json"
-        _write_json(path, rep.to_json())
-        return [path], rep.to_json()
+        return {"twirl.json": rep.to_json()}, rep.to_json()
     n = _get(cfg, "n", 4)
     coeffs = _parse_coeffs(_get(cfg, "coeffs", None), n)
     if experiment in ("dominance", "hastings"):
@@ -471,36 +428,30 @@ def _cmd_appendix(cfg, out):
                 [i, _g17(a), _g17(b)]
                 for i, (a, b) in enumerate(zip(uni.values, gau.values))
             ]
-        path = out / f"{experiment}.csv"
-        _write_csv(path, rows)
-        return [path], summary
+        return {f"{experiment}.csv": rows}, summary
     if experiment == "matrix-coeff":
         k = _get(cfg, "k", 2)
         blocks = [np.eye(k) * c for c in coeffs]
         rep = matrix_coefficient_sum(blocks, N, samples, cfg.seed)
-        path = out / "matrix_coeff.json"
-        _write_json(path, rep.to_json())
-        return [path], {"mean_norm": rep.mean_norm, "rhs": rep.rhs, "unconverged": rep.unconverged}
+        return {"matrix_coeff.json": rep.to_json()}, {
+            "mean_norm": rep.mean_norm, "rhs": rep.rhs, "unconverged": rep.unconverged
+        }
     raise ConfigError(f"unknown appendix experiment {experiment!r}")
 
 
-def _cmd_validate(cfg, out):
+def _cmd_validate(cfg):
     t = _load(cfg, "tuple")
-    path = out / "validate.json"
-    _write_json(
-        path,
-        {
-            "n": t.n,
-            "N": t.dim,
-            "unitary": t.unitary,
-            "unitarity_residual": t.unitarity_residual(),
-        },
-    )
-    return [path], {"n": t.n, "N": t.dim, "unitary": t.unitary}
+    report = {
+        "n": t.n,
+        "N": t.dim,
+        "unitary": t.unitary,
+        "unitarity_residual": t.unitarity_residual(),
+    }
+    return {"validate.json": report}, {"n": t.n, "N": t.dim, "unitary": t.unitary}
 
 
-# Each command's handler, returning (artifact paths, summary dict), and the
-# one-line statement of what it measures, recorded in run.json for traceability.
+# Each command's handler, returning ({file name: content}, summary dict), and
+# the one-line statement of what it measures, recorded in run.json for traceability.
 COMMANDS = {
     "sample-haar": (_cmd_sample_haar, "independent Haar unitaries via the Ginibre polar factor"),
     "cayley": (_cmd_cayley, "regular-representation tuple of a finite group presentation"),
@@ -523,34 +474,33 @@ COMMANDS = {
 
 
 def run(config: ExperimentConfig) -> RunRecord:
-    """Dispatch a validated config, write artifacts plus run.json.
+    """Dispatch a validated config; write the handler's files, in order, plus run.json.
 
-    A handler's QexError or ValueError (an out-of-range parameter) is
-    re-raised after a run.json with status "failed" and the error line is
-    written.
+    A QexError or ValueError (an out-of-range parameter, or a non-finite
+    float on its way into a JSON file) is re-raised after a run.json with
+    status "failed" and the error line is written.
     """
     handler, claim = COMMANDS[config.command]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = _now()
     try:
-        artifacts, summary = handler(config, out)
-        for p in artifacts:
-            if not Path(p).exists():
-                raise QexError(f"declared artifact missing: {p}")
+        files, summary = handler(config)
+        for name, content in files.items():
+            _write_file(out / name, content)
     except (QexError, ValueError) as exc:
         failed = RunRecord(config, started, _now(), [], {}, claim=claim, error=str(exc))
-        _write_json(out / "run.json", failed.to_json())
+        _write_file(out / "run.json", failed.to_json())
         raise
     record = RunRecord(
         config=config,
         started=started,
         finished=_now(),
-        artifacts=[str(Path(p).relative_to(out)) for p in artifacts],
+        artifacts=list(files),
         summary=_json_safe(summary),
         claim=claim,
     )
-    _write_json(out / "run.json", record.to_json())
+    _write_file(out / "run.json", record.to_json())
     return record
 
 

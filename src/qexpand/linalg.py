@@ -8,6 +8,8 @@ which is the basic object everything else works on.
 from __future__ import annotations
 
 import base64
+import csv
+import io
 import json
 import math
 import os
@@ -385,19 +387,28 @@ def _decode_entries(text, n: int, N: int) -> np.ndarray:
     return np.frombuffer(raw, "<f8").astype(float).reshape(n, N * N, 2)
 
 
-def _write_json(path, obj) -> None:
-    """Write obj as strict JSON, indent 2, through a temp file in the same
-    directory that is then moved into place, so a reader never sees a
-    half-written file.
+def _write_file(path, content) -> None:
+    """Write content to path through a temp file in the same directory, then
+    moved into place, so a reader never sees a half-written file.
 
-    A non-finite float raises ValueError instead of being written as a bare
-    NaN or Infinity token, which strict JSON parsers reject.
+    A ``MatrixTuple`` goes through ``save_tuple``; a ``.csv`` name takes rows
+    for ``csv.writer`` (CRLF line ends, kept by ``newline=""``); anything else
+    is strict JSON, indent 2: a non-finite float raises ValueError instead of
+    becoming a bare NaN or Infinity token.
     """
+    if isinstance(content, MatrixTuple):
+        save_tuple(path, content)
+        return
     path = Path(path)
-    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    if path.suffix == ".csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows(content)
+        text = buf.getvalue()
+    else:
+        text = json.dumps(content, indent=2, allow_nan=False) + "\n"
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8", newline="")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -427,12 +438,13 @@ def _load_json(path, from_json, error):
 
 
 def save_tuple(path, t: MatrixTuple) -> None:
-    """Write ``t.to_json()`` with ``_write_json``: strict JSON, moved into place.
+    """Write ``t.to_json()`` as a strict JSON file, through ``_write_file``'s
+    temp file and rename.
 
     The entries travel as base64 bytes, so every one reloads bit-exactly, in
     about half the size of the decimal list form.
     """
-    _write_json(path, t.to_json())
+    _write_file(path, t.to_json())
 
 
 def load_tuple(path) -> MatrixTuple:

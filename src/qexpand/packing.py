@@ -8,7 +8,6 @@ for the sizes where the true counts are astronomically large.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,10 +20,9 @@ from .linalg import (
     MatrixTuple,
     RngSpec,
     _ginibre_stack,
-    _write_json,
+    _write_file,
     ginibre_singular_mean,
     polar_unitary,
-    save_tuple,
 )
 from .superop import SuperOperator, _batch_size, _norms, operator_norm
 
@@ -75,48 +73,43 @@ class PackingFamily:
     def log_count(self) -> float:
         return math.log(self.count) if self.count else -math.inf
 
-    def save(self, out_dir) -> list[Path]:
-        """Write member tuple files, family.csv (i, j, delta_ij) and meta.json."""
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        paths = []
-        for i, m in enumerate(self.members):
-            p = out / f"member_{i:04d}.json"
-            save_tuple(p, m)
-            paths.append(p)
-        fam = out / "family.csv"
-        with fam.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["i", "j", "delta_ij"])
-            for i in range(self.count):
-                for j in range(i + 1, self.count):
-                    w.writerow([i, j, format(self.pairwise[i, j], ".17g")])
-        paths.append(fam)
-        meta = out / "meta.json"
+    def files(self) -> dict:
+        """Member tuples, family.csv rows (i, j, delta_ij) and meta.json, by file name."""
+        files: dict = {f"member_{i:04d}.json": m for i, m in enumerate(self.members)}
+        files["family.csv"] = [["i", "j", "delta_ij"]] + [
+            [i, j, format(self.pairwise[i, j], ".17g")]
+            for i in range(self.count)
+            for j in range(i + 1, self.count)
+        ]
         n = self.members[0].n if self.members else 0
         N = self.members[0].dim if self.members else 0
-        _write_json(
-            meta,
-            {
-                "n": n,
-                "N": N,
-                "eps": self.eps,
-                "delta": self.accept_delta,
-                "seed": self.seed.to_json(),
-                "members": self.count,
-                "rejected": self.rejected_count,
-                "rejected_uncertified": self.rejected_uncertified,
-                "rejected_close": self.rejected_close,
-                "since_last_admission": self.since_last_admission,
-                "unconverged": self.unconverged,
-                "log_count": self.log_count() if self.count else None,
-                "log_count_upper_bound": packing_upper_bound(n, N, self.accept_delta)
-                if self.count and self.accept_delta > 0
-                else None,
-            },
-        )
-        paths.append(meta)
-        return paths
+        files["meta.json"] = {
+            "n": n,
+            "N": N,
+            "eps": self.eps,
+            "delta": self.accept_delta,
+            "seed": self.seed.to_json(),
+            "members": self.count,
+            "rejected": self.rejected_count,
+            "rejected_uncertified": self.rejected_uncertified,
+            "rejected_close": self.rejected_close,
+            "since_last_admission": self.since_last_admission,
+            "unconverged": self.unconverged,
+            "log_count": self.log_count() if self.count else None,
+            "log_count_upper_bound": packing_upper_bound(n, N, self.accept_delta)
+            if self.count and self.accept_delta > 0
+            else None,
+        }
+        return files
+
+    def save(self, out_dir) -> list[Path]:
+        """Write ``files()`` into out_dir; returns their paths in that order."""
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        files = self.files()
+        for name, content in files.items():
+            _write_file(out / name, content)
+        return [out / name for name in files]
 
 
 def greedy_pack(

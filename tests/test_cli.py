@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -74,6 +75,21 @@ class TestConfig:
     def test_int_is_accepted_for_float(self, tmp_path):
         cfg = make_config("gap", {"tuple": "t.json", "tol": 1}, tmp_path)
         assert cfg.params["tol"] == 1
+
+    def test_config_cannot_change_after_its_check(self, tmp_path):
+        params = {"tuple": "t.json", "tol": 1e-8}
+        cfg = make_config("gap", params, tmp_path / "o")
+        with pytest.raises(TypeError):
+            cfg.params["bogus"] = 1
+        with pytest.raises(TypeError):
+            cfg.params["tol"] = float("nan")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.command = "nope"
+        # the config holds its own copy of the caller's dict
+        params["bogus"] = 1
+        params["tol"] = float("nan")
+        assert cfg.params == {"tuple": "t.json", "tol": 1e-8}
+        assert not (tmp_path / "o").exists()
 
 
 class TestRun:
@@ -184,14 +200,59 @@ class TestRun:
         qx.save_tuple(tmp_path / "t.json", qx.pauli_tuple())
         qx.greedy_pack(2, 3, 0.0, 0.0, 3, RngSpec(50, 0)).save(tmp_path / "fam")
         run(make_config("sample-haar", {"n": 2, "N": 3}, tmp_path / "o"))
+        run(make_config("bounds", {"n": 2, "N": 3, "delta_grid": "0.1"}, tmp_path / "b"))
         files = [f for f in tmp_path.rglob("*") if f.is_file()]
         assert not [f for f in files if f.name.endswith(".tmp")]
         written = sorted(str(f.relative_to(tmp_path)) for f in files if f.suffix == ".json")
-        assert written == ["fam/member_0000.json", "fam/member_0001.json", "fam/member_0002.json",
-                           "fam/meta.json", "o/run.json", "o/tuple.json", "t.json"]
+        assert written == ["b/run.json", "fam/member_0000.json", "fam/member_0001.json",
+                           "fam/member_0002.json", "fam/meta.json", "o/run.json", "o/tuple.json",
+                           "t.json"]
+        # csv.writer's CRLF line ends reach the file unchanged
+        count = (tmp_path / "b" / "count_bounds.csv").read_bytes()
+        assert count.startswith(b"n,N,delta,log_packing_bound,log_net_bound\r\n")
         for f in files:
             if f.suffix == ".json":
                 json.loads(f.read_text(), parse_constant=reject)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_declared_files_are_the_files_written(self, tmp_path, command):
+        # small-size params for every command; a new command must add its own
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        tpath, gpath = inputs / "pauli.json", tmp_path / "group.json"
+        qx.save_tuple(tpath, qx.pauli_tuple())
+        gpath.write_text(json.dumps(qx.cyclic_group(3).to_json()))
+        t = str(tpath)
+        params = {
+            "sample-haar": {"n": 2, "N": 3},
+            "cayley": {"group": str(gpath)},
+            "certify": {"tuple": t},
+            "gap": {"tuple": t},
+            "mix": {"tuple": t, "steps": 3},
+            "separate": {"u": t, "v": t},
+            "orbit-dist": {"u": t, "v": t, "restarts": 2},
+            "strong-sep": {"u": t, "v": t, "restarts": 1},
+            "norming": {"tuple": t, "restarts": 2},
+            "delta-overlap": {"tuple": t},
+            "dcb-bound": {"delta_strong": 0.5, "overlap": 0.1, "n": 4},
+            "pack": {"n": 2, "N": 3, "eps": 0.0, "delta": 0.0, "max_samples": 3},
+            "cover": {"tuples": str(inputs), "radius": 1.0},
+            "bounds": {"n": 2, "N": 3, "eps_grid": "0.3", "delta_grid": "0.1"},
+            "subgauss": {"n": 2, "N": 3, "samples": 100},
+            "appendix": {"experiment": "dominance", "n": 2, "N": 3, "samples": 10},
+            "validate": {"tuple": t},
+        }[command]
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON token {token}")
+
+        out = tmp_path / "o"
+        run(make_config(command, params, out))
+        record = json.loads((out / "run.json").read_text())
+        assert record["status"] == "ok" and record["artifacts"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(["run.json", *record["artifacts"]])
+        for f in out.glob("*.json"):
+            json.loads(f.read_text(), parse_constant=reject)
 
     def test_sample_haar_and_validate(self, tmp_path):
         rec = run(make_config("sample-haar", {"n": 2, "N": 3}, tmp_path / "o", seed=3))
