@@ -482,7 +482,10 @@ def run(config: ExperimentConfig) -> RunRecord:
     """
     handler, claim = COMMANDS[config.command]
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{out}: cannot make output directory: {exc.strerror or exc}") from exc
     started = _now()
     try:
         files, summary = handler(config)
@@ -547,7 +550,7 @@ def _coerce(key: str, raw: str):
 
 def config_from_args(args) -> ExperimentConfig:
     if args.config is not None:
-        return _load_json(args.config, ExperimentConfig.from_json, ConfigError)
+        return _load_json(args.config, lambda text: ExperimentConfig.from_json(json.loads(text)), ConfigError)
     if not args.command:
         raise ConfigError("no command given (and no --config)")
     params = {}

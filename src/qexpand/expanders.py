@@ -7,6 +7,7 @@ and the slack over the Ramanujan value 2 sqrt(n-1).
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -125,7 +126,7 @@ class GroupPresentation:
 
     @classmethod
     def load(cls, path) -> "GroupPresentation":
-        return _load_json(path, cls.from_json, TupleFormatError)
+        return _load_json(path, lambda text: cls.from_json(json.loads(text)), TupleFormatError)
 
 
 def cyclic_group(m: int, steps=(1, -1)) -> GroupPresentation:

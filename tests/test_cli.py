@@ -156,6 +156,26 @@ class TestRun:
         err = capsys.readouterr().err.strip()
         assert err == "error: " + json.loads((out / "run.json").read_text())["error"]
 
+    def test_out_dir_that_is_a_file_is_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "afile"
+        out.write_text("kept")
+        assert main(["--out", str(out), "sample-haar", "-p", "n=2", "-p", "N=3"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {out}: ")
+        assert out.read_text() == "kept"
+
+    @pytest.mark.parametrize("taken", ["tuple.json", "tuple.json.tmp"])
+    def test_file_name_taken_by_a_directory_is_one_line_error(self, tmp_path, capsys, taken):
+        # an artifact's own name, or the temp name it is written through first
+        out = tmp_path / "o"
+        (out / taken).mkdir(parents=True)
+        assert main(["--out", str(out), "sample-haar", "-p", "n=2", "-p", "N=3"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {out / 'tuple.json'}: ")
+        rec = json.loads((out / "run.json").read_text())
+        assert rec["status"] == "failed" and rec["error"] == err[0][len("error: "):]
+        assert sorted(p.name for p in out.iterdir()) == ["run.json", taken]
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_is_one_line_error(self, tmp_path, capsys, tol):
         tpath = tmp_path / "pauli.json"

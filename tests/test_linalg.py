@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -343,6 +344,74 @@ class TestTupleFiles:
         p.write_text('{"n": 1, "N": 1, "unitray": true, "matrices": [[[1, 0]]]}')
         with pytest.raises(TupleFormatError, match=r"unknown tuple keys: \['unitray'\]"):
             qx.load_tuple(p)
+
+
+    @pytest.mark.parametrize("n, N", [(1, 1), (2, 3), (4, 48)])
+    def test_saved_bytes_are_json_dumps_bytes(self, tmp_path, n, N):
+        # the base64 payload skips json's escape pass, in the same bytes
+        t = qx.haar_tuple(n, N, np.random.default_rng(7))
+        p = tmp_path / "t.json"
+        qx.save_tuple(p, t)
+        want = json.dumps(t.to_json(), indent=2, allow_nan=False) + "\n"
+        assert p.read_bytes() == want.encode("ascii")
+
+
+class TestTupleMemo:
+    """``load_tuple`` memoizes the parse on the file's exact text."""
+
+    @staticmethod
+    def fresh_parse(p):
+        return qx.MatrixTuple.from_json(json.loads(p.read_text()))
+
+    def test_same_size_rewrite_with_old_times_loads_new_content(self, tmp_path):
+        p = tmp_path / "t.json"
+        old, new = (qx.haar_tuple(2, 3, np.random.default_rng(s)) for s in (1, 2))
+        qx.save_tuple(p, old)
+        st = p.stat()
+        assert np.array_equal(qx.load_tuple(p).mats, old.mats)
+        qx.save_tuple(p, new)
+        os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert p.stat().st_size == st.st_size and p.stat().st_mtime_ns == st.st_mtime_ns
+        back = qx.load_tuple(p)  # a cache keyed on path, size and times returns `old` here
+        assert np.array_equal(back.mats, new.mats)
+        assert back.mats.view(np.uint64).tolist() == self.fresh_parse(p).mats.view(np.uint64).tolist()
+
+    def test_bad_file_fails_every_time_until_fixed(self, tmp_path):
+        p = tmp_path / "t.json"
+        p.write_text('{"n": 1, "N": 1, "matrices_b64": "AAAAAAAA8D8="}')
+        lines = []
+        for _ in range(2):
+            with pytest.raises(TupleFormatError) as exc:
+                qx.load_tuple(p)
+            lines.append(str(exc.value))
+        assert lines[0] == lines[1] and lines[0].startswith(f"{p}: ")
+        assert len(lines[0].splitlines()) == 1
+        t = qx.haar_tuple(1, 1, np.random.default_rng(3))
+        qx.save_tuple(p, t)
+        assert np.array_equal(qx.load_tuple(p).mats, t.mats)
+
+    def test_same_content_under_two_paths(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        t = qx.haar_tuple(3, 4, np.random.default_rng(4))
+        qx.save_tuple(a, t)
+        b.write_bytes(a.read_bytes())
+        bits = [qx.load_tuple(p).mats.view(np.uint64).tolist() for p in (a, b)]
+        assert bits[0] == bits[1] == self.fresh_parse(b).mats.view(np.uint64).tolist()
+        for p in (a, b):
+            p.write_text('{"n": 1, "N": 1, "unitray": true, "matrices": [[[1, 0]]]}')
+        for p, other in ((a, b), (b, a)):
+            with pytest.raises(TupleFormatError) as exc:
+                qx.load_tuple(p)
+            assert str(exc.value).startswith(f"{p}: ") and str(other) not in str(exc.value)
+
+    def test_returned_mats_stay_read_only(self, tmp_path):
+        p = tmp_path / "t.json"
+        qx.save_tuple(p, qx.haar_tuple(2, 2, np.random.default_rng(5)))
+        for _ in range(2):
+            back = qx.load_tuple(p)
+            assert not back.mats.flags.writeable
+            with pytest.raises(ValueError):
+                back.mats[0, 0, 0] = 0
 
 
 def test_as_square_matrix_rejects_rectangles():
