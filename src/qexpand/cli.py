@@ -1,23 +1,27 @@
 """Reproducible command-line front end.
 
-Every command handler is a pure function of its configuration and the tool
-version: it returns its files as ``{file name: content}`` plus a summary, and
-fixed seeds reproduce all numeric outputs bit-exactly. ``run`` writes the
-files, in order, then ``run.json`` (configuration, timestamps, artifact list,
-summary metrics, the claim the command exercises and a status); a run that
-fails with a ``QexError`` or a ``ValueError`` leaves a ``run.json`` with
-status "failed" and the error line. An unknown command or param key, or a
-mistyped or non-finite param, is a ``ConfigError`` when the frozen
-``ExperimentConfig`` is built. JSON files are read by ``linalg._load_json``
-(a bad file is one error line that names it), and every file, CSV included,
-is written by ``linalg._write_file``: strict JSON, CSV rows or a tuple, to a
-temp file that is then moved into place, so no reader sees it half-written.
+Every command handler is a pure function of its seed and its params, which
+are its keyword-only arguments: the command's one param declaration, each
+with its default or none if required (``appendix`` has one handler per
+``experiment``); ``qex CMD --help`` lists them. A handler returns its files
+as ``{file name: content}`` plus a summary, and fixed seeds reproduce all
+numeric outputs bit-exactly. ``ExperimentConfig`` checks each config against
+the declaration when it is built, before any output directory exists: an
+unknown command or undeclared key, a missing required key, or a mistyped or
+non-finite value is a ``ConfigError``. ``run`` passes the handler the given
+values over the defaults, writes its files, in order, then ``run.json``
+(configuration as given, those values as ``resolved_params``, timestamps,
+artifacts, summary, claim and status); a run that fails with a ``QexError``
+or a ``ValueError`` leaves status "failed" and the error line. JSON files
+are read by ``linalg._load_json``, and every file is written atomically, as
+strict JSON, CSV rows or a tuple, by ``linalg._write_file``.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import glob
+import inspect
 import json
 import math
 import sys
@@ -49,7 +53,7 @@ from .geometry import (
     separation,
     strong_separation_estimate,
 )
-from .linalg import MatrixTuple, RngSpec, _load_json, _write_file, load_tuple
+from .linalg import MatrixTuple, RngSpec, _load_json, _make_dir, _write_file, load_tuple
 from .packing import (
     greedy_cover,
     greedy_pack,
@@ -76,6 +80,34 @@ _PARAM_TYPES = {
     "metric": str, "method": str, "experiment": str, "coeffs": str,
     "eps_grid": str, "delta_grid": str,
 }
+_REQUIRED = inspect.Parameter.empty  # the default of a declared param that has none
+
+
+@functools.cache
+def _declared(handler) -> dict:
+    """A handler's params: its keyword-only arguments and their defaults (or _REQUIRED)."""
+    params = inspect.signature(handler).parameters.values()
+    return {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
+
+
+def _resolve(command: str, params: Mapping) -> tuple:
+    """The handler that runs ``command`` on ``params``, and every param declared
+    for it: its value as given, else its default (``_REQUIRED`` if it has none).
+
+    ``appendix`` has one handler per experiment, picked by its required
+    ``experiment`` param.
+    """
+    handler, declared = COMMANDS[command][0], {}
+    if isinstance(handler, dict):
+        experiment = params.get("experiment")
+        if not isinstance(experiment, str) or experiment not in handler:
+            raise ConfigError(
+                f"command {command!r} requires param 'experiment'" if experiment is None
+                else f"unknown {command} experiment {experiment!r}"
+            )
+        handler, declared = handler[experiment], {"experiment": _REQUIRED}
+    declared.update(_declared(handler))
+    return handler, {key: params.get(key, default) for key, default in declared.items()}
 
 
 @dataclass(frozen=True)
@@ -87,26 +119,35 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # every config (flags, config file or Python) passes here, so no run
-        # and no run.json ever sees an unknown key, a mistyped value or a
-        # non-finite float; the config is frozen and params a read-only copy,
-        # so none can be put in after the check either
+        # and no run.json ever sees an undeclared or missing key, a mistyped
+        # value or a non-finite float; the config is frozen and params a
+        # read-only copy, so none can be put in after the check either
         if not isinstance(self.command, str) or self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if not isinstance(self.params, Mapping):
             raise ConfigError("params must be an object")
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        _, resolved = _resolve(self.command, self.params)
         for key, val in self.params.items():
-            want = _PARAM_TYPES.get(key)
-            if want is None:
-                raise ConfigError(f"unknown param key {key!r}")
+            if key not in resolved:
+                raise ConfigError(f"command {self.command!r} does not take param {key!r}")
+            want = _PARAM_TYPES[key]
             if not isinstance(val, (int, float) if want is float else want) or isinstance(val, bool):
                 raise ConfigError(f"param {key!r} must be {want.__name__}, got {val!r}")
             if isinstance(val, float) and not math.isfinite(val):
                 raise ConfigError(f"param {key!r} must be finite, got {val!r}")
+        for key, val in resolved.items():
+            if val is _REQUIRED:
+                raise ConfigError(f"command {self.command!r} requires param {key!r}")
         if not isinstance(self.seed, RngSpec):
             raise ConfigError(f"seed must be an RngSpec, got {self.seed!r}")
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
+
+    @property
+    def resolved_params(self) -> dict:
+        """Every param declared for this run: its value as given, else its default."""
+        return _resolve(self.command, self.params)[1]
 
     def to_json(self) -> dict:
         return {
@@ -118,14 +159,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        if not isinstance(obj, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = set(obj) - {"command", "params", "seed", "out_dir"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("command", "params", "seed", "out_dir"):
-            if key not in obj:
-                raise ConfigError(f"config missing key '{key}'")
+        keys = ["command", "out_dir", "params", "seed"]
+        if not isinstance(obj, dict) or sorted(obj) != keys:
+            got = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+            raise ConfigError(f"config must be a JSON object with the keys {keys}, got {got}")
         try:
             seed = RngSpec.from_json(obj["seed"])
         except (KeyError, ValueError, TypeError) as exc:
@@ -140,24 +177,20 @@ class RunRecord:
     finished: str
     artifacts: list[str]
     summary: dict
-    tool_version: str = __version__
     claim: str = ""
     error: str | None = None
-
-    @property
-    def status(self) -> str:
-        return "ok" if self.error is None else "failed"
 
     def to_json(self) -> dict:
         out = {
             "config": self.config.to_json(),
+            "resolved_params": self.config.resolved_params,
             "started": self.started,
             "finished": self.finished,
             "artifacts": list(self.artifacts),
             "summary": self.summary,
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
             "claim": self.claim,
-            "status": self.status,
+            "status": "ok" if self.error is None else "failed",
         }
         if self.error is not None:
             out["error"] = self.error
@@ -168,49 +201,25 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _need(cfg: ExperimentConfig, *keys):
-    for key in keys:
-        if key not in cfg.params:
-            raise ConfigError(f"command '{cfg.command}' requires param '{key}'")
-    return [cfg.params[k] for k in keys]
-
-
-def _get(cfg, key, default):
-    return cfg.params.get(key, default)
-
-
 def _g17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _load(cfg, key) -> MatrixTuple:
-    (path,) = _need(cfg, key)
-    return load_tuple(path)
+# --- command handlers: each takes the seed and its declared params, and
+# returns ({file name: content}, summary dict) ---------------------------------
 
-
-# --- command handlers: each returns ({file name: content}, summary dict) -----
-
-def _cmd_sample_haar(cfg):
-    n, N = _need(cfg, "n", "N")
-    t = haar_tuple(n, N, cfg.seed.generator())
+def _cmd_sample_haar(seed, *, n, N):
+    t = haar_tuple(n, N, seed.generator())
     return {"tuple.json": t}, {"n": n, "N": N, "unitarity_residual": t.unitarity_residual()}
 
 
-def _cmd_cayley(cfg):
-    (gpath,) = _need(cfg, "group")
-    g = GroupPresentation.load(gpath)
-    t = cayley_regular_tuple(g)
-    return {"tuple.json": t}, {"n": g.n, "N": g.order, "classical_gap": classical_gap(g)}
+def _cmd_cayley(seed, *, group):
+    g = GroupPresentation.load(group)
+    return {"tuple.json": cayley_regular_tuple(g)}, {"n": g.n, "N": g.order, "classical_gap": classical_gap(g)}
 
 
-def _cmd_certify(cfg):
-    t = _load(cfg, "tuple")
-    cert = certify(
-        t,
-        tol=_get(cfg, "tol", 1e-10),
-        method=_get(cfg, "method", "auto"),
-        rng=cfg.seed.generator(),
-    )
+def _cmd_certify(seed, *, tuple, tol=1e-10, method="auto"):
+    cert = certify(load_tuple(tuple), tol=tol, method=method, rng=seed.generator())
     return {"certificate.json": cert.to_json()}, {
         "epsilon": cert.epsilon,
         "ramanujan_slack": cert.ramanujan_slack,
@@ -218,44 +227,33 @@ def _cmd_certify(cfg):
     }
 
 
-def _cmd_gap(cfg):
-    t = _load(cfg, "tuple")
-    rep = spectral_gap(
-        t,
-        method=_get(cfg, "method", "auto"),
-        tol=_get(cfg, "tol", 1e-10),
-        rng=cfg.seed.generator(),
-    )
+def _cmd_gap(seed, *, tuple, method="auto", tol=1e-10):
+    rep = spectral_gap(load_tuple(tuple), method=method, tol=tol, rng=seed.generator())
     files = {"gap.json": rep.to_json()}
     if rep.top_vector is not None:
         files["witness.json"] = MatrixTuple(rep.top_vector[None])
     return files, {"value": rep.value, "method": rep.method}
 
 
-def _cmd_mix(cfg):
-    t = _load(cfg, "tuple")
-    steps = _get(cfg, "steps", 50)
-    if "x0" in cfg.params:
-        x0 = load_tuple(cfg.params["x0"])[0]
+def _cmd_mix(seed, *, tuple, steps=50, x0=None):
+    t = load_tuple(tuple)
+    if x0 is not None:
+        start = load_tuple(x0)[0]
     else:
-        gen = cfg.seed.generator()
-        x0 = gen.standard_normal((t.dim, t.dim)) + 1j * gen.standard_normal((t.dim, t.dim))
-    curve = mixing_curve(t, x0, steps)
+        gen = seed.generator()
+        start = gen.standard_normal((t.dim, t.dim)) + 1j * gen.standard_normal((t.dim, t.dim))
+    curve = mixing_curve(t, start, steps)
     rows = [["k", "residual"]] + [[k, _g17(r)] for k, r in enumerate(curve)]
     return {"mix.csv": rows}, {"steps": steps, "final_residual": float(curve[-1])}
 
 
-def _cmd_separate(cfg):
-    u, v = _load(cfg, "u"), _load(cfg, "v")
-    rep = separation(u, v, method=_get(cfg, "method", "auto"), rng=cfg.seed.generator())
+def _cmd_separate(seed, *, u, v, method="auto"):
+    rep = separation(load_tuple(u), load_tuple(v), method=method, rng=seed.generator())
     return {"separation.json": rep.to_json()}, {"delta": rep.delta, "norm_value": rep.norm_value}
 
 
-def _cmd_orbit_dist(cfg):
-    u, v = _load(cfg, "u"), _load(cfg, "v")
-    rep = orbit_distance(
-        u, v, restarts=_get(cfg, "restarts", 20), rng=cfg.seed.generator()
-    )
+def _cmd_orbit_dist(seed, *, u, v, restarts=20):
+    rep = orbit_distance(load_tuple(u), load_tuple(v), restarts=restarts, rng=seed.generator())
     return {"orbit.json": rep.to_json()}, {
         "upper": rep.upper,
         "lower": rep.lower,
@@ -264,10 +262,9 @@ def _cmd_orbit_dist(cfg):
     }
 
 
-def _cmd_strong_sep(cfg):
-    u, v = _load(cfg, "u"), _load(cfg, "v")
+def _cmd_strong_sep(seed, *, u, v, restarts=20):
     est = strong_separation_estimate(
-        u, v, restarts=_get(cfg, "restarts", 20), rng=cfg.seed.generator()
+        load_tuple(u), load_tuple(v), restarts=restarts, rng=seed.generator()
     )
     payload = {
         "estimate_norm_over_n": est,
@@ -277,25 +274,22 @@ def _cmd_strong_sep(cfg):
     return {"strong.json": payload}, payload
 
 
-def _cmd_norming(cfg):
-    x = _load(cfg, "tuple")
-    v, attained = find_norming_tuple(
-        x, restarts=_get(cfg, "restarts", 20), rng=cfg.seed.generator()
-    )
+def _cmd_norming(seed, *, tuple, restarts=20):
+    x = load_tuple(tuple)
+    v, attained = find_norming_tuple(x, restarts=restarts, rng=seed.generator())
     return {
         "norming_witness.json": v,
         "norming.json": {"attained": attained, "n": x.n, "witness": "norming_witness.json"},
     }, {"attained": attained}
 
 
-def _cmd_delta_overlap(cfg):
-    t = _load(cfg, "tuple")
+def _cmd_delta_overlap(seed, *, tuple):
+    t = load_tuple(tuple)
     val = delta_overlap(t)
     return {"overlap.json": {"overlap": val, "n": t.n, "N": t.dim}}, {"overlap": val}
 
 
-def _cmd_dcb_bound(cfg):
-    delta_strong, overlap, n = _need(cfg, "delta_strong", "overlap", "n")
+def _cmd_dcb_bound(seed, *, delta_strong, overlap, n):
     bound = dcb_lower_bound(delta_strong, overlap, n)
     payload = {
         "bound": bound,
@@ -306,9 +300,8 @@ def _cmd_dcb_bound(cfg):
     return {"dcb.json": payload}, {"bound": bound}
 
 
-def _cmd_pack(cfg):
-    n, N, eps, delta, max_samples = _need(cfg, "n", "N", "eps", "delta", "max_samples")
-    fam = greedy_pack(n, N, eps, delta, max_samples, cfg.seed)
+def _cmd_pack(seed, *, n, N, eps, delta, max_samples):
+    fam = greedy_pack(n, N, eps, delta, max_samples, seed)
     return fam.files(), {
         "members": fam.count,
         "rejected": fam.rejected_count,
@@ -320,29 +313,20 @@ def _cmd_pack(cfg):
     }
 
 
-def _cmd_cover(cfg):
-    (pattern,) = _need(cfg, "tuples")
-    radius = _need(cfg, "radius")[0]
-    files = sorted(map(Path, glob.glob(pattern, recursive=True))) if any(
-        ch in pattern for ch in "*?["
-    ) else sorted(Path(pattern).glob("*.json"))
+def _cmd_cover(seed, *, tuples, radius, metric="d"):
+    files = sorted(map(Path, glob.glob(tuples, recursive=True))) if any(
+        ch in tuples for ch in "*?["
+    ) else sorted(Path(tuples).glob("*.json"))
     points = [load_tuple(p) for p in files if p.name not in ("meta.json", "run.json")]
     if not points:
-        raise ConfigError(f"no tuple files matched {pattern!r}")
-    est = greedy_cover(points, radius, metric=_get(cfg, "metric", "d"), rng=cfg.seed.generator())
+        raise ConfigError(f"no tuple files matched {tuples!r}")
+    est = greedy_cover(points, radius, metric=metric, rng=seed.generator())
     return {"cover.json": est.to_json()}, {"count": est.count, "radius": radius}
 
 
-def _parse_grid(raw, default):
-    if raw is None:
-        return default
-    return [float(x) for x in str(raw).split(",") if x]
-
-
-def _cmd_bounds(cfg):
-    n, N = _need(cfg, "n", "N")
-    eps_grid = _parse_grid(_get(cfg, "eps_grid", None), [0.1, 0.3, 0.5, 0.7])
-    delta_grid = _parse_grid(_get(cfg, "delta_grid", None), [0.01, 0.05, 0.1, 0.2, 0.5])
+def _cmd_bounds(seed, *, n, N, eps_grid="0.1,0.3,0.5,0.7", delta_grid="0.01,0.05,0.1,0.2,0.5"):
+    eps_grid = [float(x) for x in eps_grid.split(",") if x]
+    delta_grid = [float(x) for x in delta_grid.split(",") if x]
     files = {
         "radius.csv": [["eps", "delta", "value"]] + [
             [_g17(e), _g17(d), _g17(near_norming_radius(e, d))]
@@ -365,9 +349,8 @@ def _cmd_bounds(cfg):
     }
 
 
-def _cmd_subgauss(cfg):
-    n, N, samples = _need(cfg, "n", "N", "samples")
-    rep = subgaussian_tail_check(n, N, samples, cfg.seed)
+def _cmd_subgauss(seed, *, n, N, samples):
+    rep = subgaussian_tail_check(n, N, samples, seed)
     return {"subgauss.csv": rep.to_csv_rows()}, {
         "b_n": rep.b_n,
         "k_hat": rep.k_hat,
@@ -379,68 +362,66 @@ def _cmd_subgauss(cfg):
 def _parse_coeffs(raw, n):
     if raw is None:
         return [1.0] * n
-    vals = [complex(x) for x in str(raw).split(",") if x]
+    vals = [complex(x) for x in raw.split(",") if x]
     if len(vals) != n:
         raise ConfigError(f"coeffs has {len(vals)} entries, expected n={n}")
     return vals
 
 
-def _cmd_appendix(cfg):
-    (experiment,) = _need(cfg, "experiment")
-    N = _get(cfg, "N", 16)
-    samples = _get(cfg, "samples", 20)
-    if experiment == "chi":
-        rep = chi_n_estimate(N, samples, cfg.seed)
-        rows = [
-            ["N", "samples", "estimate", "ci_lo", "ci_hi"],
-            [N, samples, _g17(rep.value), _g17(rep.ci_lo), _g17(rep.ci_hi)],
-        ]
-        return {"chi.csv": rows}, {"estimate": rep.value, "ci_lo": rep.ci_lo, "ci_hi": rep.ci_hi}
-    if experiment == "twirl":
-        rep = twirl_identity_check(N, samples, cfg.seed)
-        return {"twirl.json": rep.to_json()}, rep.to_json()
-    n = _get(cfg, "n", 4)
-    coeffs = _parse_coeffs(_get(cfg, "coeffs", None), n)
-    if experiment in ("dominance", "hastings"):
-        uni = unitary_sum_norm(coeffs, N, samples, cfg.seed.stream(1))
-        summary = {
-            "unitary_mean": uni.mean_norm,
-            "unitary_std": uni.std_norm,
-            "unconverged": uni.unconverged,
-        }
-        rows = [["sample", "unitary_norm"]] + [
-            [i, _g17(v)] for i, v in enumerate(uni.values)
-        ]
-        if experiment == "dominance":
-            gau = gaussian_decoupled_norm(coeffs, N, samples, cfg.seed.stream(2))
-            lo, hi = bootstrap_mean_ci(uni.values, cfg.seed.substream(9))
-            summary["unconverged"] += gau.unconverged
-            summary.update(
-                {
-                    "gaussian_mean": gau.mean_norm,
-                    "dominance_ratio": uni.mean_norm / gau.mean_norm,
-                    "unitary_mean_ci_lo": lo,
-                    "unitary_mean_ci_hi": hi,
-                    "ci_note": "bootstrap CI, non-rigorous",
-                }
-            )
-            rows = [["sample", "unitary_norm", "gaussian_norm"]] + [
-                [i, _g17(a), _g17(b)]
-                for i, (a, b) in enumerate(zip(uni.values, gau.values))
-            ]
-        return {f"{experiment}.csv": rows}, summary
-    if experiment == "matrix-coeff":
-        k = _get(cfg, "k", 2)
-        blocks = [np.eye(k) * c for c in coeffs]
-        rep = matrix_coefficient_sum(blocks, N, samples, cfg.seed)
-        return {"matrix_coeff.json": rep.to_json()}, {
-            "mean_norm": rep.mean_norm, "rhs": rep.rhs, "unconverged": rep.unconverged
-        }
-    raise ConfigError(f"unknown appendix experiment {experiment!r}")
+def _apx_chi(seed, *, N=16, samples=20):
+    rep = chi_n_estimate(N, samples, seed)
+    rows = [
+        ["N", "samples", "estimate", "ci_lo", "ci_hi"],
+        [N, samples, _g17(rep.value), _g17(rep.ci_lo), _g17(rep.ci_hi)],
+    ]
+    return {"chi.csv": rows}, {"estimate": rep.value, "ci_lo": rep.ci_lo, "ci_hi": rep.ci_hi}
 
 
-def _cmd_validate(cfg):
-    t = _load(cfg, "tuple")
+def _apx_twirl(seed, *, N=16, samples=20):
+    rep = twirl_identity_check(N, samples, seed)
+    return {"twirl.json": rep.to_json()}, rep.to_json()
+
+
+def _apx_hastings(seed, *, n=4, N=16, samples=20, coeffs=None):
+    uni = unitary_sum_norm(_parse_coeffs(coeffs, n), N, samples, seed.stream(1))
+    rows = [["sample", "unitary_norm"]] + [[i, _g17(v)] for i, v in enumerate(uni.values)]
+    return {"hastings.csv": rows}, {
+        "unitary_mean": uni.mean_norm,
+        "unitary_std": uni.std_norm,
+        "unconverged": uni.unconverged,
+    }
+
+
+def _apx_dominance(seed, *, n=4, N=16, samples=20, coeffs=None):
+    coeffs = _parse_coeffs(coeffs, n)
+    uni = unitary_sum_norm(coeffs, N, samples, seed.stream(1))
+    gau = gaussian_decoupled_norm(coeffs, N, samples, seed.stream(2))
+    lo, hi = bootstrap_mean_ci(uni.values, seed.substream(9))
+    rows = [["sample", "unitary_norm", "gaussian_norm"]] + [
+        [i, _g17(a), _g17(b)] for i, (a, b) in enumerate(zip(uni.values, gau.values))
+    ]
+    return {"dominance.csv": rows}, {
+        "unitary_mean": uni.mean_norm,
+        "unitary_std": uni.std_norm,
+        "unconverged": uni.unconverged + gau.unconverged,
+        "gaussian_mean": gau.mean_norm,
+        "dominance_ratio": uni.mean_norm / gau.mean_norm,
+        "unitary_mean_ci_lo": lo,
+        "unitary_mean_ci_hi": hi,
+        "ci_note": "bootstrap CI, non-rigorous",
+    }
+
+
+def _apx_matrix_coeff(seed, *, n=4, N=16, samples=20, coeffs=None, k=2):
+    blocks = [np.eye(k) * c for c in _parse_coeffs(coeffs, n)]
+    rep = matrix_coefficient_sum(blocks, N, samples, seed)
+    return {"matrix_coeff.json": rep.to_json()}, {
+        "mean_norm": rep.mean_norm, "rhs": rep.rhs, "unconverged": rep.unconverged
+    }
+
+
+def _cmd_validate(seed, *, tuple):
+    t = load_tuple(tuple)
     report = {
         "n": t.n,
         "N": t.dim,
@@ -450,8 +431,8 @@ def _cmd_validate(cfg):
     return {"validate.json": report}, {"n": t.n, "N": t.dim, "unitary": t.unitary}
 
 
-# Each command's handler, returning ({file name: content}, summary dict), and
-# the one-line statement of what it measures, recorded in run.json for traceability.
+# Each command's handler (for appendix, its handler per experiment) and the
+# one-line statement of what it measures, recorded in run.json for traceability.
 COMMANDS = {
     "sample-haar": (_cmd_sample_haar, "independent Haar unitaries via the Ginibre polar factor"),
     "cayley": (_cmd_cayley, "regular-representation tuple of a finite group presentation"),
@@ -468,7 +449,11 @@ COMMANDS = {
     "cover": (_cmd_cover, "farthest-point covering estimate of a tuple cloud"),
     "bounds": (_cmd_bounds, "closed-form packing/net count bounds and separation radii"),
     "subgauss": (_cmd_subgauss, "subGaussian tail check for sums of unitary traces"),
-    "appendix": (_cmd_appendix, "unitary-vs-Gaussian norm comparison statistics"),
+    "appendix": (
+        {"chi": _apx_chi, "twirl": _apx_twirl, "dominance": _apx_dominance,
+         "hastings": _apx_hastings, "matrix-coeff": _apx_matrix_coeff},
+        "unitary-vs-Gaussian norm comparison statistics",
+    ),
     "validate": (_cmd_validate, "tuple file schema and unitarity validation"),
 }
 
@@ -480,29 +465,19 @@ def run(config: ExperimentConfig) -> RunRecord:
     float on its way into a JSON file) is re-raised after a run.json with
     status "failed" and the error line is written.
     """
-    handler, claim = COMMANDS[config.command]
-    out = Path(config.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"{out}: cannot make output directory: {exc.strerror or exc}") from exc
+    handler, resolved = _resolve(config.command, config.params)
+    claim = COMMANDS[config.command][1]
+    out = _make_dir(config.out_dir)
     started = _now()
     try:
-        files, summary = handler(config)
+        files, summary = handler(config.seed, **{key: resolved[key] for key in _declared(handler)})
         for name, content in files.items():
             _write_file(out / name, content)
     except (QexError, ValueError) as exc:
         failed = RunRecord(config, started, _now(), [], {}, claim=claim, error=str(exc))
         _write_file(out / "run.json", failed.to_json())
         raise
-    record = RunRecord(
-        config=config,
-        started=started,
-        finished=_now(),
-        artifacts=list(files),
-        summary=_json_safe(summary),
-        claim=claim,
-    )
+    record = RunRecord(config, started, _now(), list(files), _json_safe(summary), claim=claim)
     _write_file(out / "run.json", record.to_json())
     return record
 
@@ -522,16 +497,24 @@ def _json_safe(obj):
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The ``qex`` parser, built once per process (parsing does not change it)."""
-    parser = argparse.ArgumentParser(
-        prog="qex", description="quantum expander toolkit"
-    )
+    parser = argparse.ArgumentParser(prog="qex", description="quantum expander toolkit")
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument("--stream-id", type=int, default=0, help="RNG stream id")
     parser.add_argument("--out", type=str, default="out", help="output directory")
     parser.add_argument("--config", type=str, default=None, help="JSON config overriding flags")
     sub = parser.add_subparsers(dest="command")
-    for name, (_, claim) in COMMANDS.items():
-        p = sub.add_parser(name, help=claim)
+    for name, (handler, claim) in COMMANDS.items():
+        handlers = handler.items() if isinstance(handler, dict) else [(None, handler)]
+        lines = [
+            (f"experiment={exp}: " if exp else "") + ", ".join(
+                key if default is _REQUIRED else f"{key}={default}"
+                for key, default in _declared(h).items()
+            ) for exp, h in handlers
+        ]
+        p = sub.add_parser(name, help=claim, description=claim,
+                           epilog="params (those shown without a default are required):\n  "
+                           + "\n  ".join(lines),
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--param", "-p", action="append", default=[],
                        metavar="KEY=VALUE", help="command parameter")
     return parser
@@ -540,8 +523,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _coerce(key: str, raw: str):
     # the type check is ExperimentConfig's; an unknown key stays a string for it
     want = _PARAM_TYPES.get(key, str)
-    if want is str:
-        return raw
     try:
         return want(raw)
     except ValueError as exc:

@@ -208,6 +208,8 @@ def orbit_distance(
     n and run every restart.
     """
     _check_shapes(u, v)
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     u.require_unitary()
     v.require_unitary()
     gen = as_generator(rng)
@@ -216,7 +218,7 @@ def orbit_distance(
     vu = _applier(SuperOperator(v.adjoint(), u.adjoint()))
     f_max = u.n * (1.0 - _ORBIT_CERTIFIED)
     runs = []
-    for r in range(max(restarts, 1)):
+    for r in range(restarts):
         if r == 0:
             U0 = V0 = np.eye(N, dtype=complex)
         else:
@@ -371,6 +373,8 @@ def strong_separation_estimate(
     tuple; only u itself must be unitary.
     """
     _check_shapes(u, v)
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     u.require_unitary()
     gen = as_generator(rng)
     n, N = u.n, u.dim
@@ -383,7 +387,7 @@ def strong_separation_estimate(
         return polar_unitary(d.T).conj().T
 
     best = -math.inf
-    for r in range(max(restarts, 1)):
+    for r in range(restarts):
         if r == 0:
             # channel fixed point: recovers the rotation aligning u with v
             fix = np.eye(N, dtype=complex) / math.sqrt(N)
@@ -453,6 +457,8 @@ def find_norming_tuple(
     before the check and do not depend on it.
     """
     x.require_unitary()
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     gen = as_generator(rng)
     N = x.dim
 
@@ -462,7 +468,7 @@ def find_norming_tuple(
 
     best_val = -math.inf
     best_v = None
-    for r in range(max(restarts, 1)):
+    for r in range(restarts):
         if r == 0:
             xi = np.eye(N, dtype=complex) / math.sqrt(N)
             eta = xi

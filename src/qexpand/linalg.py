@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, QexError, TupleFormatError, UnitarityError
+from .errors import ConfigError, DimensionMismatch, QexError, TupleFormatError, UnitarityError
 
 __all__ = [
     "UNITARY_TOL",
@@ -387,6 +387,16 @@ def _decode_entries(text, n: int, N: int) -> np.ndarray:
         )
     # astype copies the read-only buffer into native-endian floats
     return np.frombuffer(raw, "<f8").astype(float).reshape(n, N * N, 2)
+
+
+def _make_dir(path) -> Path:
+    """Make directory path and its parents, or raise one ConfigError line naming it."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot make output directory: {exc.strerror or exc}") from exc
+    return path
 
 
 def _write_file(path, content, verbatim: str | None = None) -> None:

@@ -20,6 +20,7 @@ from .linalg import (
     MatrixTuple,
     RngSpec,
     _ginibre_stack,
+    _make_dir,
     _write_file,
     ginibre_singular_mean,
     polar_unitary,
@@ -104,8 +105,7 @@ class PackingFamily:
 
     def save(self, out_dir) -> list[Path]:
         """Write ``files()`` into out_dir; returns their paths in that order."""
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _make_dir(out_dir)
         files = self.files()
         for name, content in files.items():
             _write_file(out / name, content)

@@ -84,6 +84,8 @@ def _sum_norm_report(coeffs, a, N, samples, rng, tol, draw, restrict_h0) -> Mome
         raise ValueError(f"N must be positive, got {N}")
     if samples < 10:
         raise ValueError(f"need at least 10 samples, got {samples}")
+    if not a.size or not np.isfinite(a).all():
+        raise ValueError("coeffs must be nonempty and finite")
     n, k = a.shape[:2]
     R = k * N
     vals = np.empty(samples)
@@ -115,8 +117,6 @@ def _sum_norm_report(coeffs, a, N, samples, rng, tol, draw, restrict_h0) -> Mome
 def _scalar_report(coeffs, N, samples, rng, tol, draw, restrict_h0) -> MomentReport:
     """``_sum_norm_report`` for scalar coefficients, with ratio = mean / ||a||_2."""
     coeffs = tuple(complex(c) for c in coeffs)
-    if not coeffs:
-        raise ValueError("coeffs must be nonempty")
     a = np.asarray(coeffs).reshape(-1, 1, 1)
     rep = _sum_norm_report(coeffs, a, N, samples, rng, tol, draw, restrict_h0)
     l2 = math.sqrt(sum(abs(c) ** 2 for c in coeffs))

@@ -1,17 +1,86 @@
 import dataclasses
+import functools
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 import qexpand as qx
-from qexpand.cli import COMMANDS, ExperimentConfig, main, run
+from qexpand.cli import (
+    _PARAM_TYPES,
+    _REQUIRED,
+    COMMANDS,
+    ExperimentConfig,
+    _declared,
+    _resolve,
+    main,
+    run,
+)
 from qexpand.errors import ConfigError
 from qexpand.linalg import RngSpec
 
 
 def make_config(command, params, out_dir, seed=0, stream=0):
     return ExperimentConfig(command, params, RngSpec(seed, stream), str(out_dir))
+
+
+# small-size params for every command, and for appendix for every experiment
+# ("appendix" alone is dominance); a new command must add its own
+SMALL_CASES = ["sample-haar", "cayley", "certify", "gap", "mix", "separate", "orbit-dist",
+               "strong-sep", "norming", "delta-overlap", "dcb-bound", "pack", "cover", "bounds",
+               "subgauss", "appendix", "appendix:chi", "appendix:twirl", "appendix:hastings",
+               "appendix:matrix-coeff", "validate"]
+
+
+def small_params(tmp_path, case):
+    """Params that run ``case`` in well under a second; writes the input files it reads."""
+    inputs = tmp_path / "in"
+    inputs.mkdir(exist_ok=True)
+    tpath, gpath = inputs / "pauli.json", tmp_path / "group.json"
+    qx.save_tuple(tpath, qx.pauli_tuple())
+    gpath.write_text(json.dumps(qx.cyclic_group(3).to_json()))
+    t = str(tpath)
+    return {
+        "sample-haar": {"n": 2, "N": 3},
+        "cayley": {"group": str(gpath)},
+        "certify": {"tuple": t},
+        "gap": {"tuple": t},
+        "mix": {"tuple": t, "steps": 3},
+        "separate": {"u": t, "v": t},
+        "orbit-dist": {"u": t, "v": t, "restarts": 2},
+        "strong-sep": {"u": t, "v": t, "restarts": 1},
+        "norming": {"tuple": t, "restarts": 2},
+        "delta-overlap": {"tuple": t},
+        "dcb-bound": {"delta_strong": 0.5, "overlap": 0.1, "n": 4},
+        "pack": {"n": 2, "N": 3, "eps": 0.0, "delta": 0.0, "max_samples": 3},
+        "cover": {"tuples": str(inputs), "radius": 1.0},
+        "bounds": {"n": 2, "N": 3, "eps_grid": "0.3", "delta_grid": "0.1"},
+        "subgauss": {"n": 2, "N": 3, "samples": 100},
+        "appendix": {"experiment": "dominance", "n": 2, "N": 3, "samples": 10},
+        "appendix:chi": {"experiment": "chi", "N": 4, "samples": 100},
+        "appendix:twirl": {"experiment": "twirl", "N": 2, "samples": 50},
+        "appendix:hastings": {"experiment": "hastings", "n": 2, "N": 3, "samples": 10},
+        "appendix:matrix-coeff": {"experiment": "matrix-coeff", "n": 2, "N": 3, "samples": 10},
+        "validate": {"tuple": t},
+    }[case]
+
+
+def flags(params):
+    return [arg for key, val in params.items() for arg in ("-p", f"{key}={val}")]
+
+
+def declared(command, params):
+    """Each param declared for ``command`` run on ``params``, with its default (or _REQUIRED)."""
+    handler, resolved = _resolve(command, params)
+    selector = {"experiment": _REQUIRED} if "experiment" in resolved else {}
+    return {**selector, **_declared(handler)}
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
 
 
 class TestConfig:
@@ -236,32 +305,7 @@ class TestRun:
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_declared_files_are_the_files_written(self, tmp_path, command):
-        # small-size params for every command; a new command must add its own
-        inputs = tmp_path / "in"
-        inputs.mkdir()
-        tpath, gpath = inputs / "pauli.json", tmp_path / "group.json"
-        qx.save_tuple(tpath, qx.pauli_tuple())
-        gpath.write_text(json.dumps(qx.cyclic_group(3).to_json()))
-        t = str(tpath)
-        params = {
-            "sample-haar": {"n": 2, "N": 3},
-            "cayley": {"group": str(gpath)},
-            "certify": {"tuple": t},
-            "gap": {"tuple": t},
-            "mix": {"tuple": t, "steps": 3},
-            "separate": {"u": t, "v": t},
-            "orbit-dist": {"u": t, "v": t, "restarts": 2},
-            "strong-sep": {"u": t, "v": t, "restarts": 1},
-            "norming": {"tuple": t, "restarts": 2},
-            "delta-overlap": {"tuple": t},
-            "dcb-bound": {"delta_strong": 0.5, "overlap": 0.1, "n": 4},
-            "pack": {"n": 2, "N": 3, "eps": 0.0, "delta": 0.0, "max_samples": 3},
-            "cover": {"tuples": str(inputs), "radius": 1.0},
-            "bounds": {"n": 2, "N": 3, "eps_grid": "0.3", "delta_grid": "0.1"},
-            "subgauss": {"n": 2, "N": 3, "samples": 100},
-            "appendix": {"experiment": "dominance", "n": 2, "N": 3, "samples": 10},
-            "validate": {"tuple": t},
-        }[command]
+        params = small_params(tmp_path, command)
 
         def reject(token):
             raise ValueError(f"non-strict JSON token {token}")
@@ -682,3 +726,166 @@ class TestMain:
         )
         assert code == 1
         assert "dense cap" in capsys.readouterr().err
+
+
+class TestDeclaredParams:
+    """Each handler's keyword-only arguments are its command's one param declaration."""
+
+    def test_small_cases_cover_every_command_and_experiment(self):
+        cases = {tuple(case.split(":")) for case in SMALL_CASES}
+        want = {(name,) for name in COMMANDS}
+        want |= {("appendix", exp) for exp in COMMANDS["appendix"][0] if exp != "dominance"}
+        assert cases == want
+
+    def test_type_table_and_declarations_cover_the_same_keys(self):
+        handlers = [h for h, _ in COMMANDS.values() if not isinstance(h, dict)]
+        handlers += list(COMMANDS["appendix"][0].values())
+        keys = {"experiment"}
+        for handler in handlers:
+            for key, default in _declared(handler).items():
+                keys.add(key)
+                if default is not _REQUIRED and default is not None:
+                    assert isinstance(default, _PARAM_TYPES[key]), (handler, key)
+        assert keys == set(_PARAM_TYPES)
+
+    @pytest.mark.parametrize("case", SMALL_CASES)
+    def test_undeclared_key_is_one_line_error(self, tmp_path, capsys, case):
+        command = case.split(":")[0]
+        params = small_params(tmp_path, case)
+        other = next(key for key in _PARAM_TYPES if key not in declared(command, params))
+        for key in (other, "bogus"):
+            out = tmp_path / "o"
+            assert main(["--out", str(out), command, *flags(params), "-p", f"{key}=1"]) == 1
+            line = one_error_line(capsys)
+            assert line == f"error: command {command!r} does not take param {key!r}"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("case", SMALL_CASES)
+    def test_missing_required_key_is_one_line_error(self, tmp_path, capsys, case):
+        command = case.split(":")[0]
+        params = small_params(tmp_path, case)
+        required = [k for k, default in declared(command, params).items() if default is _REQUIRED]
+        assert required and set(required) <= set(params)
+        for key in required:
+            out = tmp_path / "o"
+            rest = {k: v for k, v in params.items() if k != key}
+            assert main(["--out", str(out), command, *flags(rest)]) == 1
+            line = one_error_line(capsys)
+            assert line == f"error: command {command!r} requires param {key!r}"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("case", SMALL_CASES)
+    def test_resolved_params_are_the_values_the_handler_used(self, tmp_path, monkeypatch, case):
+        command = case.split(":")[0]
+        params = small_params(tmp_path, case)
+        handler, _ = _resolve(command, params)
+        defaults = declared(command, params)
+        calls = []
+
+        @functools.wraps(handler)
+        def recording(seed, **kwargs):
+            calls.append(kwargs)
+            return handler(seed, **kwargs)
+
+        if command == "appendix":
+            monkeypatch.setitem(COMMANDS["appendix"][0], params["experiment"], recording)
+        else:
+            monkeypatch.setitem(COMMANDS, command, (recording, COMMANDS[command][1]))
+        run(make_config(command, params, tmp_path / "a", seed=4))
+        record = json.loads((tmp_path / "a" / "run.json").read_text())
+        assert record["config"]["params"] == params  # kept exactly as given
+        resolved = record["resolved_params"]
+        assert list(resolved) == list(defaults)
+        assert calls == [{k: v for k, v in resolved.items() if k != "experiment"}]
+        assert resolved == {**{k: d for k, d in defaults.items() if d is not _REQUIRED}, **params}
+        # replaying the recorded values, defaults spelled out, writes the same files
+        explicit = {k: v for k, v in resolved.items() if v is not None}
+        run(make_config(command, explicit, tmp_path / "b", seed=4))
+        replay = json.loads((tmp_path / "b" / "run.json").read_text())
+        assert replay["resolved_params"] == resolved
+        for name in record["artifacts"]:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_recorded_defaults(self, tmp_path):
+        # the defaults that shape the numbers reach run.json
+        tpath = tmp_path / "pauli.json"
+        qx.save_tuple(tpath, qx.pauli_tuple())
+        t = str(tpath)
+        for command, params, want in [
+            ("certify", {"tuple": t}, {"tol": 1e-10, "method": "auto"}),
+            ("mix", {"tuple": t}, {"steps": 50, "x0": None}),
+            ("norming", {"tuple": t}, {"restarts": 20}),
+            ("bounds", {"n": 2, "N": 3},
+             {"eps_grid": "0.1,0.3,0.5,0.7", "delta_grid": "0.01,0.05,0.1,0.2,0.5"}),
+        ]:
+            resolved = make_config(command, params, tmp_path / "o").resolved_params
+            assert resolved == {**params, **want}
+        cfg = make_config("appendix", {"experiment": "matrix-coeff"}, tmp_path / "o")
+        assert cfg.resolved_params == {"experiment": "matrix-coeff", "n": 4, "N": 16,
+                                       "samples": 20, "coeffs": None, "k": 2}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--seed", "1", "sample-haar", "-p", "n=2", "-p", "N=3", "-p", "delta_grid=bogus",
+              "-p", "eps=0.3"], "command 'sample-haar' does not take param 'delta_grid'"),
+            (["separate", "-p", "u=t.json", "-p", "v=t.json", "-p", "tol=1e-3"],
+             "command 'separate' does not take param 'tol'"),
+            (["pack", "-p", "n=2"], "command 'pack' requires param 'N'"),
+            (["appendix", "-p", "experiment=chi", "-p", "N=8", "-p", "samples=100", "-p", "k=2"],
+             "command 'appendix' does not take param 'k'"),
+            (["appendix", "-p", "N=8"], "command 'appendix' requires param 'experiment'"),
+            (["appendix", "-p", "experiment=edge"], "unknown appendix experiment 'edge'"),
+        ],
+        ids=["unused-params", "separate-tol", "pack-missing-N", "chi-k", "no-experiment",
+             "unknown-experiment"],
+    )
+    def test_rejected_before_any_output(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), *argv]) == 1
+        assert one_error_line(capsys) == f"error: {message}"
+        assert not out.exists()
+
+    def test_config_file_and_python_config_get_the_same_check(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = {"command": "gap", "params": {"tuple": "t.json", "restarts": 2},
+               "seed": {"seed": 0, "stream_id": 0}, "out_dir": str(out)}
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps(cfg))
+        assert main(["--config", str(cpath)]) == 1
+        # a config file's error line names the file first
+        line = one_error_line(capsys)
+        assert line == f"error: {cpath}: command 'gap' does not take param 'restarts'"
+        with pytest.raises(ConfigError, match="command 'gap' does not take param 'restarts'"):
+            make_config("gap", {"tuple": "t.json", "restarts": 2}, out)
+        with pytest.raises(ConfigError, match="command 'gap' requires param 'tuple'"):
+            make_config("gap", {}, out)
+        for experiment in (5, ["chi"], None):
+            with pytest.raises(ConfigError, match="appendix"):
+                make_config("appendix", {"experiment": experiment}, out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_help_lists_the_declared_params(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+        handler = COMMANDS[command][0]
+        for exp, h in handler.items() if isinstance(handler, dict) else [(None, handler)]:
+            listed = ", ".join(key if default is _REQUIRED else f"{key}={default}"
+                               for key, default in _declared(h).items())
+            assert (f"experiment={exp}: {listed}" if exp else listed) in lines
+
+    @pytest.mark.parametrize("coeffs", ["nan,1,1,1", "1e400,1,1,1"])
+    def test_non_finite_coeffs_are_one_line_error(self, tmp_path, capsys, coeffs):
+        out = tmp_path / "o"
+        argv = ["--out", str(out), "appendix", "-p", "experiment=hastings", "-p", "n=4",
+                "-p", "N=4", "-p", "samples=10", "-p", f"coeffs={coeffs}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
+            assert main(argv) == 1
+        line = one_error_line(capsys)
+        assert line == "error: coeffs must be nonempty and finite"
+        rec = json.loads((out / "run.json").read_text())
+        assert rec["status"] == "failed" and rec["error"] == line[len("error: "):]

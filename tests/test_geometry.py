@@ -201,6 +201,23 @@ class TestOrbitDistance:
             qx.orbit_distance(random_tuple(2, 3, rng), random_tuple(2, 3, rng))
 
 
+@pytest.mark.parametrize("restarts", [0, -1])
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda u, v, restarts: qx.orbit_distance(u, v, restarts=restarts),
+        lambda u, v, restarts: qx.strong_separation_estimate(u, v, restarts=restarts),
+        lambda u, v, restarts: qx.find_norming_tuple(u, restarts=restarts),
+    ],
+    ids=["orbit_distance", "strong_separation_estimate", "find_norming_tuple"],
+)
+def test_restarts_below_one_is_rejected(search, restarts):
+    # a run of one restart must not be recorded as restarts=0
+    u = qx.pauli_tuple()
+    with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+        search(u, u, restarts)
+
+
 class TestBoundFormulas:
     def test_lower_bound_from_separation(self):
         assert qx.lower_bound_from_separation(0.0, 5) == 0.0

@@ -56,6 +56,15 @@ class TestGreedyPack:
         assert np.all(off >= fam.accept_delta)
         assert all(g >= 0 for g in fam.gap_values)
 
+    def test_save_into_a_file_path_is_one_line_error(self, tmp_path):
+        out = tmp_path / "afile"
+        out.write_text("kept")
+        fam = qx.greedy_pack(2, 2, 0.1, 0.1, 3, RngSpec(0))
+        with pytest.raises(qx.ConfigError) as info:
+            fam.save(out)
+        assert str(info.value).startswith(f"{out}: cannot make output directory: ")
+        assert "\n" not in str(info.value) and out.read_text() == "kept"
+
     def test_determinism(self):
         a = qx.greedy_pack(3, 4, 0.02, 0.05, 40, RngSpec(52, 0))
         b = qx.greedy_pack(3, 4, 0.02, 0.05, 40, RngSpec(52, 0))

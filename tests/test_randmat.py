@@ -162,6 +162,21 @@ class TestMatrixCoefficientSum:
             qx.matrix_coefficient_sum([np.eye(2), np.eye(3)], 4, 10, RngSpec(1, 0))
 
 
+class TestNonFiniteCoefficients:
+    # _sum_norm_report checks once, before any draw or solve, and names coeffs
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1, float("-inf"))])
+    def test_scalar_sums(self, bad):
+        with pytest.raises(ValueError, match="coeffs must be nonempty and finite"):
+            qx.unitary_sum_norm([bad, 1, 1, 1], 4, 10, RngSpec(0))
+        with pytest.raises(ValueError, match="coeffs must be nonempty and finite"):
+            qx.gaussian_decoupled_norm([bad, 1], 17, 10, RngSpec(0))
+
+    def test_block_sum(self):
+        blocks = [np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]])]
+        with pytest.raises(ValueError, match="coeffs must be nonempty and finite"):
+            qx.matrix_coefficient_sum(blocks, 3, 10, RngSpec(0))
+
+
 class TestReports:
     def test_moment_report_json(self):
         rep = qx.unitary_sum_norm([1.0], 4, 10, RngSpec(18, 0))
