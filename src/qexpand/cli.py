@@ -365,10 +365,12 @@ def _parse_coeffs(raw, n):
     vals = [complex(x) for x in raw.split(",") if x]
     if len(vals) != n:
         raise ConfigError(f"coeffs has {len(vals)} entries, expected n={n}")
+    if not np.isfinite(vals).all():  # before a caller computes with them
+        raise ValueError("coeffs must be nonempty and finite")
     return vals
 
 
-def _apx_chi(seed, *, N=16, samples=20):
+def _apx_chi(seed, *, N=16, samples=100):
     rep = chi_n_estimate(N, samples, seed)
     rows = [
         ["N", "samples", "estimate", "ci_lo", "ci_hi"],
@@ -377,7 +379,7 @@ def _apx_chi(seed, *, N=16, samples=20):
     return {"chi.csv": rows}, {"estimate": rep.value, "ci_lo": rep.ci_lo, "ci_hi": rep.ci_hi}
 
 
-def _apx_twirl(seed, *, N=16, samples=20):
+def _apx_twirl(seed, *, N=8, samples=20):
     rep = twirl_identity_check(N, samples, seed)
     return {"twirl.json": rep.to_json()}, rep.to_json()
 
@@ -405,7 +407,7 @@ def _apx_dominance(seed, *, n=4, N=16, samples=20, coeffs=None):
         "unitary_std": uni.std_norm,
         "unconverged": uni.unconverged + gau.unconverged,
         "gaussian_mean": gau.mean_norm,
-        "dominance_ratio": uni.mean_norm / gau.mean_norm,
+        "dominance_ratio": uni.mean_norm / gau.mean_norm if gau.mean_norm > 0 else None,
         "unitary_mean_ci_lo": lo,
         "unitary_mean_ci_hi": hi,
         "ci_note": "bootstrap CI, non-rigorous",

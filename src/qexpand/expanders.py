@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TupleFormatError
-from .linalg import MatrixTuple, _haar_stack, _load_json, as_generator, as_square_matrix
+from .linalg import MatrixTuple, _JsonFields, _haar_stack, _load_json, as_generator, as_square_matrix
 from .superop import GapReport, SuperOperator, _applier, center, spectral_gap
 
 __all__ = [
@@ -164,7 +164,7 @@ def classical_gap(g: GroupPresentation) -> float:
 
 
 @dataclass
-class ExpanderCertificate:
+class ExpanderCertificate(_JsonFields):
     """Measured contraction data for a unitary tuple.
 
     eps = 1 - gap/n in [0, 1]; ramanujan_slack = gap - 2 sqrt(n-1).
@@ -175,9 +175,15 @@ class ExpanderCertificate:
     ramanujan_slack: float
     gap: GapReport
 
+    _json_fields = ("n", "N", "epsilon", "ramanujan_slack", "gap")
+
     @property
     def n(self) -> int:
         return self.tuple_ref.n
+
+    @property
+    def N(self) -> int:
+        return self.tuple_ref.dim
 
     def is_expander(self, eps0: float, tol: float = 1e-9) -> bool:
         """Does the tuple contract the trace-zero space by at least eps0?"""
@@ -186,15 +192,6 @@ class ExpanderCertificate:
     def is_ramanujan(self, eps: float, tol: float = 1e-9) -> bool:
         """Is the gap within eps*n of the optimal value 2 sqrt(n-1)?"""
         return self.ramanujan_slack <= eps * self.n + tol
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "N": self.tuple_ref.dim,
-            "epsilon": float(self.epsilon),
-            "ramanujan_slack": float(self.ramanujan_slack),
-            "gap": self.gap.to_json(),
-        }
 
 
 def certify(

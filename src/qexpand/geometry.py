@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BoundViolation, DimensionMismatch, InfeasibleOverlap, NormingOrbitError
-from .linalg import MatrixTuple, as_generator, polar_unitary, sample_haar_unitary
+from .linalg import MatrixTuple, _JsonFields, as_generator, polar_unitary, sample_haar_unitary
 from .superop import SuperOperator, _applier, operator_norm, spectral_gap
 
 __all__ = [
@@ -56,7 +56,7 @@ def tuple_distance(x: MatrixTuple, y: MatrixTuple) -> float:
 
 
 @dataclass
-class SeparationReport:
+class SeparationReport(_JsonFields):
     """Measured pair separation delta = 1 - |T_uv| / sqrt(|T_uu| |T_vv|).
 
     ``method`` and ``single_applies`` are those of the |T_uv| solve.
@@ -71,15 +71,7 @@ class SeparationReport:
     self_norm_v: float = 0.0
     single_applies: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "delta": float(self.delta),
-            "norm_value": float(self.norm_value),
-            "method": self.method,
-            "single_applies": int(self.single_applies),
-            "self_norm_u": float(self.self_norm_u),
-            "self_norm_v": float(self.self_norm_v),
-        }
+    _json_fields = ("delta", "norm_value", "method", "single_applies", "self_norm_u", "self_norm_v")
 
 
 def separation(
@@ -123,7 +115,7 @@ def separation(
 
 
 @dataclass
-class OrbitDistanceReport:
+class OrbitDistanceReport(_JsonFields):
     """Bracketing of the two-sided orbit distance d'(u, v).
 
     ``upper`` is attained by (best_u, best_v): it equals
@@ -143,14 +135,7 @@ class OrbitDistanceReport:
     f_values: tuple[float, ...] = ()
     certified: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "upper": float(self.upper),
-            "lower": float(self.lower),
-            "restarts_used": int(self.restarts_used),
-            "f_best": float(self.f_best),
-            "certified": bool(self.certified),
-        }
+    _json_fields = ("upper", "lower", "restarts_used", "f_best", "certified")
 
 
 _ORBIT_ITERS = 3000  # step cap of one orbit ascent

@@ -440,6 +440,23 @@ def _write_file(path, content, verbatim: str | None = None) -> None:
             tmp.unlink()
 
 
+class _JsonFields:
+    """Report whose JSON form is its attributes named in ``_json_fields``, in that order.
+
+    A value that is None is left out, a value with its own ``to_json`` is
+    written as that, and a numpy scalar as the Python number it holds.
+    """
+
+    def to_json(self) -> dict:
+        out = {}
+        for name in self._json_fields:
+            val = getattr(self, name)
+            if val is not None:
+                out[name] = (val.to_json() if hasattr(val, "to_json")
+                             else val.item() if isinstance(val, np.generic) else val)
+        return out
+
+
 def _load_json(path, parse, error):
     """``parse`` of the text of the file at path.
 

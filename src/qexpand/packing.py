@@ -19,6 +19,7 @@ from .linalg import (
     _BATCH_BYTES,
     MatrixTuple,
     RngSpec,
+    _JsonFields,
     _ginibre_stack,
     _make_dir,
     _write_file,
@@ -197,7 +198,7 @@ def greedy_pack(
 
 
 @dataclass
-class CoverEstimate:
+class CoverEstimate(_JsonFields):
     """Greedy cover of a tuple cloud: every point within radius of a center."""
 
     radius: float
@@ -207,14 +208,7 @@ class CoverEstimate:
     center_indices: list[int] = field(default_factory=list)
     max_assignment_distance: float = 0.0
 
-    def to_json(self) -> dict:
-        return {
-            "radius": float(self.radius),
-            "metric": self.metric,
-            "count": int(self.count),
-            "center_indices": list(self.center_indices),
-            "max_assignment_distance": float(self.max_assignment_distance),
-        }
+    _json_fields = ("radius", "metric", "count", "center_indices", "max_assignment_distance")
 
 
 def _metric_fn(metric: str, rng):
@@ -244,7 +238,7 @@ def greedy_cover(
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     if not points:
-        return CoverEstimate(radius, [], metric, 0)
+        return CoverEstimate(float(radius), [], metric, 0)
     dist = _metric_fn(metric, rng)
     to_cover = np.full(len(points), np.inf)
     centers: list[int] = []
@@ -260,7 +254,7 @@ def greedy_cover(
             break
         next_center = worst
     return CoverEstimate(
-        radius=radius,
+        radius=float(radius),
         centers=[points[i] for i in centers],
         metric=metric,
         count=len(centers),

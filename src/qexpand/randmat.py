@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DenseCapExceeded
-from .linalg import RngSpec, _ginibre_stack, _haar_stack, as_generator, sample_ginibre
+from .linalg import RngSpec, _JsonFields, _ginibre_stack, _haar_stack, as_generator, sample_ginibre
 from .superop import _batch_size, _kron_sums, _norms, center
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
 
 
 @dataclass
-class MomentReport:
+class MomentReport(_JsonFields):
     """Mean/std of a random matrix-sum norm over independent samples.
 
     ``unconverged`` counts the samples whose Lanczos solve stopped at its
@@ -51,22 +51,7 @@ class MomentReport:
     seed: Optional[RngSpec] = None
     unconverged: int = 0
 
-    def to_json(self) -> dict:
-        out = {
-            "n": self.n,
-            "N": self.N,
-            "samples": self.samples,
-            "mean_norm": float(self.mean_norm),
-            "std_norm": float(self.std_norm),
-            "unconverged": self.unconverged,
-        }
-        if self.ratio is not None:
-            out["ratio"] = float(self.ratio)
-        if self.rhs is not None:
-            out["rhs"] = float(self.rhs)
-        if self.seed is not None:
-            out["seed"] = self.seed.to_json()
-        return out
+    _json_fields = ("n", "N", "samples", "mean_norm", "std_norm", "unconverged", "ratio", "rhs", "seed")
 
 
 def _sum_norm_report(coeffs, a, N, samples, rng, tol, draw, restrict_h0) -> MomentReport:
@@ -194,15 +179,6 @@ class ChiReport:
     N: int
     samples: int
 
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "samples": self.samples,
-            "estimate": float(self.value),
-            "ci_lo": float(self.ci_lo),
-            "ci_hi": float(self.ci_hi),
-        }
-
 
 def chi_n_estimate(N: int, samples: int, rng: RngSpec) -> ChiReport:
     """Average of |Y|_ii |Y|_jj over all i != j pairs and Ginibre draws.
@@ -230,7 +206,7 @@ def chi_n_estimate(N: int, samples: int, rng: RngSpec) -> ChiReport:
 
 
 @dataclass
-class TwirlReport:
+class TwirlReport(_JsonFields):
     """Distance of the empirical mean of Y (x) conj(Y) from the identity projection."""
 
     residual: float
@@ -238,13 +214,7 @@ class TwirlReport:
     N: int
     samples: int
 
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "samples": self.samples,
-            "residual": float(self.residual),
-            "centered_residual": float(self.centered_residual),
-        }
+    _json_fields = ("N", "samples", "residual", "centered_residual")
 
 
 def twirl_identity_check(N: int, samples: int, rng: RngSpec) -> TwirlReport:

@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DenseCapExceeded, DimensionMismatch
-from .linalg import MatrixTuple, as_generator
+from .linalg import MatrixTuple, _JsonFields, as_generator
 
 __all__ = [
     "SuperOperator",
@@ -361,7 +361,7 @@ def _batch_size(n: int, R: int, N: int) -> int:
 
 
 @dataclass
-class GapReport:
+class GapReport(_JsonFields):
     """Certified value of a superoperator norm with its witness.
 
     ``value`` is exact for the dense method; for the Lanczos method it is the
@@ -384,14 +384,7 @@ class GapReport:
     single_applies: int = 0
     top_image: Optional[np.ndarray] = field(default=None, repr=False)
 
-    def to_json(self) -> dict:
-        return {
-            "value": float(self.value),
-            "method": self.method,
-            "iterations": int(self.iterations),
-            "single_applies": int(self.single_applies),
-            "residual": float(self.residual),
-        }
+    _json_fields = ("value", "method", "iterations", "single_applies", "residual")
 
 
 def _frob(a: np.ndarray) -> float:

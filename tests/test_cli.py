@@ -451,6 +451,21 @@ class TestRun:
         assert rec.summary["unconverged"] == 0
         assert "ci_note" in rec.summary
 
+    def test_appendix_dominance_with_zero_coeffs(self, tmp_path):
+        out = tmp_path / "o"
+        argv = ["--out", str(out), "appendix", "-p", "experiment=dominance", "-p", "n=2",
+                "-p", "N=3", "-p", "samples=10", "-p", "coeffs=0,0"]
+        assert main(argv) == 0
+        rec = json.loads((out / "run.json").read_text())
+        assert rec["status"] == "ok"
+        assert rec["summary"]["gaussian_mean"] == 0.0 and rec["summary"]["dominance_ratio"] is None
+
+    @pytest.mark.parametrize("experiment", sorted(COMMANDS["appendix"][0]))
+    def test_appendix_runs_with_its_defaults(self, tmp_path, experiment):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "appendix", "-p", f"experiment={experiment}"]) == 0
+        assert json.loads((out / "run.json").read_text())["status"] == "ok"
+
     def test_cover_over_pack_directory(self, tmp_path):
         run(
             make_config(
@@ -596,6 +611,21 @@ class TestMain:
         assert code == 0
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert out["summary"]["value"] < 1e-8
+
+    def test_cover_config_file_int_radius_writes_a_float(self, tmp_path):
+        (tmp_path / "in").mkdir()
+        qx.save_tuple(tmp_path / "in" / "pauli.json", qx.pauli_tuple())
+        cfg = {
+            "command": "cover",
+            "params": {"tuples": str(tmp_path / "in"), "radius": 1},
+            "seed": {"seed": 0, "stream_id": 0},
+            "out_dir": str(tmp_path / "o"),
+        }
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps(cfg))
+        assert main(["--config", str(cpath)]) == 0
+        text = (tmp_path / "o" / "cover.json").read_text()
+        assert '"radius": 1.0,' in text and json.loads(text)["radius"] == 1.0
 
     def test_bad_config_file(self, tmp_path, capsys):
         cpath = tmp_path / "cfg.json"
@@ -823,6 +853,10 @@ class TestDeclaredParams:
         cfg = make_config("appendix", {"experiment": "matrix-coeff"}, tmp_path / "o")
         assert cfg.resolved_params == {"experiment": "matrix-coeff", "n": 4, "N": 16,
                                        "samples": 20, "coeffs": None, "k": 2}
+        for experiment, want in [("chi", {"N": 16, "samples": 100}),
+                                 ("twirl", {"N": 8, "samples": 20})]:
+            cfg = make_config("appendix", {"experiment": experiment}, tmp_path / "o")
+            assert cfg.resolved_params == {"experiment": experiment, **want}
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -879,13 +913,14 @@ class TestDeclaredParams:
 
     @pytest.mark.parametrize("coeffs", ["nan,1,1,1", "1e400,1,1,1"])
     def test_non_finite_coeffs_are_one_line_error(self, tmp_path, capsys, coeffs):
-        out = tmp_path / "o"
-        argv = ["--out", str(out), "appendix", "-p", "experiment=hastings", "-p", "n=4",
-                "-p", "N=4", "-p", "samples=10", "-p", f"coeffs={coeffs}"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
-            assert main(argv) == 1
-        line = one_error_line(capsys)
-        assert line == "error: coeffs must be nonempty and finite"
-        rec = json.loads((out / "run.json").read_text())
-        assert rec["status"] == "failed" and rec["error"] == line[len("error: "):]
+        for experiment in ("hastings", "matrix-coeff"):
+            out = tmp_path / experiment
+            argv = ["--out", str(out), "appendix", "-p", f"experiment={experiment}", "-p", "n=4",
+                    "-p", "N=4", "-p", "samples=10", "-p", f"coeffs={coeffs}"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
+                assert main(argv) == 1
+            line = one_error_line(capsys)
+            assert line == "error: coeffs must be nonempty and finite"
+            rec = json.loads((out / "run.json").read_text())
+            assert rec["status"] == "failed" and rec["error"] == line[len("error: "):]

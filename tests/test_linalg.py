@@ -417,3 +417,57 @@ class TestTupleMemo:
 def test_as_square_matrix_rejects_rectangles():
     with pytest.raises(DimensionMismatch):
         as_square_matrix(np.zeros((2, 3)))
+
+
+def _plain(v) -> bool:
+    """Is v built from Python's own JSON types only (no numpy scalar subclass)?"""
+    if isinstance(v, dict):
+        return all(type(k) is str and _plain(x) for k, x in v.items())
+    if isinstance(v, list):
+        return all(_plain(x) for x in v)
+    return type(v) in (str, int, float, bool)
+
+
+class TestJsonFields:
+    """Every report is written by the one rule of ``linalg._JsonFields``."""
+
+    @staticmethod
+    def report(name):
+        """The named report built from numpy scalars, and the field left as None."""
+        f, i, b = np.float64, np.int64, np.bool_
+        u = qx.pauli_tuple()
+        gap = qx.GapReport(f(2.5), "dense", i(1), f(1e-12), single_applies=i(0))
+        return {
+            "GapReport": (qx.GapReport(f(2.5), None, i(1), f(1e-12), single_applies=i(0)),
+                          "method"),
+            "SeparationReport": (qx.SeparationReport(f(0.25), f(3.0), method=None, self_norm_u=f(4.0),
+                                                     self_norm_v=f(4.0), single_applies=i(0)),
+                                 "method"),
+            "OrbitDistanceReport": (qx.OrbitDistanceReport(f(0.1), np.eye(2), np.eye(2), i(3),
+                                                           lower=None, f_best=f(3.9),
+                                                           certified=b(True)),
+                                    "lower"),
+            "ExpanderCertificate": (qx.ExpanderCertificate(u, f(0.375), None, gap),
+                                    "ramanujan_slack"),
+            "CoverEstimate": (qx.CoverEstimate(f(1.0), [u], "d", i(1), [0], None),
+                              "max_assignment_distance"),
+            "MomentReport": (qx.MomentReport(i(2), i(3), (1, 1), i(10), f(1.9), f(0.1),
+                                             ratio=f(1.3), rhs=None, seed=RngSpec(1, 2),
+                                             unconverged=i(0)),
+                             "rhs"),
+            "TwirlReport": (qx.TwirlReport(f(0.01), None, i(2), i(5)), "centered_residual"),
+        }[name]
+
+    @pytest.mark.parametrize("name", ["GapReport", "SeparationReport", "OrbitDistanceReport",
+                                      "ExpanderCertificate", "CoverEstimate", "MomentReport",
+                                      "TwirlReport"])
+    def test_one_rule(self, name):
+        rep, missing = self.report(name)
+        out = rep.to_json()
+        assert _plain(out)
+        assert list(out) == [k for k in type(rep)._json_fields if k != missing]
+        assert missing in type(rep)._json_fields and missing not in out
+        json.dumps(out, allow_nan=False)
+        for key, val in out.items():  # each value is the attribute's, as its plain form
+            attr = getattr(rep, key)
+            assert val == (attr.to_json() if hasattr(attr, "to_json") else attr)
