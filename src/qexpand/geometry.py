@@ -139,7 +139,7 @@ class OrbitDistanceReport(_JsonFields):
 
 
 _ORBIT_ITERS = 3000  # step cap of one orbit ascent
-_ORBIT_CERTIFIED = 1e-12  # F >= n (1 - this) is the global maximum F = n up to rounding
+_ORBIT_CERTIFIED = 1e-12  # a value >= n (1 - this) is its global maximum n up to rounding
 
 
 def _orbit_ascent(uv, vu, U0, V0, iters):
@@ -356,6 +356,9 @@ def strong_separation_estimate(
     estimate only. v may be any tuple normalized to the unit ball
     (|sum v (x) conj(v)| <= n), e.g. a unitary recombination of a unitary
     tuple; only u itself must be unitary.
+    For such v every value is at most n (operator Cauchy-Schwarz), so, as in
+    ``orbit_distance``, the restarts stop at the first that reaches
+    n (1 - 1e-12); the stop relies on this unit-ball hypothesis.
     """
     _check_shapes(u, v)
     if restarts < 1:
@@ -371,7 +374,7 @@ def strong_separation_estimate(
         d = q.reshape(n, -1).conj() @ p.reshape(n, -1).T
         return polar_unitary(d.T).conj().T
 
-    best = -math.inf
+    best, f_max = -math.inf, n * (1.0 - _ORBIT_CERTIFIED)
     for r in range(restarts):
         if r == 0:
             # channel fixed point: recovers the rotation aligning u with v
@@ -386,6 +389,8 @@ def strong_separation_estimate(
             w_step, w, None, iters, 1e-12, gen,
         )
         best = max(best, val)
+        if best >= f_max:
+            break
     return best / n
 
 
@@ -440,6 +445,8 @@ def find_norming_tuple(
     only if x is gapped, ``orbit_distance(x, v, restarts=10)``, whose miss
     raises NormingOrbitError with its ``upper``. (v, value) are fixed
     before the check and do not depend on it.
+    Restart 0's polar stack is x_j / N, so it returns x itself at value n
+    up to rounding, and the best v is whichever restart beats it by an ulp.
     """
     x.require_unitary()
     if restarts < 1:

@@ -20,11 +20,12 @@ runs thick-restart Lanczos on T*T through the matrix-free action. The one
 Lanczos routine, ``_lanczos``, runs the B operators in lockstep on stacked
 (B, kN, N) GEMMs and batched ``eigh``s, each run stopping after the applies
 it would take alone; its recurrence runs on the real view of its basis. At
-loose tolerances (tol >= _SINGLE_TOL = 1e-6) ``_mixed_lanczos`` runs the
-Krylov cycles in complex64, on operands rescaled by powers of two, and
-certifies their Ritz vector with a complex128 run: the value is still a
-complex128 Rayleigh-Ritz lower bound with a complex128 residual stop.
-Tighter solves run in complex128 throughout.
+loose tolerances (tol >= _SINGLE_TOL = 1e-6) ``_solve`` runs the Krylov
+cycles in complex64, on operands rescaled by powers of two, and certifies
+their Ritz vector with a complex128 run: the value is still a complex128
+Rayleigh-Ritz lower bound with a complex128 residual stop. Tighter solves
+run in complex128 throughout. One ``_gram_apply`` gives T a and T*T a: the
+Lanczos step and the witness residual of ``operator_norm`` both use it.
 
 ``operator_norm`` is its batch of one (on ``materialize(T)`` when dense),
 ``spectral_gap`` that on the restricted conjugation, and ``_norms`` its
@@ -97,7 +98,7 @@ _MAX_APPLIES = 100_000
 # complex64 run scales it by the ratio of the machine epsilons (2^29).
 _BREAKDOWN = 1e-13
 # Lanczos solves at tol >= this run their Krylov cycles in complex64 and
-# finish in complex128 (``_mixed_lanczos``). Median ms per restricted gap of
+# finish in complex128 (see ``_solve``). Median ms per restricted gap of
 # n = 4 Haar tuples (one BLAS thread, 2-vCPU Xeon, 4-6 tuples x 3 rounds),
 # complex128 only / mixed, with the mixed run's complex128 applies:
 #
@@ -260,8 +261,8 @@ def _applier(T: SuperOperator):
     return f
 
 
-def _gram_apply(operands, restrict: bool, a: np.ndarray) -> np.ndarray:
-    """T_b*T_b a_b for every b of a (B, kN, N) stack a inside the operators' domain.
+def _gram_apply(operands, restrict: bool, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T_b a_b, T_b*T_b a_b) for every b of a (B, kN, N) stack a inside the operators' domain.
 
     ``operands`` are T's ``_gram_operands`` (X, Y, X', Y'): T on its pair,
     then T* on its own. With the restriction the input is not centred again
@@ -269,7 +270,10 @@ def _gram_apply(operands, restrict: bool, a: np.ndarray) -> np.ndarray:
     centred once, in place.
     """
     X, Y, Xa, Ya = operands
-    return _image(Xa, Ya, restrict, _image(X, Y, restrict, a))
+    image = _image(X, Y, restrict, a)
+    # Centring T*(image) is load-bearing though _lanczos centres each new basis
+    # vector after Gram-Schmidt: left out, a Ritz value can exceed the norm.
+    return image, _image(Xa, Ya, restrict, image)
 
 
 def apply(T: SuperOperator, xi) -> np.ndarray:
@@ -303,20 +307,18 @@ def _dense(left: np.ndarray, right: np.ndarray, restrict_h0: bool) -> np.ndarray
 
     The restriction Q m Q (Q = I - I_k (x) vv*, real symmetric) centres every
     column, then every row, of each unrestricted matrix, in place: it
-    subtracts the block traces through views of the block-diagonal rows, then
-    of the block-diagonal columns. The column traces are summed from a
-    contiguous copy of those rows (d^2 / N entries), so that every trace is
-    summed in the order ``center`` sums it.
+    subtracts the block traces through a view of the block-diagonal rows,
+    then centres the N x N blocks of every row with ``_center_in_place``. The
+    column traces are summed from a contiguous copy of those rows (d^2 / N
+    entries), so that every trace is summed in the order ``center`` sums it.
     """
     m = _kron_sums(left, right)
     if restrict_h0:
         K, d = m.shape[:2]
         N = right.shape[-1]
-        k = left.shape[-1] // N
-        rows = m.reshape(K, k, N * N, d)[:, :, :: N + 1]
+        rows = m.reshape(K, -1, N * N, d)[:, :, :: N + 1]
         rows -= np.ascontiguousarray(rows.swapaxes(2, 3)).sum(-1)[:, :, None] / N
-        cols = m.reshape(K, d, k, N * N)[..., :: N + 1]
-        cols -= cols.sum(-1, keepdims=True) / N
+        _center_in_place(m.reshape(-1, N, N))
     return m
 
 
@@ -370,7 +372,7 @@ class GapReport(_JsonFields):
     recomputed explicitly through the matrix-free action, except for a solve
     with ``witness=False``, which returns no witness and reports 0.0;
     ``iterations`` counts the applies of T*T (1 for dense), and
-    ``single_applies`` those of them run in complex64 (see ``_mixed_lanczos``).
+    ``single_applies`` those of them run in complex64 (see ``_solve``).
     ``top_image`` is T(top_vector), the product the residual is computed
     from, so that a caller needing the top left singular vector
     T(xi) / ||T(xi)|| need not apply T again.
@@ -482,8 +484,8 @@ def _lanczos(operands, restrict_h0, Z, tol, max_iter):
     complex64; the operands must have the same), while H, theta and the
     Ritz vectors X are float64 and complex128. The breakdown threshold
     scales with the dtype's machine epsilon. ``max_iter`` is one int cap for
-    every run or an array of per-run caps (``_mixed_lanczos`` passes those
-    only after a complex64 phase).
+    every run or an array of per-run caps (``_solve`` passes those only
+    after a complex64 phase).
     """
     B, R, N = Z.shape
     d = R * N
@@ -504,7 +506,7 @@ def _lanczos(operands, restrict_h0, Z, tol, max_iter):
     k = applies = 0
     while True:
         for j in range(k, m):
-            a = _gram_apply(operands, restrict_h0, Q[:, j].reshape(-1, R, N))
+            a = _gram_apply(operands, restrict_h0, Q[:, j].reshape(-1, R, N))[1]
             w = a.reshape(-1, d).view(real)
             applies += 1
             scale = np.maximum(scale, _row_norms(w))
@@ -560,33 +562,6 @@ def _lanczos(operands, restrict_h0, Z, tol, max_iter):
         k = keep
 
 
-def _mixed_lanczos(operands, restrict_h0, Z, tol, max_iter):
-    """``_lanczos`` to ``tol``, with its Krylov cycles in complex64 where tol >= _SINGLE_TOL.
-
-    The complex64 phase runs on T's operands (X, Y) scaled by powers of two
-    to unit max-abs (``_scale_to_unit`` per operator: the Krylov vectors do
-    not depend on the scale, and no finite member then overflows or
-    underflows in the cast), cast to complex64, and T*'s pair transposed
-    from those (``_gram_operands``), from Z cast to complex64, with at most
-    max_iter - 1 applies. Its Ritz vectors, re-centred and normalised in
-    complex128, start the complex128 run on the given operands with the rest
-    of max_iter. That run is the certificate: a complex128 Rayleigh-Ritz
-    lower bound with a complex128 residual stop, one apply when its start
-    has converged. Returns (theta, X, applies, single, converged) per run,
-    with applies counting both phases and single the complex64 ones.
-    """
-    if tol < _SINGLE_TOL or max_iter <= 1:
-        theta, X, applies, converged = _lanczos(operands, restrict_h0, Z, tol, max_iter)
-        return theta, X, applies, np.zeros_like(applies), converged
-    low = _gram_operands(*(_scale_to_unit(a, (1, 2)).astype(np.complex64) for a in operands[:2]))
-    _, Z, single, _ = _lanczos(low, restrict_h0, Z.astype(np.complex64), tol, max_iter - 1)
-    if restrict_h0:
-        _center_in_place(Z)
-    Z /= _row_norms(Z.reshape(len(Z), -1))[:, None, None]
-    theta, X, applies, converged = _lanczos(operands, restrict_h0, Z, tol, max_iter - single)
-    return theta, X, applies + single, single, converged
-
-
 def _solve(operands, shape, restrict_h0, m, rngs, starts, tol, max_iter, vectors):
     """Top eigenvalues theta of T_b*T_b for B operators of shape (kN, N): every norm solve.
 
@@ -595,10 +570,19 @@ def _solve(operands, shape, restrict_h0, m, rngs, starts, tol, max_iter, vectors
     Otherwise ``operands`` are the operators' (B-row) ``_gram_operands``,
     which the runs may reorder when B > 1; run b starts from starts[b], or
     where that is None from a draw from rngs[b], and the runs go through
-    ``_mixed_lanczos`` in lockstep. A restricted N = 1 operator acts on {0}:
-    value 0, no vector, no Lanczos apply. Returns per-run (theta, X,
-    applies, single, converged): X the (B, kN, N) unit vectors or None,
-    single the complex64 applies.
+    ``_lanczos`` in lockstep. Where tol >= _SINGLE_TOL and max_iter > 1 they
+    first take up to max_iter - 1 applies in complex64, from the starts cast
+    to it, on T's (X, Y) scaled by powers of two to unit max-abs per operator
+    (``_scale_to_unit``: the Krylov vectors do not depend on the scale, and
+    no finite member overflows or underflows in the cast) and T*'s pair
+    transposed from those. Their Ritz vectors, re-centred and normalised in
+    complex128, start the complex128 run with each run's rest of max_iter.
+    That run is the certificate: a complex128 Rayleigh-Ritz lower bound with
+    a complex128 residual stop, one apply when its start has converged. A
+    restricted N = 1 operator acts on {0}: value 0, no vector, no Lanczos
+    apply. Returns per-run (theta, X, applies, single, converged): X the
+    (B, kN, N) unit vectors or None, applies over both phases and single
+    the complex64 ones.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -617,7 +601,16 @@ def _solve(operands, shape, restrict_h0, m, rngs, starts, tol, max_iter, vectors
             evals, X = np.linalg.eigvalsh(gram), None
         return evals[:, -1], X, zeros + 1, zeros, converged
     Z = np.stack([_start_vector(shape, restrict_h0, z, g) for z, g in zip(starts, rngs)])
-    return _mixed_lanczos(operands, restrict_h0, Z, tol, max_iter)
+    single = zeros
+    if tol >= _SINGLE_TOL and max_iter > 1:
+        low = _gram_operands(*(_scale_to_unit(a, (1, 2)).astype(np.complex64) for a in operands[:2]))
+        _, Z, single, _ = _lanczos(low, restrict_h0, Z.astype(np.complex64), tol, max_iter - 1)
+        if restrict_h0:
+            _center_in_place(Z)
+        Z /= _row_norms(Z.reshape(B, -1))[:, None, None]
+        max_iter = max_iter - single
+    theta, X, applies, converged = _lanczos(operands, restrict_h0, Z, tol, max_iter)
+    return theta, X, applies + single, single, converged
 
 
 def operator_norm(
@@ -639,13 +632,13 @@ def operator_norm(
     <= tol * theta, or after ``max_iter`` applies of T*T, when the method
     reads "lanczos-unconverged". At tol >= _SINGLE_TOL (1e-6) the Krylov
     cycles run in complex64 before a complex128 run certifies their Ritz
-    vector (``_mixed_lanczos``); ``single_applies`` counts the complex64
+    vector (see ``_solve``); ``single_applies`` counts the complex64
     applies within ``iterations``. "auto" picks dense for
     kN^2 <= min(AUTO_DENSE_DIM, dense_cap()), which is kN^2 <= 144 (N <= 12
     for k = 1) by default, and lanczos above. A restricted T with N = 1 acts
     on {0}; both methods report value 0 there without a witness. The
-    witness residual reuses the solve's GEMM operands, and its first
-    product is the report's ``top_image``.
+    witness residual is one ``_gram_apply`` on the solve's GEMM operands,
+    and its T image is the report's ``top_image``.
     """
     R, N = T.shape
     if method == "auto":
@@ -665,8 +658,7 @@ def operator_norm(
     if not witness or X is None:
         return GapReport(value, tag, iters, 0.0, single_applies=single)
     x, restrict = X[0], T.restrict_h0
-    image = _image(*operands[:2], restrict, (center(x) if restrict else x)[None])
-    tx = _image(*operands[2:], restrict, image)
+    image, tx = _gram_apply(operands, restrict, (center(x) if restrict else x)[None])
     return GapReport(value, tag, iters, _frob(tx[0] - theta * x), x, single, image[0])
 
 

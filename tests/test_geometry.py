@@ -317,6 +317,26 @@ class TestStrongSeparation:
         est = qx.strong_separation_estimate(u, qx.mix_tuple(w0, u), restarts=5, rng=gen)
         assert est == pytest.approx(1.0, abs=1e-8)
 
+    def test_stops_at_the_provable_maximum(self, monkeypatch):
+        import qexpand.geometry as geo
+
+        # a recombination of u reaches n (1 - 1e-12) in restart 0, so the other
+        # four restarts are never run
+        gen = RngSpec(6, 0).generator()
+        u = qx.haar_tuple(3, 8, gen)
+        w0 = qx.sample_haar_unitary(3, gen)
+        calls = []
+        ascent = geo._polar_ascent
+
+        def counted(*args):
+            calls.append(1)
+            return ascent(*args)
+
+        monkeypatch.setattr(geo, "_polar_ascent", counted)
+        est = qx.strong_separation_estimate(u, qx.mix_tuple(w0, u), restarts=5, rng=gen)
+        assert len(calls) == 1
+        assert est >= 1.0 - 1e-12
+
     def test_n1_reduces_to_separation(self):
         gen = RngSpec(8, 0).generator()
         u = qx.haar_tuple(1, 6, gen)

@@ -333,8 +333,8 @@ class TestLockstep:
         # the cap (4 or 1), so no run exceeds 40 and lockstep still equals solo
         gen = RngSpec(30, 13).generator()
         ops = [qx.SuperOperator.conjugation(qx.haar_tuple(4, 13, gen)) for _ in range(5)]
-        mixed = superop._mixed_lanczos
-        monkeypatch.setattr(superop, "_mixed_lanczos", lambda *args: mixed(*args[:-1], 40))
+        solve = superop._solve
+        monkeypatch.setattr(superop, "_solve", lambda *args: solve(*args[:-2], 40, args[-1]))
         solo, (values, applies, converged) = self.solo_and_lockstep(ops, 1e-6)
         assert list(applies) == [rep.iterations for rep in solo] == [37, 37, 40, 40, 40]
         assert [rep.single_applies for rep in solo] == [36, 36, 39, 39, 39]
