@@ -5,16 +5,19 @@ are its keyword-only arguments: the command's one param declaration, each
 with its default or none if required (``appendix`` has one handler per
 ``experiment``); ``qex CMD --help`` lists them. A handler returns its files
 as ``{file name: content}`` plus a summary, and fixed seeds reproduce all
-numeric outputs bit-exactly. ``ExperimentConfig`` checks each config against
-the declaration when it is built, before any output directory exists: an
-unknown command or undeclared key, a missing required key, or a mistyped or
-non-finite value is a ``ConfigError``. ``run`` passes the handler the given
-values over the defaults, writes its files, in order, then ``run.json``
-(configuration as given, those values as ``resolved_params``, timestamps,
-artifacts, summary, claim and status); a run that fails with a ``QexError``
-or a ``ValueError`` leaves status "failed" and the error line. JSON files
-are read by ``linalg._load_json``, and every file is written atomically, as
-strict JSON, CSV rows or a tuple, by ``linalg._write_file``.
+numeric outputs bit-exactly: no environment variable changes a result.
+``ExperimentConfig`` checks each config against the declaration when it is
+built, before any output directory exists: an unknown command or undeclared
+key, a missing required key, or a mistyped or non-finite value is a
+``ConfigError``. ``run`` passes the handler the given values over the
+defaults, writes its files, in order, then ``run.json`` (configuration as
+given, those values as ``resolved_params``, timestamps, artifacts, summary,
+claim and status); a run that fails with a ``QexError`` or a ``ValueError``
+leaves status "failed" and the error line. JSON files are read by
+``linalg._load_json``, and every file is written atomically, as strict JSON,
+CSV rows or a tuple, by ``linalg._write_file``, which writes a CSV float
+as its ``.17g`` text and fails the run on a NaN or infinity in any file,
+``run.json`` included.
 """
 from __future__ import annotations
 
@@ -201,10 +204,6 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _g17(x) -> str:
-    return format(float(x), ".17g")
-
-
 # --- command handlers: each takes the seed and its declared params, and
 # returns ({file name: content}, summary dict) ---------------------------------
 
@@ -243,7 +242,7 @@ def _cmd_mix(seed, *, tuple, steps=50, x0=None):
         gen = seed.generator()
         start = gen.standard_normal((t.dim, t.dim)) + 1j * gen.standard_normal((t.dim, t.dim))
     curve = mixing_curve(t, start, steps)
-    rows = [["k", "residual"]] + [[k, _g17(r)] for k, r in enumerate(curve)]
+    rows = [["k", "residual"]] + [[k, r] for k, r in enumerate(curve)]
     return {"mix.csv": rows}, {"steps": steps, "final_residual": float(curve[-1])}
 
 
@@ -302,15 +301,7 @@ def _cmd_dcb_bound(seed, *, delta_strong, overlap, n):
 
 def _cmd_pack(seed, *, n, N, eps, delta, max_samples):
     fam = greedy_pack(n, N, eps, delta, max_samples, seed)
-    return fam.files(), {
-        "members": fam.count,
-        "rejected": fam.rejected_count,
-        "rejected_uncertified": fam.rejected_uncertified,
-        "rejected_close": fam.rejected_close,
-        "since_last_admission": fam.since_last_admission,
-        "unconverged": fam.unconverged,
-        "log_count": fam.log_count() if fam.count else None,
-    }
+    return fam.files(), fam.counts()
 
 
 def _cmd_cover(seed, *, tuples, radius, metric="d"):
@@ -329,15 +320,15 @@ def _cmd_bounds(seed, *, n, N, eps_grid="0.1,0.3,0.5,0.7", delta_grid="0.01,0.05
     delta_grid = [float(x) for x in delta_grid.split(",") if x]
     files = {
         "radius.csv": [["eps", "delta", "value"]] + [
-            [_g17(e), _g17(d), _g17(near_norming_radius(e, d))]
+            [e, d, near_norming_radius(e, d)]
             for e in eps_grid
             for d in delta_grid
         ],
         "separation_lower.csv": [["eps", "delta", "value"]] + [
-            ["", _g17(d), _g17(lower_bound_from_separation(d, n))] for d in delta_grid
+            ["", d, lower_bound_from_separation(d, n)] for d in delta_grid
         ],
         "count_bounds.csv": [["n", "N", "delta", "log_packing_bound", "log_net_bound"]] + [
-            [n, N, _g17(d), _g17(packing_upper_bound(n, N, d)), _g17(net_size_bound(n, N, d))]
+            [n, N, d, packing_upper_bound(n, N, d), net_size_bound(n, N, d)]
             for d in delta_grid
         ],
     }
@@ -374,7 +365,7 @@ def _apx_chi(seed, *, N=16, samples=100):
     rep = chi_n_estimate(N, samples, seed)
     rows = [
         ["N", "samples", "estimate", "ci_lo", "ci_hi"],
-        [N, samples, _g17(rep.value), _g17(rep.ci_lo), _g17(rep.ci_hi)],
+        [N, samples, rep.value, rep.ci_lo, rep.ci_hi],
     ]
     return {"chi.csv": rows}, {"estimate": rep.value, "ci_lo": rep.ci_lo, "ci_hi": rep.ci_hi}
 
@@ -386,7 +377,7 @@ def _apx_twirl(seed, *, N=8, samples=20):
 
 def _apx_hastings(seed, *, n=4, N=16, samples=20, coeffs=None):
     uni = unitary_sum_norm(_parse_coeffs(coeffs, n), N, samples, seed.stream(1))
-    rows = [["sample", "unitary_norm"]] + [[i, _g17(v)] for i, v in enumerate(uni.values)]
+    rows = [["sample", "unitary_norm"]] + [[i, v] for i, v in enumerate(uni.values)]
     return {"hastings.csv": rows}, {
         "unitary_mean": uni.mean_norm,
         "unitary_std": uni.std_norm,
@@ -400,7 +391,7 @@ def _apx_dominance(seed, *, n=4, N=16, samples=20, coeffs=None):
     gau = gaussian_decoupled_norm(coeffs, N, samples, seed.stream(2))
     lo, hi = bootstrap_mean_ci(uni.values, seed.substream(9))
     rows = [["sample", "unitary_norm", "gaussian_norm"]] + [
-        [i, _g17(a), _g17(b)] for i, (a, b) in enumerate(zip(uni.values, gau.values))
+        [i, a, b] for i, (a, b) in enumerate(zip(uni.values, gau.values))
     ]
     return {"dominance.csv": rows}, {
         "unitary_mean": uni.mean_norm,
@@ -464,8 +455,8 @@ def run(config: ExperimentConfig) -> RunRecord:
     """Dispatch a validated config; write the handler's files, in order, plus run.json.
 
     A QexError or ValueError (an out-of-range parameter, or a non-finite
-    float on its way into a JSON file) is re-raised after a run.json with
-    status "failed" and the error line is written.
+    float on its way into any file, the ok run.json included) is re-raised
+    after a run.json with status "failed" and the error line is written.
     """
     handler, resolved = _resolve(config.command, config.params)
     claim = COMMANDS[config.command][1]
@@ -475,25 +466,13 @@ def run(config: ExperimentConfig) -> RunRecord:
         files, summary = handler(config.seed, **{key: resolved[key] for key in _declared(handler)})
         for name, content in files.items():
             _write_file(out / name, content)
+        record = RunRecord(config, started, _now(), list(files), summary, claim=claim)
+        _write_file(out / "run.json", record.to_json())
     except (QexError, ValueError) as exc:
         failed = RunRecord(config, started, _now(), [], {}, claim=claim, error=str(exc))
         _write_file(out / "run.json", failed.to_json())
         raise
-    record = RunRecord(config, started, _now(), list(files), _json_safe(summary), claim=claim)
-    _write_file(out / "run.json", record.to_json())
     return record
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
-        return None
-    return obj
 
 
 @functools.cache

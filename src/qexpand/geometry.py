@@ -15,7 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import BoundViolation, DimensionMismatch, InfeasibleOverlap, NormingOrbitError
-from .linalg import MatrixTuple, _JsonFields, as_generator, polar_unitary, sample_haar_unitary
+from .linalg import (
+    MatrixTuple, _JsonFields, _ginibre_stack, as_generator, polar_unitary, sample_haar_unitary
+)
 from .superop import SuperOperator, _applier, operator_norm, spectral_gap
 
 __all__ = [
@@ -120,7 +122,8 @@ class OrbitDistanceReport(_JsonFields):
 
     ``upper`` is attained by (best_u, best_v): it equals
     d(best_u . u . best_v, v) and is reproducible by direct evaluation.
-    ``lower`` is 0 unless a separation certificate was supplied.
+    ``lower`` is 0; a delta-separated pair has the certified lower bound
+    ``lower_bound_from_separation(delta, n)``.
     ``certified`` says that ``f_best`` reached the bound F <= n to within
     n * 1e-12, so no further restart could lower ``upper`` by more than
     about 1.4e-6 sqrt(n); otherwise ``upper`` is a best-of-restarts value.
@@ -142,16 +145,16 @@ _ORBIT_ITERS = 3000  # step cap of one orbit ascent
 _ORBIT_CERTIFIED = 1e-12  # a value >= n (1 - this) is its global maximum n up to rounding
 
 
-def _orbit_ascent(uv, vu, U0, V0, iters):
+def _orbit_ascent(uv, vu, V, iters):
     """Alternating maximization of F(U, V) = Re sum_j tr(U u_j V v_j*)/N.
 
     ``uv`` and ``vu`` evaluate V -> sum_j u_j V v_j* and U -> sum_j v_j* U u_j.
     Each half-step takes the adjoint polar factor of the relevant trace
     matrix, the exact block maximizer, so F is non-decreasing until it gains
-    less than 1e-14, where the ascent stops.
+    less than 1e-14, where the ascent stops. It starts from V alone: the
+    first half-step computes U from it.
     """
-    N = U0.shape[0]
-    U, V = U0, V0
+    N = V.shape[0]
     f = -math.inf
     for _ in range(iters):
         U = polar_unitary(uv(V)).conj().T
@@ -171,19 +174,19 @@ def orbit_distance(
     restarts: int = 20,
     iters: int = _ORBIT_ITERS,
     rng=None,
-    separation_delta: Optional[float] = None,
 ) -> OrbitDistanceReport:
     """Upper-bound the orbit distance d'(u, v) = inf_{U,V} d(U u V, v).
 
     Each half-step is a globally optimal unitary (polar factor of the
     relevant trace matrix), so the ascent of F is monotone. Restart 0 starts
-    from the identity pair and draws nothing from ``rng``; each later restart
-    draws its Haar pair when it is reached, so ``restarts=1`` is one
-    draw-free ascent (the first step of ``find_norming_tuple``'s orbit
-    check). ``upper`` is the direct distance d(best_u . u . best_v, v) of
-    the returned pair, not sqrt(2n - 2F): that formula cancels and cannot
-    resolve distances below about 1e-8. ``f_best`` and ``f_values`` are the
-    ascent values of F.
+    from the identity pair and draws nothing from ``rng``; each later
+    restart draws a Haar pair's two Ginibre matrices when it is reached and
+    starts from the second's polar factor (an ascent starts from V alone),
+    so ``restarts=1`` is one draw-free ascent (the first step of
+    ``find_norming_tuple``'s orbit check). ``upper`` is the direct distance
+    d(best_u . u . best_v, v) of the returned pair, not sqrt(2n - 2F): that
+    formula cancels and cannot resolve distances below about 1e-8.
+    ``f_best`` and ``f_values`` are the ascent values of F.
 
     Every |tr(U u_j V v_j*)| is at most N for unitaries, so F <= n on every
     pair. The restarts therefore stop at the first one whose F reaches
@@ -204,25 +207,16 @@ def orbit_distance(
     f_max = u.n * (1.0 - _ORBIT_CERTIFIED)
     runs = []
     for r in range(restarts):
-        if r == 0:
-            U0 = V0 = np.eye(N, dtype=complex)
-        else:
-            U0 = sample_haar_unitary(N, gen)
-            V0 = sample_haar_unitary(N, gen)
-        runs.append(_orbit_ascent(uv, vu, U0, V0, iters))
+        V = np.eye(N, dtype=complex) if r == 0 else polar_unitary(_ginibre_stack(N, 2, gen)[1])
+        runs.append(_orbit_ascent(uv, vu, V, iters))
         if runs[-1][0] >= f_max:
             break
     f_best, U, V = max(runs, key=lambda run: run[0])
-    upper = tuple_distance(u.transform(left=U, right=V), v)
-    lower = 0.0
-    if separation_delta is not None:
-        lower = lower_bound_from_separation(separation_delta, u.n)
     return OrbitDistanceReport(
-        upper=upper,
+        upper=tuple_distance(u.transform(left=U, right=V), v),
         best_u=U,
         best_v=V,
         restarts_used=len(runs),
-        lower=lower,
         f_best=f_best,
         f_values=tuple(run[0] for run in runs),
         certified=f_best >= f_max,

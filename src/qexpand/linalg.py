@@ -399,36 +399,49 @@ def _make_dir(path) -> Path:
     return path
 
 
+def _csv_cell(x):
+    """A CSV cell as written: a float as its round-trip ``.17g`` text, else as given."""
+    if not isinstance(x, (float, np.floating)):
+        return x
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite float {float(x)} in a CSV cell")
+    return format(float(x), ".17g")
+
+
 def _write_file(path, content, verbatim: str | None = None) -> None:
     """Write content to path through a temp file in the same directory, then
     moved into place, so a reader never sees a half-written file.
 
     A ``MatrixTuple`` goes through ``save_tuple``; a ``.csv`` name takes rows
-    for ``csv.writer`` (CRLF line ends, kept by ``newline=""``); anything else
-    is strict JSON, indent 2: a non-finite float raises ValueError instead of
-    becoming a bare NaN or Infinity token. ``verbatim`` names a top-level key
-    of a JSON object whose value is base64 text, which JSON's escape pass
-    leaves as it is: the text goes into the file without that pass, in the
-    same bytes. A file that cannot be written is one ``QexError`` line that
-    starts with the path.
+    for ``csv.writer`` (CRLF line ends, kept by ``newline=""``), with each
+    float cell as its ``.17g`` text; anything else is strict JSON, indent 2.
+    A NaN or infinity, in a CSV cell or in the JSON, raises one ValueError
+    line that starts with the path, before anything is written.
+    ``verbatim`` names a top-level key of a JSON object whose value is
+    base64 text, which JSON's escape pass leaves as it is: the text goes
+    into the file without that pass, in the same bytes. A file that cannot
+    be written is one ``QexError`` line that starts with the path.
     """
     if isinstance(content, MatrixTuple):
         save_tuple(path, content)
         return
     path = Path(path)
-    if path.suffix == ".csv":
-        buf = io.StringIO()
-        csv.writer(buf).writerows(content)
-        text = buf.getvalue()
-    elif verbatim is None:
-        text = json.dumps(content, indent=2, allow_nan=False) + "\n"
-    else:
-        # a top-level item is the only line that starts with two spaces and a
-        # quote (strings hold no raw newline), and keys are unique, so the
-        # empty slot occurs exactly once
-        text = json.dumps({**content, verbatim: ""}, indent=2, allow_nan=False) + "\n"
-        slot = f'\n  {json.dumps(verbatim)}: ""'
-        text = text.replace(slot, f'{slot[:-1]}{content[verbatim]}"', 1)
+    try:
+        if path.suffix == ".csv":
+            buf = io.StringIO()
+            csv.writer(buf).writerows([_csv_cell(x) for x in row] for row in content)
+            text = buf.getvalue()
+        elif verbatim is None:
+            text = json.dumps(content, indent=2, allow_nan=False) + "\n"
+        else:
+            # a top-level item is the only line that starts with two spaces and a
+            # quote (strings hold no raw newline), and keys are unique, so the
+            # empty slot occurs exactly once
+            text = json.dumps({**content, verbatim: ""}, indent=2, allow_nan=False) + "\n"
+            slot = f'\n  {json.dumps(verbatim)}: ""'
+            text = text.replace(slot, f'{slot[:-1]}{content[verbatim]}"', 1)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_text(text, encoding="utf-8", newline="")

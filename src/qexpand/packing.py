@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 import numpy as np
 
 from .expanders import _epsilon, haar_tuple
@@ -21,8 +20,6 @@ from .linalg import (
     RngSpec,
     _JsonFields,
     _ginibre_stack,
-    _make_dir,
-    _write_file,
     ginibre_singular_mean,
     polar_unitary,
 )
@@ -75,11 +72,23 @@ class PackingFamily:
     def log_count(self) -> float:
         return math.log(self.count) if self.count else -math.inf
 
+    def counts(self) -> dict:
+        """The family's counts, as meta.json and ``qex pack``'s summary give them."""
+        return {
+            "members": self.count,
+            "rejected": self.rejected_count,
+            "rejected_uncertified": self.rejected_uncertified,
+            "rejected_close": self.rejected_close,
+            "since_last_admission": self.since_last_admission,
+            "unconverged": self.unconverged,
+            "log_count": self.log_count() if self.count else None,
+        }
+
     def files(self) -> dict:
         """Member tuples, family.csv rows (i, j, delta_ij) and meta.json, by file name."""
         files: dict = {f"member_{i:04d}.json": m for i, m in enumerate(self.members)}
         files["family.csv"] = [["i", "j", "delta_ij"]] + [
-            [i, j, format(self.pairwise[i, j], ".17g")]
+            [i, j, self.pairwise[i, j]]
             for i in range(self.count)
             for j in range(i + 1, self.count)
         ]
@@ -91,26 +100,12 @@ class PackingFamily:
             "eps": self.eps,
             "delta": self.accept_delta,
             "seed": self.seed.to_json(),
-            "members": self.count,
-            "rejected": self.rejected_count,
-            "rejected_uncertified": self.rejected_uncertified,
-            "rejected_close": self.rejected_close,
-            "since_last_admission": self.since_last_admission,
-            "unconverged": self.unconverged,
-            "log_count": self.log_count() if self.count else None,
+            **self.counts(),
             "log_count_upper_bound": packing_upper_bound(n, N, self.accept_delta)
             if self.count and self.accept_delta > 0
             else None,
         }
         return files
-
-    def save(self, out_dir) -> list[Path]:
-        """Write ``files()`` into out_dir; returns their paths in that order."""
-        out = _make_dir(out_dir)
-        files = self.files()
-        for name, content in files.items():
-            _write_file(out / name, content)
-        return [out / name for name in files]
 
 
 def greedy_pack(
@@ -322,13 +317,7 @@ class TailReport:
     def to_csv_rows(self):
         yield ["lambda", "empirical", "bound", "sigma", "flagged"]
         for r in self.rows:
-            yield [
-                format(r.lam, ".17g"),
-                format(r.empirical, ".17g"),
-                format(r.bound, ".17g"),
-                format(r.sigma, ".17g"),
-                int(r.flagged),
-            ]
+            yield [r.lam, r.empirical, r.bound, r.sigma, int(r.flagged)]
 
 
 def subgaussian_tail_check(

@@ -36,7 +36,6 @@ dense) for the Monte Carlo samples of ``randmat`` and the pair norms of
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -130,17 +129,8 @@ _LOCKSTEP_BYTES = 1200 << 10
 
 
 def dense_cap() -> int:
-    """Materialization cap on N^2, overridable via QEX_DENSE_CAP."""
-    raw = os.environ.get("QEX_DENSE_CAP")
-    if raw is None:
-        return DEFAULT_DENSE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"QEX_DENSE_CAP must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError(f"QEX_DENSE_CAP must be positive, got {cap}")
-    return cap
+    """Materialization cap on kN^2: ``materialize`` refuses larger operators."""
+    return DEFAULT_DENSE_CAP
 
 
 @dataclass(frozen=True)
@@ -325,13 +315,13 @@ def _dense(left: np.ndarray, right: np.ndarray, restrict_h0: bool) -> np.ndarray
 def materialize(T: SuperOperator) -> np.ndarray:
     """Dense kN^2 x kN^2 matrix acting on row-major vec(xi).
 
-    Raises DenseCapExceeded beyond ``dense_cap()``; use the matrix-free path
-    there.
+    Raises DenseCapExceeded above kN^2 = DEFAULT_DENSE_CAP (4096); use the
+    matrix-free path there.
     """
     R, N = T.shape
-    if R * N > (limit := dense_cap()):
+    if R * N > DEFAULT_DENSE_CAP:
         raise DenseCapExceeded(
-            f"kN^2 = {R * N} exceeds dense cap {limit}; "
+            f"kN^2 = {R * N} exceeds dense cap {DEFAULT_DENSE_CAP}; "
             "use operator_norm(..., method='lanczos') instead"
         )
     return _dense(T.left.mats[None], T.right.mats[None], T.restrict_h0)[0]
@@ -339,7 +329,7 @@ def materialize(T: SuperOperator) -> np.ndarray:
 
 def auto_dense(dim: int) -> bool:
     """Whether method="auto" solves an operator on kN^2 = dim entries densely."""
-    return dim <= min(AUTO_DENSE_DIM, dense_cap())
+    return dim <= AUTO_DENSE_DIM
 
 
 def _batch_size(n: int, R: int, N: int) -> int:
@@ -634,9 +624,9 @@ def operator_norm(
     cycles run in complex64 before a complex128 run certifies their Ritz
     vector (see ``_solve``); ``single_applies`` counts the complex64
     applies within ``iterations``. "auto" picks dense for
-    kN^2 <= min(AUTO_DENSE_DIM, dense_cap()), which is kN^2 <= 144 (N <= 12
-    for k = 1) by default, and lanczos above. A restricted T with N = 1 acts
-    on {0}; both methods report value 0 there without a witness. The
+    kN^2 <= AUTO_DENSE_DIM, which is kN^2 <= 144 (N <= 12 for k = 1), and
+    lanczos above. A restricted T with N = 1 acts on {0}; both methods
+    report value 0 there without a witness. The
     witness residual is one ``_gram_apply`` on the solve's GEMM operands,
     and its T image is the report's ``top_image``.
     """

@@ -287,15 +287,16 @@ class TestRun:
             raise ValueError(f"non-strict JSON token {token}")
 
         qx.save_tuple(tmp_path / "t.json", qx.pauli_tuple())
-        qx.greedy_pack(2, 3, 0.0, 0.0, 3, RngSpec(50, 0)).save(tmp_path / "fam")
+        run(make_config("pack", {"n": 2, "N": 3, "eps": 0.0, "delta": 0.0, "max_samples": 3},
+                        tmp_path / "fam", seed=50))
         run(make_config("sample-haar", {"n": 2, "N": 3}, tmp_path / "o"))
         run(make_config("bounds", {"n": 2, "N": 3, "delta_grid": "0.1"}, tmp_path / "b"))
         files = [f for f in tmp_path.rglob("*") if f.is_file()]
         assert not [f for f in files if f.name.endswith(".tmp")]
         written = sorted(str(f.relative_to(tmp_path)) for f in files if f.suffix == ".json")
         assert written == ["b/run.json", "fam/member_0000.json", "fam/member_0001.json",
-                           "fam/member_0002.json", "fam/meta.json", "o/run.json", "o/tuple.json",
-                           "t.json"]
+                           "fam/member_0002.json", "fam/meta.json", "fam/run.json", "o/run.json",
+                           "o/tuple.json", "t.json"]
         # csv.writer's CRLF line ends reach the file unchanged
         count = (tmp_path / "b" / "count_bounds.csv").read_bytes()
         assert count.startswith(b"n,N,delta,log_packing_bound,log_net_bound\r\n")
@@ -747,15 +748,34 @@ class TestMain:
         else:
             assert not out.exists()
 
+    @pytest.mark.parametrize("bad_file", ["run.json", "bad.csv"])
+    def test_non_finite_output_fails_the_run(self, tmp_path, monkeypatch, capsys, bad_file):
+        # a NaN in the summary (so in run.json) or in a CSV cell is one error line
+        # and a failed run.json, like a non-finite number in a JSON artifact
+        def handler(seed, *, tuple):
+            if bad_file == "run.json":
+                return {"validate.json": {"n": 1}}, {"value": float("nan")}
+            return {"bad.csv": [["x"], [1.0], [np.float64("nan")]]}, {"value": 1.0}
+
+        monkeypatch.setitem(COMMANDS, "validate", (handler, COMMANDS["validate"][1]))
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "validate", "-p", "tuple=t.json"]) == 1
+        err = one_error_line(capsys)
+        assert err.startswith(f"error: {out / bad_file}: ")
+        rec = json.loads((out / "run.json").read_text())
+        assert rec["status"] == "failed" and rec["error"] == err[len("error: "):]
+        assert not (out / "bad.csv").exists()
+
     def test_dense_cap_env(self, tmp_path, monkeypatch, capsys):
+        # no environment variable reaches a run: the old cap override is ignored
         monkeypatch.setenv("QEX_DENSE_CAP", "3")
         tpath = tmp_path / "pauli.json"
         qx.save_tuple(tpath, qx.pauli_tuple())
         code = main(
             ["--out", str(tmp_path / "o"), "gap", "-p", f"tuple={tpath}", "-p", "method=dense"]
         )
-        assert code == 1
-        assert "dense cap" in capsys.readouterr().err
+        assert code == 0 and capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "o" / "gap.json").read_text())["method"] == "dense"
 
 
 class TestDeclaredParams:

@@ -9,7 +9,7 @@ from scipy import integrate
 
 import qexpand as qx
 from qexpand.errors import DimensionMismatch, TupleFormatError, UnitarityError
-from qexpand.linalg import RngSpec, as_square_matrix
+from qexpand.linalg import RngSpec, _write_file, as_square_matrix
 
 
 def sample_haar_unitary_qr(N, gen):
@@ -354,6 +354,25 @@ class TestTupleFiles:
         qx.save_tuple(p, t)
         want = json.dumps(t.to_json(), indent=2, allow_nan=False) + "\n"
         assert p.read_bytes() == want.encode("ascii")
+
+
+class TestWriteFile:
+    """``_write_file``'s number rule: CSV floats as ``.17g`` text, no NaN or infinity anywhere."""
+
+    def test_csv_cells(self, tmp_path):
+        p = tmp_path / "t.csv"
+        _write_file(p, [["a", "b"], [0.1, np.float64(1 / 3)], [3, np.int64(-2)], ["", "x"]])
+        want = "a,b\r\n0.10000000000000001,0.33333333333333331\r\n3,-2\r\n,x\r\n"
+        assert p.read_bytes() == want.encode() and format(1 / 3, ".17g") in want
+
+    @pytest.mark.parametrize("bad", [float("nan"), np.float64("inf"), -math.inf])
+    @pytest.mark.parametrize("name", ["t.csv", "t.json"])
+    def test_non_finite_is_one_line_error(self, tmp_path, name, bad):
+        p = tmp_path / name
+        with pytest.raises(ValueError) as info:
+            _write_file(p, [["x"], [1.0, bad]] if p.suffix == ".csv" else {"x": [1.0, bad]})
+        assert str(info.value).startswith(f"{p}: ") and "\n" not in str(info.value)
+        assert list(tmp_path.iterdir()) == []  # neither the file nor its .tmp
 
 
 class TestTupleMemo:

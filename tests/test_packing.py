@@ -6,6 +6,7 @@ import pytest
 
 import qexpand as qx
 import qexpand.superop as superop
+from qexpand.cli import ExperimentConfig, run
 from qexpand.linalg import RngSpec
 
 
@@ -59,9 +60,9 @@ class TestGreedyPack:
     def test_save_into_a_file_path_is_one_line_error(self, tmp_path):
         out = tmp_path / "afile"
         out.write_text("kept")
-        fam = qx.greedy_pack(2, 2, 0.1, 0.1, 3, RngSpec(0))
+        params = {"n": 2, "N": 2, "eps": 0.1, "delta": 0.1, "max_samples": 3}
         with pytest.raises(qx.ConfigError) as info:
-            fam.save(out)
+            run(ExperimentConfig("pack", params, RngSpec(0), str(out)))
         assert str(info.value).startswith(f"{out}: cannot make output directory: ")
         assert "\n" not in str(info.value) and out.read_text() == "kept"
 
@@ -152,7 +153,8 @@ class TestGreedyPack:
 
     def test_save_layout(self, tmp_path):
         fam = qx.greedy_pack(2, 3, 0.0, 0.02, 10, RngSpec(56, 0))
-        paths = fam.save(tmp_path)
+        params = {"n": 2, "N": 3, "eps": 0.0, "delta": 0.02, "max_samples": 10}
+        run(ExperimentConfig("pack", params, RngSpec(56, 0), str(tmp_path)))
         assert (tmp_path / "family.csv").exists()
         assert (tmp_path / "meta.json").exists()
         members = sorted(tmp_path.glob("member_*.json"))
