@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import TupleFormatError
 from .linalg import MatrixTuple, _JsonFields, _haar_stack, _load_json, as_generator, as_square_matrix
-from .superop import GapReport, SuperOperator, _applier, center, spectral_gap
+from .superop import GapReport, SuperOperator, _applier, _scale_to_unit, center, spectral_gap
 
 __all__ = [
     "PAULI",
@@ -215,7 +215,9 @@ def mixing_curve(u: MatrixTuple, x0, steps: int) -> np.ndarray:
     """Residuals ||Phi^k(x0) - tr(x0)/N I||_H for the channel Phi = n^-1 sum u_j . u_j*.
 
     Returns steps+1 values, k = 0..steps. The curve of an eps-expander decays
-    at least like (1-eps)^k.
+    at least like (1-eps)^k. Each norm is taken of y scaled by a power of two
+    (``_scale_to_unit``) and scaled back, so it overflows only if the
+    residual itself does.
     """
     u.require_unitary()
     if steps < 1:
@@ -228,7 +230,8 @@ def mixing_curve(u: MatrixTuple, x0, steps: int) -> np.ndarray:
     n, N = u.n, u.dim
     step = _applier(SuperOperator(u, u))
     for k in range(steps + 1):
-        out[k] = float(np.linalg.norm(y)) / math.sqrt(N)
+        e = math.frexp(float(np.abs(y).max()))[1]
+        out[k] = math.ldexp(float(np.linalg.norm(_scale_to_unit(y, None))) / math.sqrt(N), e)
         if k < steps:
             y = step(y) / n
     return out

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,22 @@ class TestMixingCurve:
         x0 = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         curve = qx.mixing_curve(u, x0, 30)
         assert np.all(np.diff(curve) <= 1e-12)
+
+    def test_huge_entries_do_not_overflow(self, pauli, tmp_path):
+        from qexpand.cli import main
+
+        x0 = 1e300 * np.array([[1.0, 0.0], [1.0, 1.0]])
+        xpath, tpath = tmp_path / "x0.json", tmp_path / "pauli.json"
+        qx.save_tuple(xpath, qx.MatrixTuple(x0[None]))
+        qx.save_tuple(tpath, pauli)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = qx.mixing_curve(pauli, x0, 3)
+            code = main(["--out", str(tmp_path / "o"), "mix", "-p", f"tuple={tpath}",
+                         "-p", f"x0={xpath}", "-p", "steps=3"])
+        assert curve[0] == pytest.approx(1e300 * qx.mixing_curve(pauli, x0 / 1e300, 3)[0], rel=1e-12)
+        assert curve[0] == pytest.approx(1e300 / math.sqrt(2), rel=1e-12)
+        assert code == 0
 
     def test_step_validation(self, pauli):
         with pytest.raises(ValueError):

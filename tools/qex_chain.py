@@ -1,18 +1,22 @@
-"""Fixed-seed chain of ``qex`` runs: one SHA-256 per file they write.
+"""Fixed-seed ledger: every number of a chain of ``qex`` runs and of solver cases.
 
 Runs every command (all five ``appendix`` experiments, both ``cover``
 metrics, dense and Lanczos gaps, one run that must fail) as its own
 ``python -m qexpand.cli`` process on the package in SRC, each into its own
-directory under OUT, and prints ``<sha256>  <run>/<file>`` for every file
-written. A ``run.json`` is hashed without its ``started`` and ``finished``
-timestamps and with OUT replaced by ``<out>``, so two checkouts that write
-the same numbers print the same lines. BLAS runs on one thread. Exits
-nonzero if a run ends with an exit code other than the one listed for it.
+directory under OUT, then the cases of ``run_solves`` in this process on the
+same package, with BLAS on one thread. Each line is a name, two spaces, then
+the ``repr`` of a number, string or bool, or ``sha256:<hex>`` of the bytes of
+an array (numpy, or a tuple's ``matrices_b64``). A name is ``<run>/<file>``
+or a case, then ``:<key>`` per JSON key or field and ``[<i>]`` per list item
+or CSV row: ``gap-dense/gap.json:value``, ``mix/mix.csv[3]:residual``,
+``gap/N=32:residual``. ``run.json`` is read without ``started`` and
+``finished`` and with OUT as ``<out>``. Two trees are compared by ``diff`` of
+the output on their ``src``. Exits 1 if a run's exit code is not the one
+listed, 2 if OUT is not empty or ``qexpand`` is not SRC's.
 
-    python3 tools/qex_chain.py src /tmp/chain > hashes.txt
-
-OUT must not exist yet, or be empty.
+    python3 tools/qex_chain.py src /tmp/chain > ledger.txt
 """
+import csv
 import hashlib
 import json
 import os
@@ -20,9 +24,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-# (run name, seed, command, params, expected exit code); "@name/file" is the
-# file of that name written by an earlier run, "@group.json" the group file
-# written first and "@pack" the directory of the pack run
+# (run name, seed, command, params, expected exit code); "@path" is that file or
+# directory under OUT, written by an earlier run or (group.json) first
 CHAIN = [
     ("u", 1, "sample-haar", {"n": 3, "N": 11}, 0),
     ("v", 2, "sample-haar", {"n": 3, "N": 11}, 0),
@@ -51,36 +54,44 @@ CHAIN = [
     ("dominance", 24, "appendix", {"experiment": "dominance", "n": 3, "N": 8, "samples": 10}, 0),
     ("hastings", 25, "appendix",
      {"experiment": "hastings", "n": 3, "N": 12, "samples": 10, "coeffs": "1,0.5,0.25"}, 0),
-    ("matrix-coeff", 26, "appendix",
-     {"experiment": "matrix-coeff", "n": 2, "N": 6, "samples": 10, "k": 2}, 0),
+    ("matrix-coeff", 26, "appendix", {"experiment": "matrix-coeff", "n": 2, "N": 6, "samples": 10, "k": 2}, 0),
     ("validate", 27, "validate", {"tuple": "@u/tuple.json"}, 0),
     ("failed", 28, "pack", {"n": 2, "N": 2, "eps": 0.0, "delta": 1.5, "max_samples": 2}, 1),
 ]
 # the cycle graph of Z_5, as GroupPresentation.to_json writes it
 GROUP = {"order": 5, "generators": [[1, 2, 3, 4, 0], [4, 0, 1, 2, 3]], "labels": ["+1", "-1"]}
-_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def file_hash(path: Path, out: Path) -> str:
-    if path.name != "run.json":
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+def emit(name, value):
+    """Print the lines of value under name, as the module docstring states; None prints none."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            emit(f"{name}:{key}", item)
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            emit(f"{name}[{i}]", item)
+    elif isinstance(value, bytes) or hasattr(value, "tobytes"):
+        print(f"{name}  sha256:{hashlib.sha256(memoryview(value).tobytes()).hexdigest()}")
+    elif value is not None:
+        print(f"{name}  {value!r}")
+
+
+def read_file(path: Path, out: Path):
+    """The values in a file a run wrote: CSV rows by column, or JSON."""
+    if path.suffix == ".csv":
+        return list(csv.DictReader(path.read_text().splitlines()))
     record = json.loads(path.read_text().replace(str(out), "<out>"))
-    record.pop("started")
-    record.pop("finished")
-    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+    if path.name == "run.json":
+        del record["started"], record["finished"]
+    if "matrices_b64" in record:
+        record["matrices_b64"] = record["matrices_b64"].encode()
+    return record
 
 
-def main(argv) -> int:
-    if len(argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    src, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
-    out.mkdir(parents=True, exist_ok=True)
-    if any(out.iterdir()):
-        print(f"{out}: not empty", file=sys.stderr)
-        return 2
+def run_chain(src: Path, out: Path) -> int:
+    """Run CHAIN into out and print its files; returns the number of unexpected exit codes."""
     (out / "group.json").write_text(json.dumps(GROUP))
-    env = {**os.environ, "PYTHONPATH": str(src), **{var: "1" for var in _THREADS}}
+    env = {**os.environ, "PYTHONPATH": str(src)}
     bad = 0
     for name, seed, command, params, want in CHAIN:
         flags = []
@@ -96,7 +107,92 @@ def main(argv) -> int:
                   file=sys.stderr)
             bad += 1
         for path in sorted((out / name).iterdir()):
-            print(f"{file_hash(path, out)}  {name}/{path.name}")
+            emit(f"{name}/{path.name}", read_file(path, out))
+    return bad
+
+
+def run_solves():
+    """Print the solver cases, all drawn in turn from fixed seeds."""
+    import numpy as np
+
+    import qexpand as qx
+
+    def ginibre(n, R, gen):
+        return qx.MatrixTuple(gen.standard_normal((n, R, R)) + 1j * gen.standard_normal((n, R, R)))
+
+    def report(case, rep):
+        extra = {key: getattr(rep, key, None) for key in ("top_vector", "top_image", "values")}
+        emit(case, {**rep.to_json(), **extra})
+
+    gen = qx.RngSpec(2024, 7).generator()
+    # operator_norm: dense, complex128 and mixed Lanczos, both restrictions, witness on and off
+    for N in (3, 4, 6, 11, 12, 13, 17, 32):
+        for k in (1, 2) if N <= 13 else (1,):
+            u, v = qx.haar_tuple(3, N, gen), qx.haar_tuple(3, N, gen)
+            left = ginibre(3, k * N, gen) if k > 1 else u
+            for restrict in (False, True):
+                T = qx.SuperOperator(left, v, restrict_h0=restrict)
+                for method in ("dense", "lanczos") if k * N * N <= 1024 else ("lanczos",):
+                    for tol in (1e-10, 1e-6) if method == "lanczos" else (1e-10,):
+                        for witness in (True, False):
+                            report(f"norm/N={N},k={k},restrict={restrict},{method},tol={tol},"
+                                   f"witness={witness}",
+                                   qx.operator_norm(T, method=method, tol=tol, rng=gen, witness=witness))
+    # warm starts, caps and spectral gaps
+    for N in (13, 17):
+        u = qx.haar_tuple(4, N, gen)
+        T = qx.SuperOperator.conjugation(u)
+        start = gen.standard_normal((N, N)) + 1j * gen.standard_normal((N, N))
+        for tol in (1e-6, 1e-8):
+            report(f"warm/N={N},tol={tol}", qx.operator_norm(T, "lanczos", tol=tol, rng=gen, start=start))
+            report(f"cap/N={N},tol={tol}", qx.operator_norm(T, "lanczos", tol=tol, max_iter=7, rng=gen))
+        report(f"gap/N={N}", qx.spectral_gap(u, tol=1e-6, rng=gen))
+    report("gap/N=32", qx.spectral_gap(qx.haar_tuple(4, 32, gen), tol=1e-6, rng=gen))
+    # lockstep batches of _norms, dense and Lanczos, shared and per-operator left stacks
+    for N, tol in ((4, 1e-8), (13, 1e-8), (13, 1e-6), (16, 1e-6)):
+        for restrict in (False, True):
+            left = np.stack([qx.haar_tuple(3, N, gen).mats for _ in range(4)])
+            right = np.stack([qx.haar_tuple(3, N, gen).mats for _ in range(4)])
+            for lt in (left, left[:1]):
+                rngs = [qx.RngSpec(5, b).generator() for b in range(4)]
+                batch = qx.superop._norms(lt, right, restrict, rngs, tol)
+                emit(f"norms/N={N},tol={tol},restrict={restrict},left={len(lt)}",
+                     dict(zip(("values", "applies", "converged"), (a.tolist() for a in batch))))
+    # Monte Carlo statistics: dense and Lanczos, scalar and k = 2 block coefficients
+    for N in (8, 13, 16):
+        for fn in (qx.unitary_sum_norm, qx.gaussian_decoupled_norm):
+            report(f"{fn.__name__}/N={N}", fn([1.0, 0.5, 1j], N, 10, qx.RngSpec(11, N)))
+    mats = [np.eye(2), np.diag([1.0, -1.0]), np.ones((2, 2))]
+    for N in (8, 9):
+        report(f"matrix_coefficient_sum/N={N}", qx.matrix_coefficient_sum(mats, N, 10, qx.RngSpec(12, N)))
+    # greedy packing, dense (N = 4) and lockstep Lanczos (N = 13)
+    for n, N, samples in ((6, 4, 30), (3, 13, 6)):
+        fam = qx.greedy_pack(n, N, 0.05, 0.05, samples, qx.RngSpec(13, N))
+        emit(f"greedy_pack/n={n},N={N}", {key: getattr(fam, key) for key in (
+            "pairwise", "gap_values", "rejected_close", "rejected_uncertified", "unconverged")})
+    # dense matrices with k = 2 blocks, restricted and not
+    for restrict in (False, True):
+        T = qx.SuperOperator(ginibre(2, 6, gen), ginibre(2, 3, gen), restrict_h0=restrict)
+        emit(f"materialize/restrict={restrict}", qx.materialize(T))
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        print(f"{out}: not empty", file=sys.stderr)
+        return 2
+    os.environ.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    sys.path.insert(0, str(src))
+    import qexpand
+    if not Path(qexpand.__file__).resolve().is_relative_to(src):
+        print(f"qexpand imports from {qexpand.__file__}, not from {src}", file=sys.stderr)
+        return 2
+    bad = run_chain(src, out)
+    run_solves()
     return 1 if bad else 0
 
 
