@@ -215,9 +215,9 @@ def mixing_curve(u: MatrixTuple, x0, steps: int) -> np.ndarray:
     """Residuals ||Phi^k(x0) - tr(x0)/N I||_H for the channel Phi = n^-1 sum u_j . u_j*.
 
     Returns steps+1 values, k = 0..steps. The curve of an eps-expander decays
-    at least like (1-eps)^k. Each norm is taken of y scaled by a power of two
-    (``_scale_to_unit``) and scaled back, so it overflows only if the
-    residual itself does.
+    at least like (1-eps)^k. x0 and then each y are scaled by powers of two
+    to unit max-abs (``_scale_to_unit``; exact, as Phi is linear) and each
+    norm scaled back, so the curve overflows only if a residual itself does.
     """
     u.require_unitary()
     if steps < 1:
@@ -225,13 +225,14 @@ def mixing_curve(u: MatrixTuple, x0, steps: int) -> np.ndarray:
     x = as_square_matrix(x0, "x0")
     if x.shape[0] != u.dim:
         raise ValueError(f"x0 has dim {x.shape[0]}, tuple has {u.dim}")
+    x, e0 = _scale_to_unit(x, None)
     y = center(x)
     out = np.empty(steps + 1)
     n, N = u.n, u.dim
     step = _applier(SuperOperator(u, u))
     for k in range(steps + 1):
-        e = math.frexp(float(np.abs(y).max()))[1]
-        out[k] = math.ldexp(float(np.linalg.norm(_scale_to_unit(y, None))) / math.sqrt(N), e)
+        z, e = _scale_to_unit(y, None)
+        out[k] = math.ldexp(float(np.linalg.norm(z)) / math.sqrt(N), (e + e0).item())
         if k < steps:
             y = step(y) / n
     return out

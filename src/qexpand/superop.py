@@ -13,25 +13,25 @@ trace-zero subspace on both sides. ``center`` applies it analytically as
 xi_b -> xi_b - tr(xi_b)/N * I on every block, never as a matrix, for
 ``apply`` and (on the columns and rows) for ``materialize``.
 
-``_solve`` is the one norm solve, for B operators of one shape: it checks
-``tol`` and ``max_iter``, answers the restricted N = 1 case (the domain is
-{0}), and takes one batched Gram eigen-solve of given dense matrices or
-runs thick-restart Lanczos on T*T through the matrix-free action. The one
+``_solve`` is the one norm solve, for B operators of one shape given as
+member stacks: it checks ``tol`` and ``max_iter``, answers the restricted
+N = 1 case (the domain is {0}), scales each operator's members by powers
+of two to unit max-abs, takes one batched Gram eigen-solve of their
+``_dense`` matrices or runs thick-restart Lanczos on T*T matrix-free, and
+scales the results back. That scaling is exact, so a norm does not depend
+on the members' scale; one beyond the float range is a ValueError. The one
 Lanczos routine, ``_lanczos``, runs the B operators in lockstep on stacked
-(B, kN, N) GEMMs and batched ``eigh``s, each run stopping after the applies
-it would take alone; its recurrence runs on the real view of its basis. At
-loose tolerances (tol >= _SINGLE_TOL = 1e-6) ``_solve`` runs the Krylov
-cycles in complex64, on operands rescaled by powers of two, and certifies
-their Ritz vector with a complex128 run: the value is still a complex128
-Rayleigh-Ritz lower bound with a complex128 residual stop. Tighter solves
-run in complex128 throughout. One ``_gram_apply`` gives T a and T*T a: the
-Lanczos step and the witness residual of ``operator_norm`` both use it.
+(B, kN, N) GEMMs and batched ``eigh``s, each run stopping after the
+applies it would take alone; its recurrence runs on the real view of its
+basis. At loose tolerances (tol >= _SINGLE_TOL = 1e-6) ``_solve`` runs the
+Krylov cycles in complex64 and certifies their Ritz vector with a
+complex128 run. One ``_gram_apply`` gives T a and T*T a, for the Lanczos
+step and the witness.
 
-``operator_norm`` is its batch of one (on ``materialize(T)`` when dense),
-``spectral_gap`` that on the restricted conjugation, and ``_norms`` its
-batches (on the ``_dense`` matrices, one matmul over the members, when
-dense) for the Monte Carlo samples of ``randmat`` and the pair norms of
-``packing``, sized under one byte budget by ``_batch_size``.
+``operator_norm`` is its batch of one, ``spectral_gap`` that on the
+restricted conjugation, and ``_norms`` its batches for the Monte Carlo
+samples of ``randmat`` and the pair norms of ``packing``, sized under one
+byte budget by ``_batch_size``.
 """
 from __future__ import annotations
 
@@ -293,7 +293,7 @@ def _kron_sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _dense(left: np.ndarray, right: np.ndarray, restrict_h0: bool) -> np.ndarray:
-    """Dense (K, kN^2, kN^2) matrices of the K operators sum_j left_kj (.) right_kj*.
+    """Dense (K, kN^2, kN^2) matrices of sum_j left_kj (.) right_kj*, at most DEFAULT_DENSE_CAP.
 
     The restriction Q m Q (Q = I - I_k (x) vv*, real symmetric) centres every
     column, then every row, of each unrestricted matrix, in place: it
@@ -302,10 +302,15 @@ def _dense(left: np.ndarray, right: np.ndarray, restrict_h0: bool) -> np.ndarray
     column traces are summed from a contiguous copy of those rows (d^2 / N
     entries), so that every trace is summed in the order ``center`` sums it.
     """
+    R, N = left.shape[-1], right.shape[-1]
+    if R * N > DEFAULT_DENSE_CAP:
+        raise DenseCapExceeded(
+            f"kN^2 = {R * N} exceeds dense cap {DEFAULT_DENSE_CAP}; "
+            "use operator_norm(..., method='lanczos') instead"
+        )
     m = _kron_sums(left, right)
     if restrict_h0:
         K, d = m.shape[:2]
-        N = right.shape[-1]
         rows = m.reshape(K, -1, N * N, d)[:, :, :: N + 1]
         rows -= np.ascontiguousarray(rows.swapaxes(2, 3)).sum(-1)[:, :, None] / N
         _center_in_place(m.reshape(-1, N, N))
@@ -318,12 +323,6 @@ def materialize(T: SuperOperator) -> np.ndarray:
     Raises DenseCapExceeded above kN^2 = DEFAULT_DENSE_CAP (4096); use the
     matrix-free path there.
     """
-    R, N = T.shape
-    if R * N > DEFAULT_DENSE_CAP:
-        raise DenseCapExceeded(
-            f"kN^2 = {R * N} exceeds dense cap {DEFAULT_DENSE_CAP}; "
-            "use operator_norm(..., method='lanczos') instead"
-        )
     return _dense(T.left.mats[None], T.right.mats[None], T.restrict_h0)[0]
 
 
@@ -388,17 +387,19 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt((a[:, None, :] @ a[:, :, None].conj())[:, 0, 0].real)
 
 
-def _scale_to_unit(a: np.ndarray, axes) -> np.ndarray:
-    """Copy of a complex array scaled by powers of two to max |entry| in [1/2, 1) over ``axes``.
+def _scale_to_unit(a: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
+    """(a * 2^-e, e) for complex a, with exponents e putting max |entry| over ``axes`` in [1/2, 1).
 
-    A power of two scales without rounding (above the subnormals), so the
-    copy carries the same digits, and no finite input overflows on the way.
-    An all-zero slice is left as it is.
+    e keeps ``axes`` as size one. A power of two scales without rounding (above
+    the subnormals), so no digit moves and no finite input overflows on the way.
+    An all-zero slice keeps e = 0; where every e is 0, a itself is returned.
     """
     e = np.frexp(np.abs(a).max(axis=axes, keepdims=True))[1]
+    if not e.any():
+        return a, e
     out = np.empty_like(a)
     out.real, out.imag = np.ldexp(a.real, -e), np.ldexp(a.imag, -e)
-    return out
+    return out, e
 
 
 def _start_vector(shape, restrict_h0: bool, start, rng) -> np.ndarray:
@@ -419,7 +420,7 @@ def _start_vector(shape, restrict_h0: bool, start, rng) -> np.ndarray:
             raise DimensionMismatch(f"start has shape {z.shape}, operator acts on {shape}")
         if not np.all(np.isfinite(z)):
             raise ValueError("start contains non-finite entries")
-        z = project(_scale_to_unit(z, None))
+        z = project(_scale_to_unit(z, None)[0])
     if z is None or not _frob(z) > 0:
         gen = as_generator(rng)
         z = project(gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
@@ -552,55 +553,75 @@ def _lanczos(operands, restrict_h0, Z, tol, max_iter):
         k = keep
 
 
-def _solve(operands, shape, restrict_h0, m, rngs, starts, tol, max_iter, vectors):
-    """Top eigenvalues theta of T_b*T_b for B operators of shape (kN, N): every norm solve.
+def _solve(left, right, restrict_h0, dense, rngs, starts, tol, max_iter, witness):
+    """Norms of T_b = sum_j left_bj (.) right_bj* for B operators of one shape: every norm solve.
 
-    Given m, the operators' dense matrices, one batched Gram eigen-solve of
-    m*m (``eigh`` with ``vectors``, else ``eigvalsh``) counts as one apply.
-    Otherwise ``operands`` are the operators' (B-row) ``_gram_operands``,
-    which the runs may reorder when B > 1; run b starts from starts[b], or
-    where that is None from a draw from rngs[b], and the runs go through
-    ``_lanczos`` in lockstep. Where tol >= _SINGLE_TOL and max_iter > 1 they
-    first take up to max_iter - 1 applies in complex64, from the starts cast
-    to it, on T's (X, Y) scaled by powers of two to unit max-abs per operator
-    (``_scale_to_unit``: the Krylov vectors do not depend on the scale, and
-    no finite member overflows or underflows in the cast) and T*'s pair
-    transposed from those. Their Ritz vectors, re-centred and normalised in
-    complex128, start the complex128 run with each run's rest of max_iter.
-    That run is the certificate: a complex128 Rayleigh-Ritz lower bound with
-    a complex128 residual stop, one apply when its start has converged. A
-    restricted N = 1 operator acts on {0}: value 0, no vector, no Lanczos
-    apply. Returns per-run (theta, X, applies, single, converged): X the
-    (B, kN, N) unit vectors or None, applies over both phases and single
-    the complex64 ones.
+    ``left`` is a (B or 1, n, kN, kN) member stack, ``right`` a (B, n, N, N)
+    one. The one scale rule: both stacks of each operator are scaled by
+    powers of two to unit max-abs (``_scale_to_unit``), so T_b = 2^e_b S_b;
+    the solve runs on S_b and scales its norms and images back by 2^e_b and
+    its T*T residuals by 2^2e_b. Every IEEE step commutes with exact
+    power-of-two scaling, so in-range values are bit-equal to an unscaled
+    solve's, and the members' scale cannot overflow or underflow the solve.
+    A norm beyond the float range raises ValueError; a witness residual
+    beyond it (a norm above about 1e154) reads inf. With ``dense``, one
+    batched Gram eigen-solve counts as one apply, on the ``_dense`` matrices
+    (one operator's from ``materialize``, so a traced run times it there).
+    Otherwise run b starts from starts[b], or where that is None from a draw
+    from rngs[b], and the runs go through ``_lanczos`` in lockstep on the
+    ``_gram_operands``. Where tol >= _SINGLE_TOL and max_iter > 1 they first
+    take up to max_iter - 1 applies on those operands and starts cast to
+    complex64; their Ritz vectors, re-centred and normalised in complex128,
+    start the complex128 run with each run's rest of max_iter. That run is
+    the certificate: a complex128 Rayleigh-Ritz lower bound with a
+    complex128 residual stop. A restricted N = 1 operator acts on {0}: value
+    0, no vector, no Lanczos apply. Returns per-run (values, applies, single,
+    converged, X, image, residual): applies over both phases, single the
+    complex64 ones; with ``witness`` (B = 1: the runs reorder the operands)
+    the unit vectors X, T_b(X_b) and ||T_b*T_b X_b - theta_b X_b||_F.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not max_iter >= 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    B, (R, N) = len(rngs), shape
+    B, R, N = len(rngs), left.shape[-1], right.shape[-1]
     zeros, converged = np.zeros(B, dtype=int), np.ones(B, dtype=bool)
     if restrict_h0 and N == 1:
-        return np.zeros(B), None, zeros + (m is not None), zeros, converged
-    if m is not None:
+        return np.zeros(B), zeros + dense, zeros, converged, None, None, None
+    (left, e), (right, f) = _scale_to_unit(left, (1, 2, 3)), _scale_to_unit(right, (1, 2, 3))
+    e, single = (e + f).reshape(B), zeros
+    if dense:
+        m = _dense(left, right, restrict_h0) if B > 1 else materialize(
+            SuperOperator(MatrixTuple(left[0]), MatrixTuple(right[0]), restrict_h0))[None]
         gram = m.conj().swapaxes(-1, -2) @ m
-        if vectors:
-            evals, evecs = np.linalg.eigh(gram)
-            X = evecs[..., -1].reshape(B, R, N)
-        else:
-            evals, X = np.linalg.eigvalsh(gram), None
-        return evals[:, -1], X, zeros + 1, zeros, converged
-    Z = np.stack([_start_vector(shape, restrict_h0, z, g) for z, g in zip(starts, rngs)])
-    single = zeros
-    if tol >= _SINGLE_TOL and max_iter > 1:
-        low = _gram_operands(*(_scale_to_unit(a, (1, 2)).astype(np.complex64) for a in operands[:2]))
-        _, Z, single, _ = _lanczos(low, restrict_h0, Z.astype(np.complex64), tol, max_iter - 1)
-        if restrict_h0:
-            _center_in_place(Z)
-        Z /= _row_norms(Z.reshape(B, -1))[:, None, None]
-        max_iter = max_iter - single
-    theta, X, applies, converged = _lanczos(operands, restrict_h0, Z, tol, max_iter)
-    return theta, X, applies + single, single, converged
+        evals, vecs = np.linalg.eigh(gram) if witness else (np.linalg.eigvalsh(gram), None)
+        X = vecs[..., -1].reshape(B, R, N) if witness else None
+        theta, applies = evals[:, -1], zeros + 1
+    if not dense or witness:
+        left = np.broadcast_to(left, right.shape[:1] + left.shape[1:])
+        operands = _gram_operands(*_gemm_operands(left, right))
+    if not dense:
+        Z = np.stack([_start_vector((R, N), restrict_h0, z, g) for z, g in zip(starts, rngs)])
+        if tol >= _SINGLE_TOL and max_iter > 1:
+            low = tuple(a.astype(np.complex64) for a in operands)
+            _, Z, single, _ = _lanczos(low, restrict_h0, Z.astype(np.complex64), tol, max_iter - 1)
+            if restrict_h0:
+                _center_in_place(Z)
+            Z /= _row_norms(Z.reshape(B, -1))[:, None, None]
+            max_iter = max_iter - single
+        theta, X, applies, converged = _lanczos(operands, restrict_h0, Z, tol, max_iter)
+        applies = applies + single
+    image = residual = None
+    with np.errstate(over="ignore"):  # a norm overflow raises below; a residual may read inf
+        values = np.ldexp(np.sqrt(np.maximum(theta, 0.0)), e)
+        if witness:
+            image, tx = _gram_apply(operands, restrict_h0, center(X) if restrict_h0 else X)
+            residual = np.ldexp([_frob(t - th * x) for t, th, x in zip(tx, theta, X)], 2 * e)
+            k = e[:, None, None]
+            image.real, image.imag = np.ldexp(image.real, k), np.ldexp(image.imag, k)
+    if not np.isfinite(values).all():
+        raise ValueError("the norm exceeds the float range; scale the members down")
+    return values, applies, single, converged, X, image, residual
 
 
 def operator_norm(
@@ -614,7 +635,7 @@ def operator_norm(
 ) -> GapReport:
     """Operator norm of T on Hilbert-Schmidt space, as a batch of one for ``_solve``.
 
-    method "dense" computes the exact top singular value of the materialized
+    method "dense" computes the exact top singular value of the dense
     matrix m by a Gram eigen-solve on m*m; "lanczos" runs matrix-free
     thick-restart Lanczos on T*T from ``start`` (or a random vector drawn
     from ``rng``). There ``tol`` is a relative Ritz residual bound on T*T:
@@ -626,30 +647,23 @@ def operator_norm(
     applies within ``iterations``. "auto" picks dense for
     kN^2 <= AUTO_DENSE_DIM, which is kN^2 <= 144 (N <= 12 for k = 1), and
     lanczos above. A restricted T with N = 1 acts on {0}; both methods
-    report value 0 there without a witness. The
-    witness residual is one ``_gram_apply`` on the solve's GEMM operands,
-    and its T image is the report's ``top_image``.
+    report value 0 there without a witness. A value does not depend on the
+    members' scale; one beyond the float range raises ValueError (``_solve``).
     """
     R, N = T.shape
     if method == "auto":
         method = "dense" if auto_dense(R * N) else "lanczos"
     if method not in ("dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
-    m = materialize(T)[None] if method == "dense" else None
-    operands = None
-    if m is None or witness:
-        operands = _gram_operands(*_gemm_operands(T.left.mats[None], T.right.mats[None]))
-    thetas, X, applies, singles, converged = _solve(
-        operands, T.shape, T.restrict_h0, m, [rng], [start], tol, max_iter, witness
+    left, right, restrict = T.left.mats[None], T.right.mats[None], T.restrict_h0
+    values, applies, singles, converged, X, image, residual = _solve(
+        left, right, restrict, method == "dense", [rng], [start], tol, max_iter, witness
     )
-    theta, iters, single = float(thetas[0]), int(applies[0]), int(singles[0])
+    value, iters, single = float(values[0]), int(applies[0]), int(singles[0])
     tag = method if converged[0] else "lanczos-unconverged"
-    value = math.sqrt(max(theta, 0.0))
-    if not witness or X is None:
+    if image is None:
         return GapReport(value, tag, iters, 0.0, single_applies=single)
-    x, restrict = X[0], T.restrict_h0
-    image, tx = _gram_apply(operands, restrict, (center(x) if restrict else x)[None])
-    return GapReport(value, tag, iters, _frob(tx[0] - theta * x), x, single, image[0])
+    return GapReport(value, tag, iters, float(residual[0]), X[0], single, image[0])
 
 
 def _norms(left, right, restrict_h0: bool, rngs, tol: float):
@@ -659,22 +673,15 @@ def _norms(left, right, restrict_h0: bool, rngs, tol: float):
     (B, n, kN, kN) and (B, n, N, N) member stacks, or a (1, n, kN, kN) left
     stack shared by all; the call writes into neither. It gets the value,
     applies and convergence flag of operator_norm(..., tol=tol, rng=rngs[b],
-    witness=False): a dense Gram solve of the ``_dense`` matrices where
-    ``auto_dense(kN^2)``, lockstep Lanczos on the ``_gram_operands`` with run
-    b's start drawn from rngs[b] above. ``_batch_size`` bounds B. Returns
-    (values, applies, converged) arrays.
+    witness=False): a dense Gram solve where ``auto_dense(kN^2)``, lockstep
+    Lanczos with run b's start drawn from rngs[b] above. ``_batch_size``
+    bounds B. Returns (values, applies, converged) arrays.
     """
-    shape = left.shape[-1], right.shape[-1]
-    m = operands = None
-    if auto_dense(shape[0] * shape[1]):
-        m = _dense(left, right, restrict_h0)
-    else:
-        left = np.broadcast_to(left, right.shape[:1] + left.shape[1:])
-        operands = _gram_operands(*_gemm_operands(left, right))
-    theta, _, applies, _, converged = _solve(
-        operands, shape, restrict_h0, m, rngs, [None] * len(rngs), tol, _MAX_APPLIES, False
+    dense = auto_dense(left.shape[-1] * right.shape[-1])
+    values, applies, _, converged, *_ = _solve(
+        left, right, restrict_h0, dense, rngs, [None] * len(rngs), tol, _MAX_APPLIES, False
     )
-    return np.sqrt(np.maximum(theta, 0.0)), applies, converged
+    return values, applies, converged
 
 
 def spectral_gap(

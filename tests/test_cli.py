@@ -567,6 +567,19 @@ class TestMain:
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert out["summary"]["epsilon"] == pytest.approx(1.0, abs=1e-10)
 
+    def test_hastings_mean_is_homogeneous_in_the_coefficients(self, tmp_path, capsys):
+        # coeffs=1e80 once read 1.729e80 (38.8% low) with unconverged 0
+        def summary(c):
+            params = {"experiment": "hastings", "n": 3, "N": 20, "samples": 10, "coeffs": f"{c},{c},{c}"}
+            assert main(["--seed", "1", "--out", str(tmp_path / c), "appendix", *flags(params)]) == 0
+            return json.loads(capsys.readouterr().out.strip().splitlines()[-1])["summary"]
+
+        base = summary("1")["unitary_mean"]
+        for s in (1e80, 1e-100):
+            got = summary(repr(s))
+            assert got["unconverged"] == 0
+            assert got["unitary_mean"] == pytest.approx(s * base, rel=1e-12, abs=0)
+
     def test_one_parser_per_process_keeps_params_apart(self, tmp_path, capsys):
         # the parser is reused across calls; argparse's append action must not
         # carry one call's -p list into the next

@@ -234,6 +234,15 @@ class TestMixingCurve:
         assert curve[0] == pytest.approx(1e300 / math.sqrt(2), rel=1e-12)
         assert code == 0
 
+    @pytest.mark.parametrize("s", [9e307, 1.5e308])
+    def test_centring_does_not_overflow_near_the_float_max(self, pauli, s):
+        # the block trace of x0 (2s) overflows, its step-0 residual s/sqrt(2) does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = qx.mixing_curve(pauli, s * np.array([[1.0, 0.0], [1.0, 1.0]]), 2)
+        assert curve[0] == pytest.approx(s / math.sqrt(2), rel=1e-15)
+        assert np.all(curve[1:] == 0.0)
+
     def test_step_validation(self, pauli):
         with pytest.raises(ValueError):
             qx.mixing_curve(pauli, np.eye(2), 0)

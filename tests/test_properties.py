@@ -147,6 +147,68 @@ def test_lanczos_is_a_lower_bound_at_loose_tol(shape, restrict_h0, tol):
 
 
 @SETTINGS
+@given(
+    shapes,
+    st.booleans(),
+    st.sampled_from([("dense", 1e-10), ("lanczos", 1e-10), ("lanczos", 1e-6)]),
+    st.integers(-900, 900),
+)
+@example(shape=(3, 4, 3, 1), restrict_h0=True, solve=("lanczos", 1e-6), k=900)
+@example(shape=(2, 3, 2, 2), restrict_h0=False, solve=("dense", 1e-10), k=-900)
+def test_norm_scales_by_powers_of_two_bit_for_bit(shape, restrict_h0, solve, k):
+    # _solve scales each operator's members to unit max-abs by powers of two,
+    # so 2^k on the left members moves the value and the top image by exactly
+    # 2^k and leaves the applies, the label and the witness vector as they are
+    T, _, _ = _operator(*shape, restrict_h0)
+    method, tol = solve
+    base, scaled = (
+        qx.operator_norm(qx.SuperOperator(left, T.right, restrict_h0), method, tol, rng=shape[-1])
+        for left in (T.left, T.left.scale(2.0**k))
+    )
+    assert scaled.value == math.ldexp(base.value, k)
+    assert (scaled.iterations, scaled.single_applies, scaled.method) == (
+        base.iterations, base.single_applies, base.method
+    )
+    if base.top_vector is None:  # restricted N = 1: the domain is {0}
+        assert scaled.top_vector is None and scaled.top_image is None
+        return
+    assert scaled.top_vector.tobytes() == base.top_vector.tobytes()
+    for part in ("real", "imag"):
+        got = np.ldexp(getattr(scaled.top_image, part), -k)
+        assert got.tobytes() == getattr(base.top_image, part).tobytes()
+
+
+@SETTINGS
+@given(
+    st.integers(1, 3),
+    st.sampled_from([(1, 3), (2, 2), (1, 13), (2, 9)]),
+    st.booleans(),
+    st.sampled_from([1e-10, 1e-6]),
+    st.integers(0, 2**32 - 1),
+)
+def test_norms_batch_scales_each_row_on_its_own(n, kN, restrict_h0, tol, seed):
+    # rows scaled by 2^-600, 1 and 2^600 in one batch (dense up to kN^2 = 144,
+    # lockstep Lanczos above), all from one start: each row gets its own
+    # exponent, its solo value and 2^e times the unscaled row's value
+    k, N = kN
+    T, _, _ = _operator(n, N, k, seed, restrict_h0)
+    lefts = [T.left.scale(2.0**e) for e in (-600, 0, 600)]
+    solo = [
+        qx.operator_norm(qx.SuperOperator(left, T.right, restrict_h0), tol=tol,
+                         rng=np.random.default_rng(seed), witness=False)
+        for left in lefts
+    ]
+    values, applies, converged = superop._norms(
+        np.stack([left.mats for left in lefts]), np.stack([T.right.mats] * 3), restrict_h0,
+        [np.random.default_rng(seed) for _ in lefts], tol,
+    )
+    assert list(values) == [rep.value for rep in solo]
+    assert list(applies) == [rep.iterations for rep in solo]
+    assert [rep.method != "lanczos-unconverged" for rep in solo] == list(converged)
+    assert values[0] == math.ldexp(values[1], -600) and values[2] == math.ldexp(values[1], 600)
+
+
+@SETTINGS
 @given(st.integers(1, 4), st.integers(2, 5), st.integers(0, 2**32 - 1))
 def test_separation_is_bi_unitarily_invariant(n, N, seed):
     # sum_j (c u_j e) (x) conj(a v_j b) = (c (x) conj(a)) [sum_j u_j (x) conj(v_j)] (e (x) conj(b))

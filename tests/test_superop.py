@@ -283,6 +283,32 @@ class TestMixedPrecision:
             assert rep.iterations == cap and rep.single_applies == cap - 1
 
 
+class TestScaleRule:
+    # _solve scales each operator's members to unit max-abs by powers of two,
+    # so a norm does not depend on their scale (once 38% low at s = 1e77..1e90
+    # and 1e-100, and dense 0 at 1e-200)
+    @pytest.mark.parametrize("method, N, s", [
+        *(("lanczos", 20, s) for s in (1e-140, 1e-100, 1e-80, 1e77, 1e90, 1e150)),
+        *(("dense", 6, s) for s in (1e-200, 1e-160, 1e100)),
+    ])
+    def test_value_is_scale_free(self, method, N, s):
+        u = qx.haar_tuple(3, N, 1)
+        base, scaled = (
+            qx.operator_norm(qx.SuperOperator(left, u, restrict_h0=True), method, 1e-10, rng=1)
+            for left in (u, u.scale(s))
+        )
+        assert scaled.method == base.method == method
+        assert scaled.value == pytest.approx(s * base.value, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("method", ["dense", "lanczos"])
+    def test_norm_beyond_the_float_range_raises(self, method):
+        u = qx.haar_tuple(3, 6, 2).scale(1e200)
+        with pytest.raises(ValueError, match="float range"):
+            qx.operator_norm(qx.SuperOperator(u, u, restrict_h0=True), method=method)
+        with pytest.raises(ValueError, match="float range"):
+            superop._norms(u.mats[None], u.mats[None], False, [0], 1e-8)
+
+
 class TestLockstep:
     @staticmethod
     def solo_and_lockstep(ops, tol, shared_left=False):

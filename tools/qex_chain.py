@@ -174,6 +174,17 @@ def run_solves():
     for restrict in (False, True):
         T = qx.SuperOperator(ginibre(2, 6, gen), ginibre(2, 3, gen), restrict_h0=restrict)
         emit(f"materialize/restrict={restrict}", qx.materialize(T))
+    # scale-free solves: restricted gaps with the left stack times powers of
+    # two and times 1e80 and 1e-100, each from the same start as at scale 1
+    gen = qx.RngSpec(2025, 27).generator()
+    for N, method, tols in ((20, "lanczos", (1e-10, 1e-6)), (6, "dense", (1e-10,))):
+        u = qx.haar_tuple(3, N, gen)
+        for tol in tols:
+            for label, s in (("1", 1.0), ("2^-600", 2.0**-600), ("2^600", 2.0**600),
+                             ("1e80", 1e80), ("1e-100", 1e-100)):
+                T = qx.SuperOperator(u.scale(s), u, restrict_h0=True)
+                report(f"scale/N={N},{method},tol={tol},s={label}",
+                       qx.operator_norm(T, method, tol, rng=qx.RngSpec(2025, N).generator()))
 
 
 def main(argv) -> int:
