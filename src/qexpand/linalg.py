@@ -408,38 +408,31 @@ def _csv_cell(x):
     return format(float(x), ".17g")
 
 
-def _write_file(path, content, verbatim: str | None = None) -> None:
+def _write_file(path, content) -> None:
     """Write content to path through a temp file in the same directory, then
     moved into place, so a reader never sees a half-written file.
 
-    A ``MatrixTuple`` goes through ``save_tuple``; a ``.csv`` name takes rows
-    for ``csv.writer`` (CRLF line ends, kept by ``newline=""``), with each
-    float cell as its ``.17g`` text; anything else is strict JSON, indent 2.
-    A NaN or infinity, in a CSV cell or in the JSON, raises one ValueError
-    line that starts with the path, before anything is written.
-    ``verbatim`` names a top-level key of a JSON object whose value is
-    base64 text, which JSON's escape pass leaves as it is: the text goes
-    into the file without that pass, in the same bytes. A file that cannot
-    be written is one ``QexError`` line that starts with the path.
+    A ``MatrixTuple`` is its ``to_json()``, with the base64 text spliced in
+    past JSON's escape pass, which would leave it as it is; a ``.csv`` name
+    takes rows for ``csv.writer`` (CRLF line ends, kept by ``newline=""``),
+    with each float cell as its ``.17g`` text; anything else is strict JSON,
+    indent 2. A NaN or infinity, in a CSV cell or in the JSON, raises one
+    ValueError line that starts with the path, before anything is written.
+    A file that cannot be written is one ``QexError`` line that starts with
+    the path.
     """
-    if isinstance(content, MatrixTuple):
-        save_tuple(path, content)
-        return
     path = Path(path)
     try:
-        if path.suffix == ".csv":
+        if isinstance(content, MatrixTuple):
+            obj = content.to_json()  # the base64 text is its only string value
+            text = json.dumps({**obj, "matrices_b64": ""}, indent=2, allow_nan=False) + "\n"
+            text = text.replace('"matrices_b64": ""', f'"matrices_b64": "{obj["matrices_b64"]}"', 1)
+        elif path.suffix == ".csv":
             buf = io.StringIO()
             csv.writer(buf).writerows([_csv_cell(x) for x in row] for row in content)
             text = buf.getvalue()
-        elif verbatim is None:
-            text = json.dumps(content, indent=2, allow_nan=False) + "\n"
         else:
-            # a top-level item is the only line that starts with two spaces and a
-            # quote (strings hold no raw newline), and keys are unique, so the
-            # empty slot occurs exactly once
-            text = json.dumps({**content, verbatim: ""}, indent=2, allow_nan=False) + "\n"
-            slot = f'\n  {json.dumps(verbatim)}: ""'
-            text = text.replace(slot, f'{slot[:-1]}{content[verbatim]}"', 1)
+            text = json.dumps(content, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     tmp = path.with_name(path.name + ".tmp")
@@ -495,13 +488,12 @@ def _load_json(path, parse, error):
 
 
 def save_tuple(path, t: MatrixTuple) -> None:
-    """Write ``t.to_json()`` as a strict JSON file, through ``_write_file``'s
-    temp file and rename.
+    """Write ``t.to_json()`` as a strict JSON file, by ``_write_file``.
 
     The entries travel as base64 bytes, so every one reloads bit-exactly, in
     about half the size of the decimal list form.
     """
-    _write_file(path, t.to_json(), verbatim="matrices_b64")
+    _write_file(path, t)
 
 
 # Tuple files parsed in this process, keyed by their exact text, so that a

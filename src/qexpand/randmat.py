@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DenseCapExceeded
 from .linalg import RngSpec, _JsonFields, _ginibre_stack, _haar_stack, as_generator, sample_ginibre
-from .superop import _batch_size, _kron_sums, _norms, center
+from .superop import _batch_size, _kron_sums, _norms, _scale_to_unit, center
 
 __all__ = [
     "MomentReport",
@@ -52,6 +52,14 @@ class MomentReport(_JsonFields):
     unconverged: int = 0
 
     _json_fields = ("n", "N", "samples", "mean_norm", "std_norm", "unconverged", "ratio", "rhs", "seed")
+
+
+def _scaled(f, x) -> float:
+    """f(x) for a statistic f of degree one, by ``superop._solve``'s scale rule: f runs on
+    x scaled by a power of two to unit max-abs (``_scale_to_unit``), and its value is
+    scaled back, so an in-range value keeps its bits and no square inside f overflows."""
+    s, e = _scale_to_unit(np.asarray(x, dtype=complex), None)
+    return math.ldexp(f(s), e.item())
 
 
 def _sum_norm_report(coeffs, a, N, samples, rng, tol, draw, restrict_h0) -> MomentReport:
@@ -91,8 +99,8 @@ def _sum_norm_report(coeffs, a, N, samples, rng, tol, draw, restrict_h0) -> Mome
         N=N,
         coeffs=coeffs,
         samples=samples,
-        mean_norm=float(vals.mean()),
-        std_norm=float(vals.std(ddof=1)),
+        mean_norm=_scaled(lambda s: s.real.mean(), vals),
+        std_norm=_scaled(lambda s: s.real.std(ddof=1), vals),
         values=tuple(float(v) for v in vals),
         seed=rng,
         unconverged=unconverged,
@@ -104,7 +112,7 @@ def _scalar_report(coeffs, N, samples, rng, tol, draw, restrict_h0) -> MomentRep
     coeffs = tuple(complex(c) for c in coeffs)
     a = np.asarray(coeffs).reshape(-1, 1, 1)
     rep = _sum_norm_report(coeffs, a, N, samples, rng, tol, draw, restrict_h0)
-    l2 = math.sqrt(sum(abs(c) ** 2 for c in coeffs))
+    l2 = _scaled(lambda s: math.sqrt(sum(abs(c) ** 2 for c in s.ravel().tolist())), a)
     rep.ratio = rep.mean_norm / l2 if l2 > 0 else None
     return rep
 
@@ -265,7 +273,7 @@ def matrix_coefficient_sum(
         raise ValueError("all coefficient blocks must be square of equal positive size")
     draw = _unitary_draw(rng, N)
     rep = _sum_norm_report(mats, np.stack(mats), N, samples, rng, 1e-8, draw, True)
-    sq1 = np.linalg.svd(sum(a.conj().T @ a for a in mats), compute_uv=False)[0]
-    sq2 = np.linalg.svd(sum(a @ a.conj().T for a in mats), compute_uv=False)[0]
-    rep.rhs = math.sqrt(max(float(sq1), float(sq2)))
+    rep.rhs = _scaled(lambda s: math.sqrt(max(
+        float(np.linalg.svd(sum(a.conj().T @ a for a in s), compute_uv=False)[0]),
+        float(np.linalg.svd(sum(a @ a.conj().T for a in s), compute_uv=False)[0]))), np.stack(mats))
     return rep

@@ -475,15 +475,13 @@ def _lanczos(operands, restrict_h0, Z, tol, max_iter):
     complex64; the operands must have the same), while H, theta and the
     Ritz vectors X are float64 and complex128. The breakdown threshold
     scales with the dtype's machine epsilon. ``max_iter`` is one int cap for
-    every run or an array of per-run caps (``_solve`` passes those only
-    after a complex64 phase).
+    every run of the batch; after a complex64 phase ``_solve`` passes what
+    the batch's longest complex64 run left.
     """
     B, R, N = Z.shape
     d = R * N
     m, keep = LANCZOS_BASIS, LANCZOS_KEEP
     noise = _BREAKDOWN * (np.finfo(Z.dtype).eps / np.finfo(complex).eps)
-    per_run = np.ndim(max_iter) > 0
-    cap = np.array(max_iter) if per_run else max_iter
     real = np.finfo(Z.dtype).dtype
 
     Q = np.empty((B, m + 1, d), dtype=Z.dtype)
@@ -514,9 +512,9 @@ def _lanczos(operands, restrict_h0, Z, tol, max_iter):
             H[:, j, j] = h[:, j, 0] + h2[:, j, 0]
             beta = _row_norms(w)
             breakdown = beta <= noise * scale
-            capped = applies >= cap
-            scheduled = capped | (j == m - 1 or applies == 1 or applies % LANCZOS_CHECK == 0)
-            if (scheduled.any() if per_run else scheduled) or breakdown.any():
+            capped = applies >= max_iter
+            scheduled = capped or j == m - 1 or applies == 1 or applies % LANCZOS_CHECK == 0
+            if scheduled or breakdown.any():
                 theta, Y = np.linalg.eigh(H[:, : j + 1, : j + 1])
                 y = Y[:, :, -1]
                 converged = breakdown | (scheduled & (beta * np.abs(y[:, -1]) <= tol * theta[:, -1]))
@@ -535,8 +533,6 @@ def _lanczos(operands, restrict_h0, Z, tol, max_iter):
                         (live, Q, H, scale, w, beta, theta, Y), run
                     )
                     Qr = Q.view(real)
-                    if per_run:
-                        cap = cap[run]
                     operands = _compact(operands, run)
             # q = w / beta, as numpy divides a complex array by a real one: times 1/beta
             np.multiply(w, 1 / beta[:, None], out=Qr[:, j + 1])
@@ -572,7 +568,7 @@ def _solve(left, right, restrict_h0, dense, rngs, starts, tol, max_iter, witness
     ``_gram_operands``. Where tol >= _SINGLE_TOL and max_iter > 1 they first
     take up to max_iter - 1 applies on those operands and starts cast to
     complex64; their Ritz vectors, re-centred and normalised in complex128,
-    start the complex128 run with each run's rest of max_iter. That run is
+    start the complex128 run with the batch's rest of max_iter. That run is
     the certificate: a complex128 Rayleigh-Ritz lower bound with a
     complex128 residual stop. A restricted N = 1 operator acts on {0}: value
     0, no vector, no Lanczos apply. Returns per-run (values, applies, single,
@@ -608,7 +604,7 @@ def _solve(left, right, restrict_h0, dense, rngs, starts, tol, max_iter, witness
             if restrict_h0:
                 _center_in_place(Z)
             Z /= _row_norms(Z.reshape(B, -1))[:, None, None]
-            max_iter = max_iter - single
+            max_iter = max_iter - int(single.max())
         theta, X, applies, converged = _lanczos(operands, restrict_h0, Z, tol, max_iter)
         applies = applies + single
     image = residual = None

@@ -567,18 +567,41 @@ class TestMain:
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert out["summary"]["epsilon"] == pytest.approx(1.0, abs=1e-10)
 
-    def test_hastings_mean_is_homogeneous_in_the_coefficients(self, tmp_path, capsys):
-        # coeffs=1e80 once read 1.729e80 (38.8% low) with unconverged 0
-        def summary(c):
-            params = {"experiment": "hastings", "n": 3, "N": 20, "samples": 10, "coeffs": f"{c},{c},{c}"}
-            assert main(["--seed", "1", "--out", str(tmp_path / c), "appendix", *flags(params)]) == 0
-            return json.loads(capsys.readouterr().out.strip().splitlines()[-1])["summary"]
+    @staticmethod
+    def check_homogeneous(tmp_path, capsys, experiment):
+        """Every statistic of the experiment at coeffs=s,s,s is s times its value at
+        coeffs=1,1,1 (``dominance_ratio`` equal), with no warning on the way."""
+        def stats(c):
+            params = {"experiment": experiment, "n": 3, "N": 20, "samples": 10, "coeffs": f"{c},{c},{c}"}
+            out = tmp_path / c
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["--seed", "1", "--out", str(out), "appendix", *flags(params)]) == 0
+            got = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["summary"]
+            for path in out.glob("*.json"):
+                if path.name != "run.json":
+                    got.update(json.loads(path.read_text()))
+            return got
 
-        base = summary("1")["unitary_mean"]
-        for s in (1e80, 1e-100):
-            got = summary(repr(s))
-            assert got["unconverged"] == 0
-            assert got["unitary_mean"] == pytest.approx(s * base, rel=1e-12, abs=0)
+        base = stats("1")
+        for s in (1e80, 1e-100, 1e200):
+            got = stats(repr(s))
+            assert got["unconverged"] == base["unconverged"] == 0
+            for key, value in base.items():
+                if isinstance(value, float):
+                    want = value if key == "dominance_ratio" else s * value
+                    assert got[key] == pytest.approx(want, rel=1e-12, abs=0), key
+
+    def test_hastings_mean_is_homogeneous_in_the_coefficients(self, tmp_path, capsys):
+        # coeffs=1e80 once read 1.729e80 (38.8% low) with unconverged 0; at 1e200
+        # the squares inside ||a||_2 and the std once overflowed
+        self.check_homogeneous(tmp_path, capsys, "hastings")
+
+    @pytest.mark.parametrize("experiment", ["dominance", "matrix-coeff"])
+    def test_statistics_are_homogeneous_in_the_coefficients(self, tmp_path, capsys, experiment):
+        # at 1e200 (dominance already at 1e160) ||a||_2, the std and matrix-coeff's
+        # rhs once overflowed: an OverflowError traceback after a RuntimeWarning
+        self.check_homogeneous(tmp_path, capsys, experiment)
 
     def test_one_parser_per_process_keeps_params_apart(self, tmp_path, capsys):
         # the parser is reused across calls; argparse's append action must not

@@ -285,9 +285,12 @@ class TestTupleFiles:
         assert qx.load_tuple(p).mats.view(np.uint64).tolist() == t.mats.view(np.uint64).tolist()
 
     def test_save_load_is_bit_identical(self, tmp_path):
+        # save_tuple and the writer of every qex run write the same bytes
         t = self.edge_tuple()
-        p = tmp_path / "t.json"
+        p, q = tmp_path / "t.json", tmp_path / "w.json"
         qx.save_tuple(p, t)
+        _write_file(q, t)
+        assert p.read_bytes() == q.read_bytes()
         assert qx.load_tuple(p).mats.view(np.uint64).tolist() == t.mats.view(np.uint64).tolist()
 
     def test_written_text_is_strict_json(self, tmp_path):

@@ -184,6 +184,16 @@ class TestReports:
         assert obj["samples"] == 10
         assert "mean_norm" in obj and "std_norm" in obj
 
+    @pytest.mark.parametrize("fn", [qx.unitary_sum_norm, qx.gaussian_decoupled_norm])
+    def test_statistics_scale_past_the_square_overflow(self, fn):
+        # at 1e200 the squares inside ||a||_2 and the std overflow unless each
+        # statistic is computed on values scaled by a power of two
+        a = fn([1.0, 0.5, 1j], 8, 10, RngSpec(11, 8))
+        b = fn([1e200, 0.5e200, 1e200j], 8, 10, RngSpec(11, 8))
+        assert b.ratio == pytest.approx(a.ratio, rel=1e-12, abs=0)
+        for key in ("mean_norm", "std_norm"):
+            assert getattr(b, key) == pytest.approx(1e200 * getattr(a, key), rel=1e-12, abs=0)
+
     def test_std_uses_unbiased_estimator(self):
         rep = qx.gaussian_decoupled_norm([1.0], 4, 12, RngSpec(19, 0))
         assert rep.std_norm == pytest.approx(np.std(rep.values, ddof=1))

@@ -346,13 +346,15 @@ class TestLockstep:
         assert len(self.check_three_kinds(13, "lanczos")) > 2
 
     def test_matches_solo_runs_in_mixed_precision(self):
-        # at tol 1e-6 every run takes its complex64 phase, then its complex128 one
+        # at tol 1e-6 every run takes its complex64 phase (20 to 44 applies, and
+        # not all equal within any batch), then its complex128 one on the batch's budget
         assert len(self.check_three_kinds(13, "lanczos", 1e-6)) > 2
 
     def test_per_run_caps_after_the_complex64_phase(self, monkeypatch):
         # under a 40-apply cap two runs finish their complex64 phase at 36 applies
-        # and three are capped at 39: each complex128 phase gets its own rest of
-        # the cap (4 or 1), so no run exceeds 40 and lockstep still equals solo
+        # and three are capped at 39: the batch's complex128 phase gets the 1 apply
+        # the longest complex64 run left, so no run exceeds 40; every solo
+        # complex128 phase also stops after 1 apply, so lockstep still equals solo
         gen = RngSpec(30, 13).generator()
         ops = [qx.SuperOperator.conjugation(qx.haar_tuple(4, 13, gen)) for _ in range(5)]
         solve = superop._solve

@@ -1,7 +1,8 @@
 """Fixed-seed ledger: every number of a chain of ``qex`` runs and of solver cases.
 
 Runs every command (all five ``appendix`` experiments, both ``cover``
-metrics, dense and Lanczos gaps, one run that must fail) as its own
+metrics, dense and Lanczos gaps, one run that must fail, then two
+``appendix`` runs at coefficients of 1e200) as its own
 ``python -m qexpand.cli`` process on the package in SRC, each into its own
 directory under OUT, then the cases of ``run_solves`` in this process on the
 same package, with BLAS on one thread. Each line is a name, two spaces, then
@@ -57,6 +58,11 @@ CHAIN = [
     ("matrix-coeff", 26, "appendix", {"experiment": "matrix-coeff", "n": 2, "N": 6, "samples": 10, "k": 2}, 0),
     ("validate", 27, "validate", {"tuple": "@u/tuple.json"}, 0),
     ("failed", 28, "pack", {"n": 2, "N": 2, "eps": 0.0, "delta": 1.5, "max_samples": 2}, 1),
+    # coefficients whose squares overflow: the statistics are scaled by powers of two
+    ("hastings-1e200", 29, "appendix",
+     {"experiment": "hastings", "n": 3, "N": 12, "samples": 10, "coeffs": "1e200,1e200,1e200"}, 0),
+    ("matrix-coeff-1e200", 30, "appendix",
+     {"experiment": "matrix-coeff", "n": 3, "N": 6, "samples": 10, "k": 2, "coeffs": "1e200,1e200,1e200"}, 0),
 ]
 # the cycle graph of Z_5, as GroupPresentation.to_json writes it
 GROUP = {"order": 5, "generators": [[1, 2, 3, 4, 0], [4, 0, 1, 2, 3]], "labels": ["+1", "-1"]}
