@@ -182,8 +182,7 @@ def orbit_distance(
     from the identity pair and draws nothing from ``rng``; each later
     restart draws a Haar pair's two Ginibre matrices when it is reached and
     starts from the second's polar factor (an ascent starts from V alone),
-    so ``restarts=1`` is one draw-free ascent (the first step of
-    ``find_norming_tuple``'s orbit check). ``upper`` is the direct distance
+    so ``restarts=1`` is one draw-free ascent. ``upper`` is the direct distance
     d(best_u . u . best_v, v) of the returned pair, not sqrt(2n - 2F): that
     formula cancels and cannot resolve distances below about 1e-8.
     ``f_best`` and ``f_values`` are the ascent values of F.
@@ -311,13 +310,15 @@ def mix_tuple(w: np.ndarray, t: MatrixTuple) -> MatrixTuple:
     return MatrixTuple((w @ t.mats.reshape(t.n, -1)).reshape(t.mats.shape))
 
 
-def _polar_ascent(operator, polar, p, xi, iters, inc_tol, gen):
+def _polar_ascent(operator, polar, p, xi, iters, inc_tol, top, gen):
     """Alternate the top singular pair (xi, eta) of operator(p) with p = polar(xi, eta).
 
     Each norm solve (tol 1e-10) is warm-started from the previous xi, and
-    its report's ``top_image`` = operator(p)(xi) gives eta; the ascent stops
-    once the value gains less than inc_tol. Returns the last value and the
-    parameter p whose operator attained it.
+    its report's ``top_image`` = operator(p)(xi) gives eta. The ascent stops
+    on the solve whose value reaches ``top``, the caller's provable maximum
+    up to rounding, or once the value gains less than inc_tol. Returns the
+    last value, the parameter p whose operator attained it and that
+    operator's top vector xi.
     """
     val = -math.inf
     for step in range(iters):
@@ -328,9 +329,9 @@ def _polar_ascent(operator, polar, p, xi, iters, inc_tol, gen):
             p = polar(xi, image / nrm)
         rep = operator_norm(operator(p), tol=1e-10, rng=gen, start=xi)
         gain, val, xi, image = rep.value - val, rep.value, rep.top_vector, rep.top_image
-        if gain < inc_tol:
+        if val >= top or gain < inc_tol:
             break
-    return val, p
+    return val, p, xi
 
 
 def strong_separation_estimate(
@@ -342,17 +343,20 @@ def strong_separation_estimate(
 ) -> float:
     """Estimate sup over unitary w of |sum_ij w_ij u_j (x) conj(v_i)| / n.
 
-    Alternating ascent over (w, xi, eta), with norm solves at tol 1e-10, until
-    the value gains less than 1e-12; the returned value is a LOWER bound
-    on the true supremum, so 1 - estimate over-estimates the strong
-    separation constant. Certifying the supremum would need a net over U(n)
-    of size exponential in n^2, which is out of reach; treat the result as an
-    estimate only. v may be any tuple normalized to the unit ball
-    (|sum v (x) conj(v)| <= n), e.g. a unitary recombination of a unitary
-    tuple; only u itself must be unitary.
+    Alternating ascent over (w, xi, eta), with norm solves at tol 1e-10; the
+    returned value is a LOWER bound on the true supremum, so 1 - estimate
+    over-estimates the strong separation constant. Certifying the supremum
+    would need a net over U(n) of size exponential in n^2, which is out of
+    reach; treat the result as an estimate only. v may be any tuple
+    normalized to the unit ball (|sum v (x) conj(v)| <= n), e.g. a unitary
+    recombination of a unitary tuple; only u itself must be unitary.
     For such v every value is at most n (operator Cauchy-Schwarz), so, as in
-    ``orbit_distance``, the restarts stop at the first that reaches
-    n (1 - 1e-12); the stop relies on this unit-ball hypothesis.
+    ``orbit_distance``, an ascent stops on the norm solve that reaches
+    n (1 - 1e-12), and so do the restarts; the stop relies on this
+    unit-ball hypothesis. Otherwise an ascent stops once the value gains
+    less than 1e-12. Restart 0 takes w from the channel fixed point
+    xi = eta = I/sqrt(N) and starts its first norm solve there, restart 1
+    starts from w = I, later ones from Haar w drawn from ``rng``.
     """
     _check_shapes(u, v)
     if restarts < 1:
@@ -370,17 +374,18 @@ def strong_separation_estimate(
 
     best, f_max = -math.inf, n * (1.0 - _ORBIT_CERTIFIED)
     for r in range(restarts):
+        xi = None
         if r == 0:
             # channel fixed point: recovers the rotation aligning u with v
-            fix = np.eye(N, dtype=complex) / math.sqrt(N)
-            w = w_step(fix, fix)
+            xi = np.eye(N, dtype=complex) / math.sqrt(N)
+            w = w_step(xi, xi)
         elif r == 1:
             w = np.eye(n, dtype=complex)
         else:
             w = sample_haar_unitary(n, gen)
-        val, _ = _polar_ascent(
+        val, _, _ = _polar_ascent(
             lambda w: SuperOperator(mix_tuple(w, u), v),
-            w_step, w, None, iters, 1e-12, gen,
+            w_step, w, xi, iters, 1e-12, f_max, gen,
         )
         best = max(best, val)
         if best >= f_max:
@@ -420,6 +425,18 @@ def dcb_lower_bound(delta_strong: float, overlap: float, n: int) -> float:
     return 1.0 / (1.0 - delta_strong)
 
 
+def _orbit_upper(u: MatrixTuple, v: MatrixTuple, V: np.ndarray) -> float:
+    """Direct distance d(U u V', v) of one orbit ascent (U, V') started from V.
+
+    The ``upper`` that ``orbit_distance`` reports for that ascent; it draws
+    nothing from a generator.
+    """
+    uv = _applier(SuperOperator(u, v))
+    vu = _applier(SuperOperator(v.adjoint(), u.adjoint()))
+    _, U, V = _orbit_ascent(uv, vu, V, _ORBIT_ITERS)
+    return tuple_distance(u.transform(left=U, right=V), v)
+
+
 def find_norming_tuple(
     x: MatrixTuple, restarts: int = 20, rng=None
 ) -> tuple[MatrixTuple, float]:
@@ -427,20 +444,23 @@ def find_norming_tuple(
 
     The witness recursion alternates the top singular pair (xi, eta) with the
     per-member polar maximizers v_j = polar(eta* x_j xi), which keeps v
-    unitary (the boundary of the feasible ball). Restart 0 starts from
-    xi = eta = I/sqrt(N), the channel fixed point; a restart stops after 200
-    steps or once the value gains less than 1e-10. For a gapped x the
-    maximizers form a single orbit, so the best v is checked to lie near
-    Orb(x), with tolerance 1e-4 sqrt(n) on the direct distance. The check
-    is three calls: ``orbit_distance(x, v, restarts=1)``, whose identity
-    start draws nothing from the generator and usually settles a gapped x;
-    only if that misses, ``spectral_gap(x)``, and a gapless x passes there
-    (a (+) b is normed off its orbit by a (+) W for any unitary W); and
-    only if x is gapped, ``orbit_distance(x, v, restarts=10)``, whose miss
-    raises NormingOrbitError with its ``upper``. (v, value) are fixed
-    before the check and do not depend on it.
-    Restart 0's polar stack is x_j / N, so it returns x itself at value n
-    up to rounding, and the best v is whichever restart beats it by an ulp.
+    unitary (the boundary of the feasible ball). Every restart starts from
+    a random pair (xi, eta) of normalized complex Ginibre matrices drawn
+    from ``rng``. The value is at most n, so, as in ``orbit_distance``, a
+    restart stops on the norm solve that reaches n (1 - 1e-12), and so do
+    the restarts; otherwise a restart stops after 200 steps or once the
+    value gains less than 1e-10, and the best value wins. For a gapped x
+    the maximizers form a single orbit, so the best v is checked to lie
+    near Orb(x), with tolerance 1e-4 sqrt(n) on the direct distance. The
+    check is up to three calls: one orbit ascent (``_orbit_upper``) from
+    V = polar(xi) of the winning restart's last top vector xi (on the
+    orbit, v_j = A x_j B gives xi = B / sqrt(N)), which draws nothing from
+    the generator and usually settles a gapped x; only if that misses,
+    ``spectral_gap(x)``, and a gapless x passes there (a (+) b is normed
+    off its orbit by a (+) W for any unitary W); and only if x is gapped,
+    ``orbit_distance(x, v, restarts=10)``, whose miss raises
+    NormingOrbitError with its ``upper``. (v, value) are fixed before the
+    check and do not depend on it.
     """
     x.require_unitary()
     if restarts < 1:
@@ -452,26 +472,25 @@ def find_norming_tuple(
         stack = eta.conj().T @ x.mats @ xi
         return MatrixTuple(polar_unitary(stack), unitary=True)
 
-    best_val = -math.inf
-    best_v = None
-    for r in range(restarts):
-        if r == 0:
-            xi = np.eye(N, dtype=complex) / math.sqrt(N)
-            eta = xi
-        else:
-            xi = gen.standard_normal((N, N)) + 1j * gen.standard_normal((N, N))
-            xi /= np.linalg.norm(xi)
-            eta = gen.standard_normal((N, N)) + 1j * gen.standard_normal((N, N))
-            eta /= np.linalg.norm(eta)
-        val, v = _polar_ascent(
+    top = x.n * (1.0 - _ORBIT_CERTIFIED)
+    best = (-math.inf, None, None)
+    for _ in range(restarts):
+        xi = gen.standard_normal((N, N)) + 1j * gen.standard_normal((N, N))
+        xi /= np.linalg.norm(xi)
+        eta = gen.standard_normal((N, N)) + 1j * gen.standard_normal((N, N))
+        eta /= np.linalg.norm(eta)
+        run = _polar_ascent(
             lambda v: SuperOperator(x, v),
-            polar, polar(xi, eta), xi, 200, 1e-10, gen,
+            polar, polar(xi, eta), xi, 200, 1e-10, top, gen,
         )
-        if val > best_val:
-            best_val, best_v = val, v
+        if run[0] > best[0]:
+            best = run
+        if best[0] >= top:
+            break
+    best_val, best_v, xi = best
     tol = 1e-4 * math.sqrt(x.n)
     if (
-        orbit_distance(x, best_v, restarts=1, rng=gen).upper > tol
+        _orbit_upper(x, best_v, polar_unitary(xi)) > tol
         and spectral_gap(x, rng=gen).value < x.n - 1e-6
     ):
         dist = orbit_distance(x, best_v, restarts=10, rng=gen).upper

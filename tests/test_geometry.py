@@ -319,22 +319,55 @@ class TestStrongSeparation:
     def test_stops_at_the_provable_maximum(self, monkeypatch):
         import qexpand.geometry as geo
 
-        # a recombination of u reaches n (1 - 1e-12) in restart 0, so the other
-        # four restarts are never run
-        gen = RngSpec(6, 0).generator()
-        u = qx.haar_tuple(3, 8, gen)
-        w0 = qx.sample_haar_unitary(3, gen)
-        calls = []
-        ascent = geo._polar_ascent
+        # a recombination of u reaches n (1 - 1e-12) in restart 0's first norm
+        # solve, which starts from the fixed point I/sqrt(N), its top vector:
+        # one solve of one apply, dense or Lanczos, and the other four
+        # restarts are never run
+        ascents, solves = [], []
+        ascent, solve = geo._polar_ascent, geo.operator_norm
 
-        def counted(*args):
-            calls.append(1)
+        def counted_ascent(*args):
+            ascents.append(1)
             return ascent(*args)
 
-        monkeypatch.setattr(geo, "_polar_ascent", counted)
-        est = qx.strong_separation_estimate(u, qx.mix_tuple(w0, u), restarts=5, rng=gen)
-        assert len(calls) == 1
-        assert est >= 1.0 - 1e-12
+        def counted_solve(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(geo, "_polar_ascent", counted_ascent)
+        monkeypatch.setattr(geo, "operator_norm", counted_solve)
+        for N, method in ((8, "dense"), (13, "lanczos")):
+            ascents.clear()
+            solves.clear()
+            gen = RngSpec(6, 0).generator()
+            u = qx.haar_tuple(3, N, gen)
+            w0 = qx.sample_haar_unitary(3, gen)
+            est = qx.strong_separation_estimate(u, qx.mix_tuple(w0, u), restarts=5, rng=gen)
+            assert len(ascents) == 1
+            assert [(rep.method, rep.iterations) for rep in solves] == [(method, 1)]
+            assert est >= 1.0 - 1e-12
+
+    # the estimates before the ascents stopped at their maximum and restart 0
+    # started its first solve at the fixed point: (n, N, seed) -> value
+    PINNED = {
+        (4, 8, 0): 0.8777849657315744, (4, 8, 1): 0.8753028252559429,
+        (4, 8, 2): 0.882806480728754, (4, 8, 3): 0.8775096975135938,
+        (4, 8, 4): 0.8820200470316882, (4, 8, 5): 0.8857963459700968,
+        (4, 8, 6): 0.8785277779372451, (4, 8, 7): 0.8829527392294735,
+        (4, 8, 8): 0.8821373537200203, (4, 8, 9): 0.884870382543074,
+        (4, 13, 0): 0.8709931147581857, (4, 13, 1): 0.8649017355799211,
+        (4, 13, 2): 0.8673311446068526,
+    }
+
+    @pytest.mark.parametrize("n,N,seed", sorted(PINNED))
+    def test_generic_pairs_keep_their_estimate(self, n, N, seed):
+        # generic pairs stay below the maximum, so the stop never cuts their
+        # ascents, and the warm start must not lose the top singular pair
+        u = qx.haar_tuple(n, N, RngSpec(9, seed).generator())
+        v = qx.haar_tuple(n, N, RngSpec(11, seed).generator())
+        restarts = 4 if N == 8 else 2
+        est = qx.strong_separation_estimate(u, v, restarts=restarts, iters=60, rng=RngSpec(5, seed))
+        assert est >= self.PINNED[n, N, seed] - 1e-12
 
     def test_n1_reduces_to_separation(self):
         gen = RngSpec(8, 0).generator()
@@ -414,6 +447,61 @@ class TestNorming:
         assert attained >= 4 - 1e-3
         assert v.unitary
 
+    def test_random_start_witness_is_certified_on_the_orbit(self, monkeypatch):
+        import qexpand.geometry as geo
+
+        # restart 0 reaches n (1 - 1e-12) from its random start, so the other
+        # restarts never run, and the first orbit check, warm-started from
+        # that restart's top vector, settles the witness in one ascent
+        calls, uppers = [], []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                out = fn(*args)
+                if name == "_orbit_upper":
+                    uppers.append(out)
+                return out
+
+            return wrapper
+
+        for name in ("_polar_ascent", "_orbit_ascent", "_orbit_upper"):
+            monkeypatch.setattr(geo, name, counted(name, getattr(geo, name)))
+        x = qx.haar_tuple(3, 6, RngSpec(2, 1).generator())
+        v, attained = qx.find_norming_tuple(x, restarts=5, rng=RngSpec(2, 0).generator())
+        assert calls == ["_polar_ascent", "_orbit_upper", "_orbit_ascent"]
+        assert qx.tuple_distance(v, x) > 1e-3
+        assert uppers[0] <= 1e-4 * math.sqrt(3)
+        assert attained == pytest.approx(3.0, abs=1e-9)
+
+    def test_polar_ascent_returns_on_the_step_reaching_top(self, monkeypatch):
+        import qexpand.geometry as geo
+
+        # from x itself the first solve reaches n; with top = n (1 - 1e-12) the
+        # ascent returns there, with no confirming solve and polar update
+        x = qx.haar_tuple(3, 6, RngSpec(2, 1).generator())
+        solves = []
+        solve = geo.operator_norm
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        def polar(xi, eta):
+            return qx.MatrixTuple(qx.polar_unitary(eta.conj().T @ x.mats @ xi), unitary=True)
+
+        monkeypatch.setattr(geo, "operator_norm", counted)
+        fix = np.eye(6, dtype=complex) / math.sqrt(6)
+        for top, steps in ((3 * (1 - 1e-12), 1), (math.inf, 2)):
+            solves.clear()
+            val, p, xi = geo._polar_ascent(
+                lambda v: qx.SuperOperator(x, v), polar, x, fix, 200, 1e-10, top, None
+            )
+            assert len(solves) == steps
+            assert val == pytest.approx(3.0, abs=1e-12)
+            assert (p is x) == (steps == 1)
+            assert np.abs(xi).max() == pytest.approx(1 / math.sqrt(6), abs=1e-12)
+
     def test_orbit_check_raises_when_forced_tight(self, monkeypatch):
         # x = a (+) b has gap n, so it is normed off its orbit by a (+) W-type
         # witnesses; the check reports that once x is made to look gapped
@@ -449,20 +537,20 @@ class TestNorming:
 
         ascent = geo._orbit_ascent
         monkeypatch.setattr(geo, "_orbit_ascent", counted)
-        # gapped: restart 0 lands on the orbit, so one ascent decides
+        # gapped: the warm-started first check lands on the orbit, so one ascent decides
         x = qx.haar_tuple(3, 6, RngSpec(2, 1).generator())
         v, attained = qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator())
         assert len(ascents) == 1
         ascents.clear()
         # the check only reads the result: same witness and value bit for bit
-        # as a run whose orbit check is stubbed out
+        # as a run whose first orbit check is stubbed out
         with monkeypatch.context() as m:
-            m.setattr(geo, "orbit_distance", lambda *a, **k: SimpleNamespace(upper=0.0))
+            m.setattr(geo, "_orbit_upper", lambda *a: 0.0)
             w, unchecked = qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator())
         assert not ascents
         assert np.array_equal(v.mats, w.mats) and attained == unchecked
         # a (+) b made to look gapped: no restart reaches the orbit, so the
-        # first check's restart and all 10 of the last one run
+        # first check's ascent and all 10 restarts of the last check run
         gen = RngSpec(2, 1).generator()
         x = qx.direct_sum(qx.haar_tuple(2, 3, gen), qx.haar_tuple(2, 3, gen))
         monkeypatch.setattr(geo, "spectral_gap", lambda x, rng=None: _gapped(x))
@@ -488,14 +576,14 @@ class TestNorming:
         x = qx.haar_tuple(3, 6, RngSpec(2, 1).generator())
         _, attained = qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator())
         assert not gaps and attained == pytest.approx(3.0, abs=1e-9)
-        # gapless a (+) b: the first guard restart misses, one gap solve finds no
+        # gapless a (+) b: the first guard ascent misses, one gap solve finds no
         # gap and ends the guard there, no error
         gen = RngSpec(2, 1).generator()
         x = qx.direct_sum(qx.haar_tuple(2, 3, gen), qx.haar_tuple(2, 3, gen))
         ascents.clear()
         v, attained = qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator())
         assert len(gaps) == 1 and len(ascents) == 1
-        monkeypatch.setattr(geo, "orbit_distance", lambda *a, **k: SimpleNamespace(upper=0.0))
+        monkeypatch.setattr(geo, "_orbit_upper", lambda *a: 0.0)
         w, unchecked = qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator())
         assert len(gaps) == 1 and len(ascents) == 1
         assert np.array_equal(v.mats, w.mats) and attained == unchecked

@@ -1,8 +1,9 @@
 """Fixed-seed ledger: every number of a chain of ``qex`` runs and of solver cases.
 
 Runs every command (all five ``appendix`` experiments, both ``cover``
-metrics, dense and Lanczos gaps, one run that must fail, then two
-``appendix`` runs at coefficients of 1e200) as its own
+metrics, dense and Lanczos gaps, one run that must fail, two ``appendix``
+runs at coefficients of 1e200, then a ``strong-sep`` and a ``norming`` run
+that stop at their certified maximum) as its own
 ``python -m qexpand.cli`` process on the package in SRC, each into its own
 directory under OUT, then the cases of ``run_solves`` in this process on the
 same package, with BLAS on one thread. Each line is a name, two spaces, then
@@ -26,7 +27,7 @@ import sys
 from pathlib import Path
 
 # (run name, seed, command, params, expected exit code); "@path" is that file or
-# directory under OUT, written by an earlier run or (group.json) first
+# directory under OUT, written by an earlier run or first (``write_inputs``)
 CHAIN = [
     ("u", 1, "sample-haar", {"n": 3, "N": 11}, 0),
     ("v", 2, "sample-haar", {"n": 3, "N": 11}, 0),
@@ -63,9 +64,26 @@ CHAIN = [
      {"experiment": "hastings", "n": 3, "N": 12, "samples": 10, "coeffs": "1e200,1e200,1e200"}, 0),
     ("matrix-coeff-1e200", 30, "appendix",
      {"experiment": "matrix-coeff", "n": 3, "N": 6, "samples": 10, "k": 2, "coeffs": "1e200,1e200,1e200"}, 0),
+    # ascents that stop at their certified maximum n (1 - 1e-12): strong
+    # separation against a unitary recombination (Lanczos from the fixed
+    # point), and a norming search whose first random restart reaches it
+    ("strong-sep-mix", 31, "strong-sep", {"u": "@recombined/u.json", "v": "@recombined/v.json", "restarts": 5}, 0),
+    ("norming-5", 32, "norming", {"tuple": "@u/tuple.json", "restarts": 5}, 0),
 ]
 # the cycle graph of Z_5, as GroupPresentation.to_json writes it
 GROUP = {"order": 5, "generators": [[1, 2, 3, 4, 0], [4, 0, 1, 2, 3]], "labels": ["+1", "-1"]}
+
+
+def write_inputs(out: Path):
+    """Write group.json, and recombined/{u,v}.json: a Haar tuple and a unitary recombination of it."""
+    import qexpand as qx
+
+    (out / "group.json").write_text(json.dumps(GROUP))
+    gen = qx.RngSpec(2026, 31).generator()
+    u = qx.haar_tuple(3, 13, gen)
+    (out / "recombined").mkdir()
+    qx.save_tuple(out / "recombined" / "u.json", u)
+    qx.save_tuple(out / "recombined" / "v.json", qx.mix_tuple(qx.sample_haar_unitary(3, gen), u))
 
 
 def emit(name, value):
@@ -96,7 +114,7 @@ def read_file(path: Path, out: Path):
 
 def run_chain(src: Path, out: Path) -> int:
     """Run CHAIN into out and print its files; returns the number of unexpected exit codes."""
-    (out / "group.json").write_text(json.dumps(GROUP))
+    write_inputs(out)
     env = {**os.environ, "PYTHONPATH": str(src)}
     bad = 0
     for name, seed, command, params, want in CHAIN:
