@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import TupleFormatError
 from .linalg import MatrixTuple, _JsonFields, _haar_stack, _load_json, as_generator, as_square_matrix
-from .superop import GapReport, SuperOperator, _applier, _scale_to_unit, center, spectral_gap
+from .superop import GapReport, _gemm_operands, _product, _scale_to_unit, center, spectral_gap
 
 __all__ = [
     "PAULI",
@@ -229,10 +229,10 @@ def mixing_curve(u: MatrixTuple, x0, steps: int) -> np.ndarray:
     y = center(x)
     out = np.empty(steps + 1)
     n, N = u.n, u.dim
-    step = _applier(SuperOperator(u, u))
+    operands = _gemm_operands(u.mats, u.mats)
     for k in range(steps + 1):
         z, e = _scale_to_unit(y, None)
         out[k] = math.ldexp(float(np.linalg.norm(z)) / math.sqrt(N), (e + e0).item())
         if k < steps:
-            y = step(y) / n
+            y = _product(*operands, y) / n
     return out

@@ -18,7 +18,7 @@ from .errors import BoundViolation, DimensionMismatch, InfeasibleOverlap, Normin
 from .linalg import (
     MatrixTuple, _JsonFields, _ginibre_stack, as_generator, polar_unitary, sample_haar_unitary
 )
-from .superop import SuperOperator, _applier, operator_norm, spectral_gap
+from .superop import SuperOperator, _gemm_operands, _product, operator_norm, spectral_gap
 
 __all__ = [
     "SeparationReport",
@@ -145,27 +145,32 @@ _ORBIT_ITERS = 3000  # step cap of one orbit ascent
 _ORBIT_CERTIFIED = 1e-12  # a value >= n (1 - this) is its global maximum n up to rounding
 
 
-def _orbit_ascent(uv, vu, V, iters):
+def _orbit_ascent(u: MatrixTuple, v: MatrixTuple, V: np.ndarray, iters: int):
     """Alternating maximization of F(U, V) = Re sum_j tr(U u_j V v_j*)/N.
 
-    ``uv`` and ``vu`` evaluate V -> sum_j u_j V v_j* and U -> sum_j v_j* U u_j.
-    Each half-step takes the adjoint polar factor of the relevant trace
-    matrix, the exact block maximizer, so F is non-decreasing until it gains
-    less than 1e-14, where the ascent stops. It starts from V alone: the
-    first half-step computes U from it.
+    The half-steps evaluate V -> sum_j u_j V v_j* and U -> sum_j v_j* U u_j
+    by ``_product`` on operands laid out once. Each takes the adjoint polar
+    factor of the relevant trace matrix, the exact block maximizer, so F is
+    non-decreasing until it gains less than 1e-14, where the ascent stops.
+    It starts from V alone: the first half-step computes U from it. Returns
+    (F, U, V, upper), where upper = ||U u_j V - v_j|| / sqrt(N) over all
+    members is the direct distance d(U u V, v) of the last pair, with the
+    bits of ``tuple_distance``.
     """
+    uv = _gemm_operands(u.mats, v.mats)
+    vu = _gemm_operands(*(t.mats.conj().transpose(0, 2, 1) for t in (v, u)))
     N = V.shape[0]
     f = -math.inf
     for _ in range(iters):
-        U = polar_unitary(uv(V)).conj().T
-        p, s, qh = np.linalg.svd(vu(U))
+        U = polar_unitary(_product(*uv, V)).conj().T
+        p, s, qh = np.linalg.svd(_product(*vu, U))
         V = (p @ qh).conj().T
         f_new = float(s.sum()) / N
         if f_new - f < 1e-14:
             f = max(f, f_new)
             break
         f = f_new
-    return f, U, V
+    return f, U, V, float(np.linalg.norm((U @ u.mats) @ V - v.mats)) / math.sqrt(N)
 
 
 def orbit_distance(
@@ -182,9 +187,10 @@ def orbit_distance(
     from the identity pair and draws nothing from ``rng``; each later
     restart draws a Haar pair's two Ginibre matrices when it is reached and
     starts from the second's polar factor (an ascent starts from V alone),
-    so ``restarts=1`` is one draw-free ascent. ``upper`` is the direct distance
-    d(best_u . u . best_v, v) of the returned pair, not sqrt(2n - 2F): that
-    formula cancels and cannot resolve distances below about 1e-8.
+    so ``restarts=1`` is one draw-free ascent. ``upper`` is the one the best
+    ascent returns: the direct distance d(best_u . u . best_v, v) of the
+    returned pair, not sqrt(2n - 2F), which cancels and cannot resolve
+    distances below about 1e-8.
     ``f_best`` and ``f_values`` are the ascent values of F.
 
     Every |tr(U u_j V v_j*)| is at most N for unitaries, so F <= n on every
@@ -201,18 +207,16 @@ def orbit_distance(
     v.require_unitary()
     gen = as_generator(rng)
     N = u.dim
-    uv = _applier(SuperOperator(u, v))
-    vu = _applier(SuperOperator(v.adjoint(), u.adjoint()))
     f_max = u.n * (1.0 - _ORBIT_CERTIFIED)
     runs = []
     for r in range(restarts):
         V = np.eye(N, dtype=complex) if r == 0 else polar_unitary(_ginibre_stack(N, 2, gen)[1])
-        runs.append(_orbit_ascent(uv, vu, V, iters))
+        runs.append(_orbit_ascent(u, v, V, iters))
         if runs[-1][0] >= f_max:
             break
-    f_best, U, V = max(runs, key=lambda run: run[0])
+    f_best, U, V, upper = max(runs, key=lambda run: run[0])
     return OrbitDistanceReport(
-        upper=tuple_distance(u.transform(left=U, right=V), v),
+        upper=upper,
         best_u=U,
         best_v=V,
         restarts_used=len(runs),
@@ -425,18 +429,6 @@ def dcb_lower_bound(delta_strong: float, overlap: float, n: int) -> float:
     return 1.0 / (1.0 - delta_strong)
 
 
-def _orbit_upper(u: MatrixTuple, v: MatrixTuple, V: np.ndarray) -> float:
-    """Direct distance d(U u V', v) of one orbit ascent (U, V') started from V.
-
-    The ``upper`` that ``orbit_distance`` reports for that ascent; it draws
-    nothing from a generator.
-    """
-    uv = _applier(SuperOperator(u, v))
-    vu = _applier(SuperOperator(v.adjoint(), u.adjoint()))
-    _, U, V = _orbit_ascent(uv, vu, V, _ORBIT_ITERS)
-    return tuple_distance(u.transform(left=U, right=V), v)
-
-
 def find_norming_tuple(
     x: MatrixTuple, restarts: int = 20, rng=None
 ) -> tuple[MatrixTuple, float]:
@@ -452,15 +444,15 @@ def find_norming_tuple(
     value gains less than 1e-10, and the best value wins. For a gapped x
     the maximizers form a single orbit, so the best v is checked to lie
     near Orb(x), with tolerance 1e-4 sqrt(n) on the direct distance. The
-    check is up to three calls: one orbit ascent (``_orbit_upper``) from
-    V = polar(xi) of the winning restart's last top vector xi (on the
-    orbit, v_j = A x_j B gives xi = B / sqrt(N)), which draws nothing from
-    the generator and usually settles a gapped x; only if that misses,
-    ``spectral_gap(x)``, and a gapless x passes there (a (+) b is normed
-    off its orbit by a (+) W for any unitary W); and only if x is gapped,
-    ``orbit_distance(x, v, restarts=10)``, whose miss raises
-    NormingOrbitError with its ``upper``. (v, value) are fixed before the
-    check and do not depend on it.
+    check is up to three calls: one orbit ascent (``_orbit_ascent``, whose
+    ``upper`` it compares) from V = polar(xi) of the winning restart's last
+    top vector xi (on the orbit, v_j = A x_j B gives xi = B / sqrt(N)),
+    which draws nothing from the generator and usually settles a gapped x;
+    only if that misses, ``spectral_gap(x)``, and a gapless x passes there
+    (a (+) b is normed off its orbit by a (+) W for any unitary W); and
+    only if x is gapped, ``orbit_distance(x, v, restarts=10)``, whose miss
+    raises NormingOrbitError with its ``upper``. (v, value) are fixed
+    before the check and do not depend on it.
     """
     x.require_unitary()
     if restarts < 1:
@@ -490,7 +482,7 @@ def find_norming_tuple(
     best_val, best_v, xi = best
     tol = 1e-4 * math.sqrt(x.n)
     if (
-        _orbit_upper(x, best_v, polar_unitary(xi)) > tol
+        _orbit_ascent(x, best_v, polar_unitary(xi), _ORBIT_ITERS)[3] > tol
         and spectral_gap(x, rng=gen).value < x.n - 1e-6
     ):
         dist = orbit_distance(x, best_v, restarts=10, rng=gen).upper

@@ -294,17 +294,17 @@ class MatrixTuple:
 
     def transform(self, left=None, right=None) -> "MatrixTuple":
         """Two-sided multiplication m_j -> left @ m_j @ right."""
-        out = self.mats
-        if left is not None:
-            left = as_square_matrix(left, "left")
-            out = left @ out
-        if right is not None:
-            right = as_square_matrix(right, "right")
-            out = out @ right
-        flag = self.unitary
-        for f in (left, right):
-            if f is not None:
-                flag = flag and np.linalg.norm(f.conj().T @ f - np.eye(self.dim)) <= self.dim * UNITARY_TOL
+        out, flag = self.mats, self.unitary
+        for name, f in (("left", left), ("right", right)):
+            if f is None:
+                continue
+            f = as_square_matrix(f, name)
+            if f.shape[0] != self.dim:
+                raise DimensionMismatch(
+                    f"{name} is {f.shape[0]}x{f.shape[0]}, members are {self.dim}x{self.dim}"
+                )
+            out = f @ out if name == "left" else out @ f
+            flag = flag and np.linalg.norm(f.conj().T @ f - np.eye(self.dim)) <= self.dim * UNITARY_TOL
         return MatrixTuple(out, unitary=flag)
 
     def scale(self, c: complex) -> "MatrixTuple":

@@ -240,17 +240,6 @@ def _image(X: np.ndarray, Y: np.ndarray, restrict: bool, a: np.ndarray) -> np.nd
     return out
 
 
-def _applier(T: SuperOperator):
-    """Closure evaluating T on a kN x N matrix, centring its input and output when restricted."""
-    X, Y = _gemm_operands(T.left.mats, T.right.mats)
-    restrict = T.restrict_h0
-
-    def f(a: np.ndarray) -> np.ndarray:
-        return _image(X, Y, restrict, center(a) if restrict else a)
-
-    return f
-
-
 def _gram_apply(operands, restrict: bool, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(T_b a_b, T_b*T_b a_b) for every b of a (B, kN, N) stack a inside the operators' domain.
 
@@ -273,7 +262,8 @@ def apply(T: SuperOperator, xi) -> np.ndarray:
         raise DimensionMismatch(f"xi has shape {a.shape}, operator acts on {T.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("xi contains non-finite entries")
-    return _applier(T)(a)
+    restrict = T.restrict_h0
+    return _image(*_gemm_operands(T.left.mats, T.right.mats), restrict, center(a) if restrict else a)
 
 
 def _kron_sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -195,6 +195,24 @@ class TestOrbitDistance:
         assert len(rep.f_values) == 5 and rep.f_best < 4 * (1 - 1e-12)
         assert rep.to_json()["certified"] is False
 
+    def test_same_orbit_pair_rechecks_no_unitarity(self, monkeypatch):
+        # the ascent reads u.mats and v.mats: no adjoint or moved tuple is
+        # built, so the inputs' unitarity is not checked again
+        gen = RngSpec(315, 0).generator()
+        u = qx.haar_tuple(3, 8, gen)
+        v = u.transform(left=qx.sample_haar_unitary(8, gen), right=qx.sample_haar_unitary(8, gen))
+        checks = []
+        residuals = qx.MatrixTuple.member_residuals
+
+        def counted(self):
+            checks.append(1)
+            return residuals(self)
+
+        monkeypatch.setattr(qx.MatrixTuple, "member_residuals", counted)
+        rep = qx.orbit_distance(u, v, restarts=1)
+        assert not checks
+        assert rep.certified and rep.upper <= 1e-5 * math.sqrt(3)
+
     def test_requires_unitary(self, rng):
         with pytest.raises(ValueError):
             qx.orbit_distance(random_tuple(2, 3, rng), random_tuple(2, 3, rng))
@@ -459,17 +477,17 @@ class TestNorming:
             def wrapper(*args):
                 calls.append(name)
                 out = fn(*args)
-                if name == "_orbit_upper":
-                    uppers.append(out)
+                if name == "_orbit_ascent":
+                    uppers.append(out[3])
                 return out
 
             return wrapper
 
-        for name in ("_polar_ascent", "_orbit_ascent", "_orbit_upper"):
+        for name in ("_polar_ascent", "_orbit_ascent"):
             monkeypatch.setattr(geo, name, counted(name, getattr(geo, name)))
         x = qx.haar_tuple(3, 6, RngSpec(2, 1).generator())
         v, attained = qx.find_norming_tuple(x, restarts=5, rng=RngSpec(2, 0).generator())
-        assert calls == ["_polar_ascent", "_orbit_upper", "_orbit_ascent"]
+        assert calls == ["_polar_ascent", "_orbit_ascent"]
         assert qx.tuple_distance(v, x) > 1e-3
         assert uppers[0] <= 1e-4 * math.sqrt(3)
         assert attained == pytest.approx(3.0, abs=1e-9)
@@ -545,7 +563,7 @@ class TestNorming:
         # the check only reads the result: same witness and value bit for bit
         # as a run whose first orbit check is stubbed out
         with monkeypatch.context() as m:
-            m.setattr(geo, "_orbit_upper", lambda *a: 0.0)
+            m.setattr(geo, "_orbit_ascent", lambda *a: (None, None, None, 0.0))
             w, unchecked = qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator())
         assert not ascents
         assert np.array_equal(v.mats, w.mats) and attained == unchecked
@@ -583,7 +601,7 @@ class TestNorming:
         ascents.clear()
         v, attained = qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator())
         assert len(gaps) == 1 and len(ascents) == 1
-        monkeypatch.setattr(geo, "_orbit_upper", lambda *a: 0.0)
+        monkeypatch.setattr(geo, "_orbit_ascent", lambda *a: (None, None, None, 0.0))
         w, unchecked = qx.find_norming_tuple(x, restarts=2, rng=RngSpec(2, 0).generator())
         assert len(gaps) == 1 and len(ascents) == 1
         assert np.array_equal(v.mats, w.mats) and attained == unchecked

@@ -254,6 +254,11 @@ class TestMatrixTuple:
         assert t.unitary
         assert t.unitarity_residual() <= 2 * 4 * 1e-10
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_transform_factor_size_checked(self, side):
+        with pytest.raises(DimensionMismatch, match=f"^{side} is 3x3, members are 4x4$"):
+            qx.haar_tuple(2, 4).transform(**{side: np.eye(3)})
+
     def test_scale_phase_preserves_unitarity(self, rng):
         u = qx.haar_tuple(2, 3, rng)
         assert u.scale(np.exp(0.3j)).unitary

@@ -2,8 +2,9 @@
 
 Runs every command (all five ``appendix`` experiments, both ``cover``
 metrics, dense and Lanczos gaps, one run that must fail, two ``appendix``
-runs at coefficients of 1e200, then a ``strong-sep`` and a ``norming`` run
-that stop at their certified maximum) as its own
+runs at coefficients of 1e200, a ``strong-sep`` and a ``norming`` run that
+stop at their certified maximum, then a ``norming`` run on a gapless direct
+sum, whose first orbit check misses and whose gap solve passes) as its own
 ``python -m qexpand.cli`` process on the package in SRC, each into its own
 directory under OUT, then the cases of ``run_solves`` in this process on the
 same package, with BLAS on one thread. Each line is a name, two spaces, then
@@ -69,13 +70,16 @@ CHAIN = [
     # point), and a norming search whose first random restart reaches it
     ("strong-sep-mix", 31, "strong-sep", {"u": "@recombined/u.json", "v": "@recombined/v.json", "restarts": 5}, 0),
     ("norming-5", 32, "norming", {"tuple": "@u/tuple.json", "restarts": 5}, 0),
+    # a (+) b is normed off its orbit: the orbit ascent misses, spectral_gap finds no gap
+    ("norming-gapless", 33, "norming", {"tuple": "@gapless.json", "restarts": 2}, 0),
 ]
 # the cycle graph of Z_5, as GroupPresentation.to_json writes it
 GROUP = {"order": 5, "generators": [[1, 2, 3, 4, 0], [4, 0, 1, 2, 3]], "labels": ["+1", "-1"]}
 
 
 def write_inputs(out: Path):
-    """Write group.json, and recombined/{u,v}.json: a Haar tuple and a unitary recombination of it."""
+    """Write group.json, recombined/{u,v}.json (a Haar tuple and a unitary recombination of
+    it) and gapless.json (the direct sum of two Haar tuples)."""
     import qexpand as qx
 
     (out / "group.json").write_text(json.dumps(GROUP))
@@ -84,6 +88,8 @@ def write_inputs(out: Path):
     (out / "recombined").mkdir()
     qx.save_tuple(out / "recombined" / "u.json", u)
     qx.save_tuple(out / "recombined" / "v.json", qx.mix_tuple(qx.sample_haar_unitary(3, gen), u))
+    gen = qx.RngSpec(2026, 33).generator()
+    qx.save_tuple(out / "gapless.json", qx.direct_sum(qx.haar_tuple(2, 3, gen), qx.haar_tuple(2, 3, gen)))
 
 
 def emit(name, value):
