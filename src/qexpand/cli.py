@@ -37,7 +37,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, QexError
+from .errors import ConfigError, DimensionMismatch, QexError
 from .expanders import (
     GroupPresentation,
     cayley_regular_tuple,
@@ -237,7 +237,10 @@ def _cmd_gap(seed, *, tuple, method="auto", tol=1e-10):
 def _cmd_mix(seed, *, tuple, steps=50, x0=None):
     t = load_tuple(tuple)
     if x0 is not None:
-        start = load_tuple(x0)[0]
+        start = load_tuple(x0)
+        if start.n != 1:
+            raise DimensionMismatch(f"{x0}: x0 must hold one matrix, got n={start.n}")
+        start = start[0]
     else:
         gen = seed.generator()
         start = gen.standard_normal((t.dim, t.dim)) + 1j * gen.standard_normal((t.dim, t.dim))

@@ -2,9 +2,11 @@
 
 Tuple distance, two-sided orbit distance (alternating trace maximization),
 delta-separation reports, strong separation estimates, pair overlap, the
-certified cb-distance lower bound, and the norming-tuple search. The ascent
-routines return one-sided bounds only: upper bounds for orbit distances,
-lower bounds for norms; the reports carry which side they certify.
+certified cb-distance lower bound, and the norming-tuple search. The orbit
+ascent (on ``superop._product``) builds no tuple or operator per step, nor
+does the polar ascent of strong separation and norming (on ``superop._solve``)
+above the dense size. The ascents return one-sided bounds only: upper bounds
+for orbit distances, lower bounds for norms; the reports carry which side they certify.
 """
 from __future__ import annotations
 
@@ -18,7 +20,8 @@ from .errors import BoundViolation, DimensionMismatch, InfeasibleOverlap, Normin
 from .linalg import (
     MatrixTuple, _JsonFields, _ginibre_stack, as_generator, polar_unitary, sample_haar_unitary
 )
-from .superop import SuperOperator, _gemm_operands, _product, operator_norm, spectral_gap
+from .superop import (_MAX_APPLIES, SuperOperator, _gemm_operands, _product, _solve, auto_dense,
+                      operator_norm, spectral_gap)
 
 __all__ = [
     "SeparationReport",
@@ -203,6 +206,8 @@ def orbit_distance(
     _check_shapes(u, v)
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
     u.require_unitary()
     v.require_unitary()
     gen = as_generator(rng)
@@ -311,31 +316,42 @@ def mix_tuple(w: np.ndarray, t: MatrixTuple) -> MatrixTuple:
     w = np.asarray(w, dtype=complex)
     if w.shape != (t.n, t.n):
         raise DimensionMismatch(f"w must be {t.n}x{t.n}, got {w.shape}")
-    return MatrixTuple((w @ t.mats.reshape(t.n, -1)).reshape(t.mats.shape))
+    return MatrixTuple(_mix(w, t.mats))
 
 
-def _polar_ascent(operator, polar, p, xi, iters, inc_tol, top, gen):
-    """Alternate the top singular pair (xi, eta) of operator(p) with p = polar(xi, eta).
+def _mix(w, mats):
+    """The coefficient action on a member stack: (w.mats)_i = sum_j w_ij mats_j."""
+    return (w @ mats.reshape(len(mats), -1)).reshape(mats.shape)
 
-    Each norm solve (tol 1e-10) is warm-started from the previous xi, and
-    its report's ``top_image`` = operator(p)(xi) gives eta. The ascent stops
-    on the solve whose value reaches ``top``, the caller's provable maximum
-    up to rounding, or once the value gains less than inc_tol. Returns the
-    last value, the parameter p whose operator attained it and that
-    operator's top vector xi.
+
+def _polar_ascent(step, start, restarts, iters, inc_tol, gen):
+    """Best of ``restarts`` ascents of the norm of sum_j left_j (.) right_j* over the stacks.
+
+    Restart r starts from start(r) = (left, right, xi), xi None for a draw
+    from ``gen``. Each step is one witness ``_solve`` at tol 1e-10 from the
+    last top vector xi; its image gives eta, and step(xi, eta) the next
+    stacks. The callers' values are at most n = len(left), so an ascent
+    stops on the solve that reaches n (1 - 1e-12), and so do the restarts;
+    otherwise it stops after ``iters`` solves or once the value gains less
+    than inc_tol. Returns the best run's (value, left, right, xi), the first on a tie.
     """
-    val = -math.inf
-    for step in range(iters):
-        if step:
-            nrm = np.linalg.norm(image)
-            if nrm == 0:
+    runs = []
+    for r in range(restarts):
+        left, right, xi = start(r)
+        top, val = len(left) * (1.0 - _ORBIT_CERTIFIED), -math.inf
+        dense = auto_dense(left.shape[-1] * right.shape[-1])
+        for k in range(1, iters + 1):
+            values, _, _, _, X, image, _ = _solve(
+                left[None], right[None], False, dense, [gen], [xi], 1e-10, _MAX_APPLIES, True
+            )
+            gain, val, xi, nrm = values[0] - val, float(values[0]), X[0], np.linalg.norm(image[0])
+            if val >= top or gain < inc_tol or nrm == 0 or k == iters:
                 break
-            p = polar(xi, image / nrm)
-        rep = operator_norm(operator(p), tol=1e-10, rng=gen, start=xi)
-        gain, val, xi, image = rep.value - val, rep.value, rep.top_vector, rep.top_image
-        if val >= top or gain < inc_tol:
+            left, right = step(xi, image[0] / nrm)
+        runs.append((val, left, right, xi))
+        if val >= top:
             break
-    return val, p, xi
+    return max(runs, key=lambda run: run[0])
 
 
 def strong_separation_estimate(
@@ -354,17 +370,17 @@ def strong_separation_estimate(
     reach; treat the result as an estimate only. v may be any tuple
     normalized to the unit ball (|sum v (x) conj(v)| <= n), e.g. a unitary
     recombination of a unitary tuple; only u itself must be unitary.
-    For such v every value is at most n (operator Cauchy-Schwarz), so, as in
-    ``orbit_distance``, an ascent stops on the norm solve that reaches
-    n (1 - 1e-12), and so do the restarts; the stop relies on this
-    unit-ball hypothesis. Otherwise an ascent stops once the value gains
-    less than 1e-12. Restart 0 takes w from the channel fixed point
-    xi = eta = I/sqrt(N) and starts its first norm solve there, restart 1
-    starts from w = I, later ones from Haar w drawn from ``rng``.
+    For such v every value is at most n (operator Cauchy-Schwarz), which
+    the certified stop of ``_polar_ascent`` relies on; otherwise an ascent
+    stops once the value gains less than 1e-12. Restart 0 takes w from the
+    channel fixed point xi = eta = I/sqrt(N) and starts its first norm solve
+    there, restart 1 starts from w = I, later ones from Haar w drawn from ``rng``.
     """
     _check_shapes(u, v)
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
     u.require_unitary()
     gen = as_generator(rng)
     n, N = u.n, u.dim
@@ -374,27 +390,17 @@ def strong_separation_estimate(
         p = u.mats @ xi
         q = eta @ v.mats
         d = q.reshape(n, -1).conj() @ p.reshape(n, -1).T
-        return polar_unitary(d.T).conj().T
+        return _mix(polar_unitary(d.T).conj().T, u.mats), v.mats
 
-    best, f_max = -math.inf, n * (1.0 - _ORBIT_CERTIFIED)
-    for r in range(restarts):
-        xi = None
+    def start(r):
         if r == 0:
             # channel fixed point: recovers the rotation aligning u with v
             xi = np.eye(N, dtype=complex) / math.sqrt(N)
-            w = w_step(xi, xi)
-        elif r == 1:
-            w = np.eye(n, dtype=complex)
-        else:
-            w = sample_haar_unitary(n, gen)
-        val, _, _ = _polar_ascent(
-            lambda w: SuperOperator(mix_tuple(w, u), v),
-            w_step, w, xi, iters, 1e-12, f_max, gen,
-        )
-        best = max(best, val)
-        if best >= f_max:
-            break
-    return best / n
+            return (*w_step(xi, xi), xi)
+        w = np.eye(n, dtype=complex) if r == 1 else sample_haar_unitary(n, gen)
+        return _mix(w, u.mats), v.mats, None
+
+    return _polar_ascent(w_step, start, restarts, iters, 1e-12, gen)[0] / n
 
 
 def delta_overlap(t: MatrixTuple) -> float:
@@ -438,10 +444,9 @@ def find_norming_tuple(
     per-member polar maximizers v_j = polar(eta* x_j xi), which keeps v
     unitary (the boundary of the feasible ball). Every restart starts from
     a random pair (xi, eta) of normalized complex Ginibre matrices drawn
-    from ``rng``. The value is at most n, so, as in ``orbit_distance``, a
-    restart stops on the norm solve that reaches n (1 - 1e-12), and so do
-    the restarts; otherwise a restart stops after 200 steps or once the
-    value gains less than 1e-10, and the best value wins. For a gapped x
+    from ``rng``; ``_polar_ascent`` runs them, with its certified stop at n,
+    200 steps and a gain tolerance of 1e-10, and the best value wins. Its
+    witness's unitarity is checked once. For a gapped x
     the maximizers form a single orbit, so the best v is checked to lie
     near Orb(x), with tolerance 1e-4 sqrt(n) on the direct distance. The
     check is up to three calls: one orbit ascent (``_orbit_ascent``, whose
@@ -461,25 +466,15 @@ def find_norming_tuple(
     N = x.dim
 
     def polar(xi, eta):
-        stack = eta.conj().T @ x.mats @ xi
-        return MatrixTuple(polar_unitary(stack), unitary=True)
+        return x.mats, polar_unitary(eta.conj().T @ x.mats @ xi)
 
-    top = x.n * (1.0 - _ORBIT_CERTIFIED)
-    best = (-math.inf, None, None)
-    for _ in range(restarts):
-        xi = gen.standard_normal((N, N)) + 1j * gen.standard_normal((N, N))
-        xi /= np.linalg.norm(xi)
-        eta = gen.standard_normal((N, N)) + 1j * gen.standard_normal((N, N))
-        eta /= np.linalg.norm(eta)
-        run = _polar_ascent(
-            lambda v: SuperOperator(x, v),
-            polar, polar(xi, eta), xi, 200, 1e-10, top, gen,
-        )
-        if run[0] > best[0]:
-            best = run
-        if best[0] >= top:
-            break
-    best_val, best_v, xi = best
+    def start(r):
+        z = gen.standard_normal((2, 2, N, N))  # Re xi, Im xi, Re eta, Im eta
+        xi, eta = (a / np.linalg.norm(a) for a in z[:, 0] + 1j * z[:, 1])
+        return (*polar(xi, eta), xi)
+
+    best_val, _, right, xi = _polar_ascent(polar, start, restarts, 200, 1e-10, gen)
+    best_v = MatrixTuple(right, unitary=True)
     tol = 1e-4 * math.sqrt(x.n)
     if (
         _orbit_ascent(x, best_v, polar_unitary(xi), _ORBIT_ITERS)[3] > tol

@@ -31,7 +31,8 @@ step and the witness.
 ``operator_norm`` is its batch of one, ``spectral_gap`` that on the
 restricted conjugation, and ``_norms`` its batches for the Monte Carlo
 samples of ``randmat`` and the pair norms of ``packing``, sized under one
-byte budget by ``_batch_size``.
+byte budget by ``_batch_size``. The norming and strong-separation searches
+(``geometry._polar_ascent``) call it directly on their member stacks.
 """
 from __future__ import annotations
 

@@ -628,6 +628,17 @@ class TestMain:
             "c": {"tuple": str(tpath)},
         }
 
+    def test_mix_x0_of_several_members_is_one_line_error(self, tmp_path, capsys):
+        # x0 is one start matrix: member 0 of a 3-member file was once used silently
+        tpath, xpath, out = tmp_path / "pauli.json", tmp_path / "x0.json", tmp_path / "o"
+        qx.save_tuple(tpath, qx.pauli_tuple())
+        qx.save_tuple(xpath, qx.haar_tuple(3, 2, RngSpec(1, 0).generator()))
+        assert main(["--out", str(out), "mix", "-p", f"tuple={tpath}", "-p", f"x0={xpath}"]) == 1
+        err = one_error_line(capsys)
+        assert err.startswith(f"error: {xpath}: ") and "n=3" in err
+        rec = json.loads((out / "run.json").read_text())
+        assert rec["status"] == "failed" and rec["error"] == err[len("error: "):]
+
     def test_missing_param_is_error(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path / "o"), "certify"])
         assert code == 1

@@ -326,6 +326,50 @@ class TestMixAction:
         assert val <= wn * 3 + 1e-8
 
 
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda u: qx.orbit_distance(u, u, iters=0),
+        lambda u: qx.strong_separation_estimate(u, u, iters=0),
+    ],
+    ids=["orbit_distance", "strong_separation_estimate"],
+)
+def test_iters_below_one_is_rejected(search):
+    # an ascent of no steps has no value: this once ended in an
+    # UnboundLocalError (orbit) or read -inf (strong separation)
+    with pytest.raises(ValueError, match="iters must be >= 1, got 0"):
+        search(qx.pauli_tuple())
+
+
+def test_polar_searches_build_no_tuple_or_operator_per_step(monkeypatch):
+    # each step hands superop._solve member stacks; once each step built a
+    # MatrixTuple and a SuperOperator (60 of each here), and each norming
+    # step re-checked the unitarity of its fresh polar factor
+    gen = RngSpec(4, 0).generator()
+    u, v = qx.haar_tuple(8, 17, gen), qx.haar_tuple(8, 17, gen)
+    hooks = {"MatrixTuple": (qx.MatrixTuple, "__post_init__"),
+             "SuperOperator": (qx.SuperOperator, "__post_init__"),
+             "member_residuals": (qx.MatrixTuple, "member_residuals")}
+    built = dict.fromkeys(hooks, 0)
+
+    def counted(key, fn):
+        def wrapper(self):
+            built[key] += 1
+            return fn(self)
+
+        return wrapper
+
+    for key, (cls, name) in hooks.items():
+        monkeypatch.setattr(cls, name, counted(key, getattr(cls, name)))
+    est = qx.strong_separation_estimate(u, v, restarts=2, iters=30, rng=RngSpec(5, 0))
+    assert built == {"MatrixTuple": 0, "SuperOperator": 0, "member_residuals": 0}
+    assert 0 < est < 1
+    w, attained = qx.find_norming_tuple(u, restarts=2, rng=RngSpec(6, 0))
+    # the returned witness is the one tuple built, and its unitarity is checked once
+    assert built["MatrixTuple"] == 1 and built["member_residuals"] == 1
+    assert w.unitary and attained == pytest.approx(8.0, abs=1e-9)
+
+
 class TestStrongSeparation:
     def test_rotation_attains_one(self):
         gen = RngSpec(6, 0).generator()
@@ -339,21 +383,23 @@ class TestStrongSeparation:
 
         # a recombination of u reaches n (1 - 1e-12) in restart 0's first norm
         # solve, which starts from the fixed point I/sqrt(N), its top vector:
-        # one solve of one apply, dense or Lanczos, and the other four
-        # restarts are never run
+        # one converged solve of one apply, dense or Lanczos, and the other
+        # four restarts are never run
         ascents, solves = [], []
-        ascent, solve = geo._polar_ascent, geo.operator_norm
+        ascent, solve = geo._polar_ascent, geo._solve
 
         def counted_ascent(*args):
             ascents.append(1)
             return ascent(*args)
 
-        def counted_solve(*args, **kwargs):
-            solves.append(solve(*args, **kwargs))
-            return solves[-1]
+        def counted_solve(*args):
+            # (dense, applies, converged) of each solve
+            out = solve(*args)
+            solves.append((args[3], int(out[1][0]), bool(out[3][0])))
+            return out
 
         monkeypatch.setattr(geo, "_polar_ascent", counted_ascent)
-        monkeypatch.setattr(geo, "operator_norm", counted_solve)
+        monkeypatch.setattr(geo, "_solve", counted_solve)
         for N, method in ((8, "dense"), (13, "lanczos")):
             ascents.clear()
             solves.clear()
@@ -362,7 +408,7 @@ class TestStrongSeparation:
             w0 = qx.sample_haar_unitary(3, gen)
             est = qx.strong_separation_estimate(u, qx.mix_tuple(w0, u), restarts=5, rng=gen)
             assert len(ascents) == 1
-            assert [(rep.method, rep.iterations) for rep in solves] == [(method, 1)]
+            assert solves == [(method == "dense", 1, True)]
             assert est >= 1.0 - 1e-12
 
     # the estimates before the ascents stopped at their maximum and restart 0
@@ -496,28 +542,31 @@ class TestNorming:
         import qexpand.geometry as geo
 
         # from x itself the first solve reaches n; with top = n (1 - 1e-12) the
-        # ascent returns there, with no confirming solve and polar update
+        # ascent returns there, with no confirming solve and polar update, and
+        # the second restart never runs; with top = inf (_ORBIT_CERTIFIED = -inf)
+        # each of the two restarts takes two solves
         x = qx.haar_tuple(3, 6, RngSpec(2, 1).generator())
         solves = []
-        solve = geo.operator_norm
+        solve = geo._solve
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             solves.append(1)
-            return solve(*args, **kwargs)
+            return solve(*args)
 
         def polar(xi, eta):
-            return qx.MatrixTuple(qx.polar_unitary(eta.conj().T @ x.mats @ xi), unitary=True)
+            return x.mats, qx.polar_unitary(eta.conj().T @ x.mats @ xi)
 
-        monkeypatch.setattr(geo, "operator_norm", counted)
+        monkeypatch.setattr(geo, "_solve", counted)
         fix = np.eye(6, dtype=complex) / math.sqrt(6)
-        for top, steps in ((3 * (1 - 1e-12), 1), (math.inf, 2)):
+        for certified, steps in ((1e-12, 1), (-math.inf, 4)):
+            monkeypatch.setattr(geo, "_ORBIT_CERTIFIED", certified)
             solves.clear()
-            val, p, xi = geo._polar_ascent(
-                lambda v: qx.SuperOperator(x, v), polar, x, fix, 200, 1e-10, top, None
+            val, left, right, xi = geo._polar_ascent(
+                polar, lambda r: (x.mats, x.mats, fix), 2, 200, 1e-10, None
             )
             assert len(solves) == steps
             assert val == pytest.approx(3.0, abs=1e-12)
-            assert (p is x) == (steps == 1)
+            assert left is x.mats and (right is x.mats) == (steps == 1)
             assert np.abs(xi).max() == pytest.approx(1 / math.sqrt(6), abs=1e-12)
 
     def test_orbit_check_raises_when_forced_tight(self, monkeypatch):

@@ -5,8 +5,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "qex_chain.py"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -74,3 +76,25 @@ def test_qexpand_from_outside_src_exits_2(tmp_path):
     assert proc.returncode == 2
     assert "not from" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "want,code,stderr,bad",
+    [
+        (0, 0, "", False),
+        (0, 0, "x.py:3: RuntimeWarning: overflow encountered in square\n", True),
+        (0, 1, "error: bad\n", True),
+        (1, 1, "error: delta must be in [0, 1], got 1.5\n", False),
+        (1, 1, "", True),
+        (1, 1, "Traceback (most recent call last):\nValueError: x\n", True),
+        (1, 1, "error: one\nerror: two\n", True),
+    ],
+    ids=["clean", "stray-stderr", "exit-code", "one-error-line", "failed-silently",
+         "traceback", "two-error-lines"],
+)
+def test_a_run_writes_to_stderr_only_its_one_error_line(capsys, want, code, stderr, bad):
+    # a warning or traceback in a run that exits 0 fails the ledger too
+    tool = load_tool()
+    assert tool.unexpected("run", want, SimpleNamespace(returncode=code, stderr=stderr)) is bad
+    err = capsys.readouterr().err
+    assert err == (f"run: exit code {code} (expected {want}), stderr:\n{stderr}\n" if bad else "")

@@ -14,8 +14,11 @@ or a case, then ``:<key>`` per JSON key or field and ``[<i>]`` per list item
 or CSV row: ``gap-dense/gap.json:value``, ``mix/mix.csv[3]:residual``,
 ``gap/N=32:residual``. ``run.json`` is read without ``started`` and
 ``finished`` and with OUT as ``<out>``. Two trees are compared by ``diff`` of
-the output on their ``src``. Exits 1 if a run's exit code is not the one
-listed, 2 if OUT is not empty or ``qexpand`` is not SRC's.
+the output on their ``src``. Exits 1, showing the run's stderr, if a run's
+exit code is not the one listed, if a run listed with exit code 0 writes
+anything to stderr (a warning or a traceback), or if the run listed as
+failing writes anything but one ``error:`` line; 2 if OUT is not empty or
+``qexpand`` is not SRC's.
 
     python3 tools/qex_chain.py src /tmp/chain > ledger.txt
 """
@@ -118,8 +121,19 @@ def read_file(path: Path, out: Path):
     return record
 
 
+def unexpected(name, want, proc) -> bool:
+    """Whether a run's exit code or stderr breaks the rule of the module docstring; prints why."""
+    lines = proc.stderr.splitlines()
+    ok = len(lines) == 1 and lines[0].startswith("error: ") if want else not lines
+    if proc.returncode == want and ok:
+        return False
+    print(f"{name}: exit code {proc.returncode} (expected {want}), stderr:\n{proc.stderr}",
+          file=sys.stderr)
+    return True
+
+
 def run_chain(src: Path, out: Path) -> int:
-    """Run CHAIN into out and print its files; returns the number of unexpected exit codes."""
+    """Run CHAIN into out and print its files; returns the number of ``unexpected`` runs."""
     write_inputs(out)
     env = {**os.environ, "PYTHONPATH": str(src)}
     bad = 0
@@ -131,11 +145,7 @@ def run_chain(src: Path, out: Path) -> int:
             flags += ["-p", f"{key}={val}"]
         argv = [sys.executable, "-m", "qexpand.cli", "--seed", str(seed),
                 "--out", str(out / name), command, *flags]
-        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
-        if proc.returncode != want:
-            print(f"{name}: exit code {proc.returncode}, expected {want}\n{proc.stderr}",
-                  file=sys.stderr)
-            bad += 1
+        bad += unexpected(name, want, subprocess.run(argv, env=env, capture_output=True, text=True))
         for path in sorted((out / name).iterdir()):
             emit(f"{name}/{path.name}", read_file(path, out))
     return bad
