@@ -240,6 +240,8 @@ def _cmd_mix(seed, *, tuple, steps=50, x0=None):
         start = load_tuple(x0)
         if start.n != 1:
             raise DimensionMismatch(f"{x0}: x0 must hold one matrix, got n={start.n}")
+        if start.dim != t.dim:
+            raise DimensionMismatch(f"{x0}: x0 has dim {start.dim}, tuple {tuple} has dim {t.dim}")
         start = start[0]
     else:
         gen = seed.generator()
@@ -319,8 +321,8 @@ def _cmd_cover(seed, *, tuples, radius, metric="d"):
 
 
 def _cmd_bounds(seed, *, n, N, eps_grid="0.1,0.3,0.5,0.7", delta_grid="0.01,0.05,0.1,0.2,0.5"):
-    eps_grid = [float(x) for x in eps_grid.split(",") if x]
-    delta_grid = [float(x) for x in delta_grid.split(",") if x]
+    eps_grid = _entries("eps_grid", eps_grid, float)
+    delta_grid = _entries("delta_grid", delta_grid, float)
     files = {
         "radius.csv": [["eps", "delta", "value"]] + [
             [e, d, near_norming_radius(e, d)]
@@ -356,7 +358,7 @@ def _cmd_subgauss(seed, *, n, N, samples):
 def _parse_coeffs(raw, n):
     if raw is None:
         return [1.0] * n
-    vals = [complex(x) for x in raw.split(",") if x]
+    vals = _entries("coeffs", raw, complex)
     if len(vals) != n:
         raise ConfigError(f"coeffs has {len(vals)} entries, expected n={n}")
     if not np.isfinite(vals).all():  # before a caller computes with them
@@ -504,13 +506,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _coerce(key: str, raw: str):
-    # the type check is ExperimentConfig's; an unknown key stays a string for it
-    want = _PARAM_TYPES.get(key, str)
+def _coerce(key: str, raw: str, want):
     try:
         return want(raw)
     except ValueError as exc:
         raise ConfigError(f"param {key!r}: cannot parse {raw!r} as {want.__name__}") from exc
+
+
+def _entries(key: str, raw: str, want) -> list:
+    vals = [_coerce(key, x, want) for x in raw.split(",") if x]
+    if not vals:
+        raise ConfigError(f"param {key!r} has no entries")
+    return vals
 
 
 def config_from_args(args) -> ExperimentConfig:
@@ -523,7 +530,8 @@ def config_from_args(args) -> ExperimentConfig:
         if "=" not in item:
             raise ConfigError(f"--param expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
-        params[key] = _coerce(key, raw)
+        # the type check is ExperimentConfig's; an unknown key stays a string for it
+        params[key] = _coerce(key, raw, _PARAM_TYPES.get(key, str))
     try:
         seed = RngSpec(args.seed, args.stream_id)
     except ValueError as exc:

@@ -20,8 +20,7 @@ from .errors import BoundViolation, DimensionMismatch, InfeasibleOverlap, Normin
 from .linalg import (
     MatrixTuple, _JsonFields, _ginibre_stack, as_generator, polar_unitary, sample_haar_unitary
 )
-from .superop import (_MAX_APPLIES, SuperOperator, _gemm_operands, _product, _solve, auto_dense,
-                      operator_norm, spectral_gap)
+from .superop import SuperOperator, _gemm_operands, _product, _solve, operator_norm, spectral_gap
 
 __all__ = [
     "SeparationReport",
@@ -339,10 +338,9 @@ def _polar_ascent(step, start, restarts, iters, inc_tol, gen):
     for r in range(restarts):
         left, right, xi = start(r)
         top, val = len(left) * (1.0 - _ORBIT_CERTIFIED), -math.inf
-        dense = auto_dense(left.shape[-1] * right.shape[-1])
         for k in range(1, iters + 1):
             values, _, _, _, X, image, _ = _solve(
-                left[None], right[None], False, dense, [gen], [xi], 1e-10, _MAX_APPLIES, True
+                left[None], right[None], False, [gen], 1e-10, starts=[xi], witness=True
             )
             gain, val, xi, nrm = values[0] - val, float(values[0]), X[0], np.linalg.norm(image[0])
             if val >= top or gain < inc_tol or nrm == 0 or k == iters:

@@ -2,9 +2,9 @@
 
 Desk-scale instantiation of the packing phenomenon: sample Haar tuples,
 keep the certified expanders, and admit a sample when it is measurably
-delta-separated from every member so far (an online maximal family). The
-closed-form count bounds are evaluated on a log scale so they stay finite
-for the sizes where the true counts are astronomically large.
+delta-separated from every member so far (an online maximal family), by one
+``superop._solve`` call per chunk of members. The closed-form count bounds
+are on a log scale, finite where the true counts are astronomically large.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .linalg import (
     ginibre_singular_mean,
     polar_unitary,
 )
-from .superop import SuperOperator, _batch_size, _norms, operator_norm
+from .superop import SuperOperator, _batch_size, _solve, operator_norm
 
 __all__ = [
     "PackingFamily",
@@ -48,8 +48,11 @@ class PackingFamily:
     after the last admitted one (all of them if none was admitted); a long
     run suggests the family is near saturation. ``unconverged`` counts the
     certificate and pair solves whose Lanczos run stopped at its apply cap.
+    ``n`` and ``N`` are the sampled tuples' size, also for an empty family.
     """
 
+    n: int
+    N: int
     members: list[MatrixTuple]
     pairwise: np.ndarray
     accept_delta: float
@@ -92,17 +95,15 @@ class PackingFamily:
             for i in range(self.count)
             for j in range(i + 1, self.count)
         ]
-        n = self.members[0].n if self.members else 0
-        N = self.members[0].dim if self.members else 0
         files["meta.json"] = {
-            "n": n,
-            "N": N,
+            "n": self.n,
+            "N": self.N,
             "eps": self.eps,
             "delta": self.accept_delta,
             "seed": self.seed.to_json(),
             **self.counts(),
-            "log_count_upper_bound": packing_upper_bound(n, N, self.accept_delta)
-            if self.count and self.accept_delta > 0
+            "log_count_upper_bound": packing_upper_bound(self.n, self.N, self.accept_delta)
+            if self.accept_delta > 0
             else None,
         }
         return files
@@ -122,7 +123,7 @@ def greedy_pack(
     of unitary tuples are exactly n). Each sample is certified at tol 1e-6,
     with ``certify``'s epsilon from a gap solve that computes no witness.
     The members are kept stacked in chunks of ``superop._batch_size`` tuples,
-    and the norms against one chunk come from one ``superop._norms`` call:
+    and the norms against one chunk come from one ``superop._solve`` call:
     dense Gram solves up to the dense switch (N^2 <= 144 by default),
     Lanczos at tol 1e-6 in lockstep above it. The checks stop after the
     first chunk that holds a pair below ``delta``, so above the switch a
@@ -157,7 +158,7 @@ def greedy_pack(
         ok = True
         for start in range(0, len(members), chunk):
             vs = stacks[start // chunk][: len(members) - start]
-            norms, _, converged = _norms(u.mats[None], vs, False, [None] * len(vs), 1e-6)
+            norms, _, _, converged, *_ = _solve(u.mats[None], vs, False, [None] * len(vs), 1e-6)
             unconverged += int(np.count_nonzero(~converged))
             d = np.maximum(1.0 - norms / n, 0.0)
             deltas.extend(d.tolist())
@@ -179,6 +180,8 @@ def greedy_pack(
     for i, row in enumerate(rows):
         pairwise[i, :i] = pairwise[:i, i] = row
     return PackingFamily(
+        n=n,
+        N=N,
         members=members,
         pairwise=pairwise,
         accept_delta=delta,

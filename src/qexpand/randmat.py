@@ -4,7 +4,7 @@ Norm statistics of sum_j a_j U_j (x) conj(U_j) restricted to the trace-zero
 space, the decoupled Gaussian comparison sum_j a_j Y_j (x) conj(Y'_j) that
 dominates it, the twirl average E[Y (x) conj(Y)] (the rank-one projection
 onto the identity direction), and the diagonal-product constant of |Y| whose
-inverse controls the comparison.
+inverse controls the comparison. Norms come in ``superop._solve`` batches.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DenseCapExceeded
 from .linalg import RngSpec, _JsonFields, _ginibre_stack, _haar_stack, as_generator, sample_ginibre
-from .superop import _batch_size, _kron_sums, _norms, _scale_to_unit, center
+from .superop import _batch_size, _kron_sums, _scale_to_unit, _solve, center
 
 __all__ = [
     "MomentReport",
@@ -69,7 +69,7 @@ def _sum_norm_report(coeffs, a, N, samples, rng, tol, draw, restrict_h0) -> Mome
     (shape (n, k, k)) out of its own RNG substreams and returns its left and
     right member stacks with the generator its norm solver draws from
     (used above the dense switch only). The samples are solved in chunks of
-    ``superop._batch_size`` operators by one ``superop._norms`` call each,
+    ``superop._batch_size`` operators by one ``superop._solve`` call each,
     which picks the dense or the Lanczos solver; a sample's value does not
     depend on the chunk it fell in.
     """
@@ -92,7 +92,7 @@ def _sum_norm_report(coeffs, a, N, samples, rng, tol, draw, restrict_h0) -> Mome
         for b, s in enumerate(range(lo, hi)):
             left[b], right[b], gen = draw(s, a)
             gens.append(gen)
-        vals[lo:hi], _, converged = _norms(left, right, restrict_h0, gens, tol)
+        vals[lo:hi], _, _, converged, *_ = _solve(left, right, restrict_h0, gens, tol)
         unconverged += int(np.count_nonzero(~converged))
     return MomentReport(
         n=n,

@@ -28,11 +28,11 @@ Krylov cycles in complex64 and certifies their Ritz vector with a
 complex128 run. One ``_gram_apply`` gives T a and T*T a, for the Lanczos
 step and the witness.
 
-``operator_norm`` is its batch of one, ``spectral_gap`` that on the
-restricted conjugation, and ``_norms`` its batches for the Monte Carlo
-samples of ``randmat`` and the pair norms of ``packing``, sized under one
-byte budget by ``_batch_size``. The norming and strong-separation searches
-(``geometry._polar_ascent``) call it directly on their member stacks.
+``operator_norm`` is its batch of one, and ``spectral_gap`` that on the
+restricted conjugation. The Monte Carlo samples of ``randmat`` and the
+pair norms of ``packing`` call ``_solve`` in batches sized under one byte
+budget by ``_batch_size``, and the norming and strong-separation searches
+(``geometry._polar_ascent``) call it on their member stacks.
 """
 from __future__ import annotations
 
@@ -112,7 +112,7 @@ _BREAKDOWN = 1e-13
 # tol 1e-6 the complex128 run restarts from one vector and needs 10-64 more
 # applies; that loses at 1e-10 everywhere and at 1e-8 for small N.
 _SINGLE_TOL = 1e-6
-# Bytes per ``_norms`` batch (``_batch_size`` says what an operator costs).
+# Bytes per batch of a ``_solve`` caller (``_batch_size`` says what an operator costs).
 # Lanczos at n = 8, N = 16 is charged 292 KiB per operator: a basis of 25
 # vectors, the members and their four ``_gram_operands`` stacks. With one
 # BLAS thread, 10 unitary and 10 Gaussian samples at tol 1e-8 (fastest of 24
@@ -323,7 +323,7 @@ def auto_dense(dim: int) -> bool:
 
 
 def _batch_size(n: int, R: int, N: int) -> int:
-    """Operators of n members acting on R x N matrices per ``_norms`` batch.
+    """Operators of n members acting on R x N matrices per ``_solve`` batch.
 
     Each operator is charged, in complex128 entries, with d = RN: its left
     and right member stacks; on the dense side the conjugated right stack
@@ -540,38 +540,44 @@ def _lanczos(operands, restrict_h0, Z, tol, max_iter):
         k = keep
 
 
-def _solve(left, right, restrict_h0, dense, rngs, starts, tol, max_iter, witness):
+def _solve(left, right, restrict_h0, rngs, tol, *, starts=None, dense=None, max_iter=_MAX_APPLIES,
+           witness=False):
     """Norms of T_b = sum_j left_bj (.) right_bj* for B operators of one shape: every norm solve.
 
     ``left`` is a (B or 1, n, kN, kN) member stack, ``right`` a (B, n, N, N)
-    one. The one scale rule: both stacks of each operator are scaled by
-    powers of two to unit max-abs (``_scale_to_unit``), so T_b = 2^e_b S_b;
-    the solve runs on S_b and scales its norms and images back by 2^e_b and
-    its T*T residuals by 2^2e_b. Every IEEE step commutes with exact
-    power-of-two scaling, so in-range values are bit-equal to an unscaled
-    solve's, and the members' scale cannot overflow or underflow the solve.
-    A norm beyond the float range raises ValueError; a witness residual
-    beyond it (a norm above about 1e154) reads inf. With ``dense``, one
-    batched Gram eigen-solve counts as one apply, on the ``_dense`` matrices
-    (one operator's from ``materialize``, so a traced run times it there).
-    Otherwise run b starts from starts[b], or where that is None from a draw
-    from rngs[b], and the runs go through ``_lanczos`` in lockstep on the
+    one, and the call writes into neither. The one scale rule: both stacks
+    of each operator are scaled by powers of two to unit max-abs
+    (``_scale_to_unit``), so T_b = 2^e_b S_b; the solve runs on S_b and
+    scales its norms and images back by 2^e_b and its T*T residuals by
+    2^2e_b. Every IEEE step commutes with exact power-of-two scaling, so
+    in-range values are bit-equal to an unscaled solve's, and the members'
+    scale cannot overflow or underflow the solve. A norm beyond the float
+    range raises ValueError; a witness residual beyond it (a norm above
+    about 1e154) reads inf. ``dense`` None picks the solver by
+    ``auto_dense(kN^2)``. With ``dense``, one batched Gram eigen-solve
+    counts as one apply, on the ``_dense`` matrices (one operator's from
+    ``materialize``, so a traced run times it there). Otherwise run b starts
+    from starts[b], or where that (or ``starts``) is None from a draw from
+    rngs[b], and the runs go through ``_lanczos`` in lockstep on the
     ``_gram_operands``. Where tol >= _SINGLE_TOL and max_iter > 1 they first
     take up to max_iter - 1 applies on those operands and starts cast to
     complex64; their Ritz vectors, re-centred and normalised in complex128,
     start the complex128 run with the batch's rest of max_iter. That run is
     the certificate: a complex128 Rayleigh-Ritz lower bound with a
     complex128 residual stop. A restricted N = 1 operator acts on {0}: value
-    0, no vector, no Lanczos apply. Returns per-run (values, applies, single,
-    converged, X, image, residual): applies over both phases, single the
-    complex64 ones; with ``witness`` (B = 1: the runs reorder the operands)
-    the unit vectors X, T_b(X_b) and ||T_b*T_b X_b - theta_b X_b||_F.
+    0, no vector, no Lanczos apply. Returns per-run (values, applies,
+    single, converged, X, image, residual): applies over both phases, single
+    the complex64 ones; with ``witness`` (B = 1: the runs reorder the
+    operands) the unit vectors X, T_b(X_b) and ||T_b*T_b X_b - theta_b
+    X_b||_F.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not max_iter >= 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     B, R, N = len(rngs), left.shape[-1], right.shape[-1]
+    if dense is None:
+        dense = auto_dense(R * N)
     zeros, converged = np.zeros(B, dtype=int), np.ones(B, dtype=bool)
     if restrict_h0 and N == 1:
         return np.zeros(B), zeros + dense, zeros, converged, None, None, None
@@ -588,6 +594,7 @@ def _solve(left, right, restrict_h0, dense, rngs, starts, tol, max_iter, witness
         left = np.broadcast_to(left, right.shape[:1] + left.shape[1:])
         operands = _gram_operands(*_gemm_operands(left, right))
     if not dense:
+        starts = starts or [None] * B
         Z = np.stack([_start_vector((R, N), restrict_h0, z, g) for z, g in zip(starts, rngs)])
         if tol >= _SINGLE_TOL and max_iter > 1:
             low = tuple(a.astype(np.complex64) for a in operands)
@@ -642,33 +649,15 @@ def operator_norm(
         method = "dense" if auto_dense(R * N) else "lanczos"
     if method not in ("dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
-    left, right, restrict = T.left.mats[None], T.right.mats[None], T.restrict_h0
     values, applies, singles, converged, X, image, residual = _solve(
-        left, right, restrict, method == "dense", [rng], [start], tol, max_iter, witness
+        T.left.mats[None], T.right.mats[None], T.restrict_h0, [rng], tol, starts=[start],
+        dense=method == "dense", max_iter=max_iter, witness=witness,
     )
     value, iters, single = float(values[0]), int(applies[0]), int(singles[0])
     tag = method if converged[0] else "lanczos-unconverged"
     if image is None:
         return GapReport(value, tag, iters, 0.0, single_applies=single)
     return GapReport(value, tag, iters, float(residual[0]), X[0], single, image[0])
-
-
-def _norms(left, right, restrict_h0: bool, rngs, tol: float):
-    """Norms of B operators of one shape, solved as one batch by ``_solve``.
-
-    Operator b is SuperOperator(left[b], right[b], restrict_h0) for complex
-    (B, n, kN, kN) and (B, n, N, N) member stacks, or a (1, n, kN, kN) left
-    stack shared by all; the call writes into neither. It gets the value,
-    applies and convergence flag of operator_norm(..., tol=tol, rng=rngs[b],
-    witness=False): a dense Gram solve where ``auto_dense(kN^2)``, lockstep
-    Lanczos with run b's start drawn from rngs[b] above. ``_batch_size``
-    bounds B. Returns (values, applies, converged) arrays.
-    """
-    dense = auto_dense(left.shape[-1] * right.shape[-1])
-    values, applies, _, converged, *_ = _solve(
-        left, right, restrict_h0, dense, rngs, [None] * len(rngs), tol, _MAX_APPLIES, False
-    )
-    return values, applies, converged
 
 
 def spectral_gap(

@@ -639,6 +639,32 @@ class TestMain:
         rec = json.loads((out / "run.json").read_text())
         assert rec["status"] == "failed" and rec["error"] == err[len("error: "):]
 
+    def test_mix_x0_of_another_size_names_the_file(self, tmp_path, capsys):
+        # a 3 x 3 x0 against a 2 x 2 tuple once read "x0 has dim 3, tuple has 2"
+        tpath, xpath, out = tmp_path / "pauli.json", tmp_path / "x0.json", tmp_path / "o"
+        qx.save_tuple(tpath, qx.pauli_tuple())
+        qx.save_tuple(xpath, qx.haar_tuple(1, 3, RngSpec(1, 0).generator()))
+        assert main(["--out", str(out), "mix", "-p", f"tuple={tpath}", "-p", f"x0={xpath}"]) == 1
+        err = one_error_line(capsys)
+        assert err == f"error: {xpath}: x0 has dim 3, tuple {tpath} has dim 2"
+        rec = json.loads((out / "run.json").read_text())
+        assert rec["status"] == "failed" and rec["error"] == err[len("error: "):]
+
+    @pytest.mark.parametrize("argv, want", [
+        (["appendix", "-p", "experiment=hastings", "-p", "coeffs=1,x,1,1"],
+         "param 'coeffs': cannot parse 'x' as complex"),
+        (["bounds", "-p", "n=2", "-p", "N=2", "-p", "delta_grid=0.01,abc"],
+         "param 'delta_grid': cannot parse 'abc' as float"),
+        (["bounds", "-p", "n=2", "-p", "N=2", "-p", "eps_grid=,"],
+         "param 'eps_grid' has no entries"),
+    ], ids=["coeffs", "delta_grid", "empty_eps_grid"])
+    def test_list_param_errors_name_the_param(self, tmp_path, capsys, argv, want):
+        # these once read "complex() arg is a malformed string" and "could not
+        # convert string to float: 'abc'", and an empty eps_grid wrote a
+        # radius.csv with no rows
+        assert main(["--out", str(tmp_path / "o"), *argv]) == 1
+        assert one_error_line(capsys) == f"error: {want}"
+
     def test_missing_param_is_error(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path / "o"), "certify"])
         assert code == 1

@@ -392,10 +392,10 @@ class TestStrongSeparation:
             ascents.append(1)
             return ascent(*args)
 
-        def counted_solve(*args):
-            # (dense, applies, converged) of each solve
-            out = solve(*args)
-            solves.append((args[3], int(out[1][0]), bool(out[3][0])))
+        def counted_solve(*args, **kwargs):
+            # (dense, applies, converged) of each solve; _solve picks dense at kN^2 = N^2
+            out = solve(*args, **kwargs)
+            solves.append((qx.superop.auto_dense(N * N), int(out[1][0]), bool(out[3][0])))
             return out
 
         monkeypatch.setattr(geo, "_polar_ascent", counted_ascent)
@@ -549,9 +549,9 @@ class TestNorming:
         solves = []
         solve = geo._solve
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             solves.append(1)
-            return solve(*args)
+            return solve(*args, **kwargs)
 
         def polar(xi, eta):
             return x.mats, qx.polar_unitary(eta.conj().T @ x.mats @ xi)

@@ -145,11 +145,20 @@ class TestGreedyPack:
                 T = qx.SuperOperator(fam.members[i], fam.members[j])
                 rep = qx.operator_norm(T, method="lanczos", tol=1e-6, witness=False)
                 assert fam.pairwise[i, j] == max(1.0 - rep.value / 3, 0.0)
-        # the pair batches read the apply cap when called; the certificates'
-        # operator_norm bound its default when it was defined
-        monkeypatch.setattr(superop, "_MAX_APPLIES", 2)
+        # the pair batches take _solve's default apply cap; the certificates'
+        # operator_norm passes its own default
+        monkeypatch.setitem(superop._solve.__kwdefaults__, "max_iter", 2)
         fam = qx.greedy_pack(3, 13, 0.0, 0.0, 4, RngSpec(62, 0))
         assert fam.unconverged == 6  # the 4 * 3 / 2 pair solves, none of the certificates
+
+    def test_empty_family_keeps_its_size_and_bound(self):
+        # no sample is certified at eps = 0.99: meta.json once read n = N = 0
+        # and no count bound, both taken off the first member
+        fam = qx.greedy_pack(3, 2, 0.99, 0.05, 3, RngSpec(63, 0))
+        assert fam.count == 0 and fam.rejected_uncertified == 3
+        meta = fam.files()["meta.json"]
+        assert (meta["n"], meta["N"], meta["members"]) == (3, 2, 0)
+        assert meta["log_count_upper_bound"] == qx.packing_upper_bound(3, 2, 0.05)
 
     def test_save_layout(self, tmp_path):
         fam = qx.greedy_pack(2, 3, 0.0, 0.02, 10, RngSpec(56, 0))

@@ -198,7 +198,7 @@ def test_norms_batch_scales_each_row_on_its_own(n, kN, restrict_h0, tol, seed):
                          rng=np.random.default_rng(seed), witness=False)
         for left in lefts
     ]
-    values, applies, converged = superop._norms(
+    values, applies, _, converged, *_ = superop._solve(
         np.stack([left.mats for left in lefts]), np.stack([T.right.mats] * 3), restrict_h0,
         [np.random.default_rng(seed) for _ in lefts], tol,
     )

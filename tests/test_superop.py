@@ -83,7 +83,7 @@ class TestPairNorms:
         draw = (lambda: qx.haar_tuple(3, 4, rng)) if unitary else (lambda: random_tuple(3, 4, rng))
         u = draw()
         vs = [draw() for _ in range(40)]
-        got, applies, converged = superop._norms(
+        got, applies, _, converged, *_ = superop._solve(
             u.mats[None], np.stack([v.mats for v in vs]), False, [None] * 40, 1e-10
         )
         assert got.shape == (40,) and np.all(applies == 1) and converged.all()
@@ -103,7 +103,7 @@ class TestPairNorms:
         # N^2 = 9 is above a dense switch of 8, so the entry runs Lanczos, not materialize
         u, v = qx.haar_tuple(2, 3, rng), qx.haar_tuple(2, 3, rng)
         monkeypatch.setattr(superop, "AUTO_DENSE_DIM", 8)
-        values, applies, converged = superop._norms(u.mats[None], v.mats[None], False, [5], 1e-10)
+        values, applies, _, converged, *_ = superop._solve(u.mats[None], v.mats[None], False, [5], 1e-10)
         rep = qx.operator_norm(
             qx.SuperOperator(u, v), method="lanczos", tol=1e-10, rng=5, witness=False
         )
@@ -306,13 +306,13 @@ class TestScaleRule:
         with pytest.raises(ValueError, match="float range"):
             qx.operator_norm(qx.SuperOperator(u, u, restrict_h0=True), method=method)
         with pytest.raises(ValueError, match="float range"):
-            superop._norms(u.mats[None], u.mats[None], False, [0], 1e-8)
+            superop._solve(u.mats[None], u.mats[None], False, [0], 1e-8)
 
 
 class TestLockstep:
     @staticmethod
     def solo_and_lockstep(ops, tol, shared_left=False):
-        """Each operator solved alone by operator_norm, and all of them by one ``_norms`` call."""
+        """Each operator solved alone by operator_norm, and all of them by one ``_solve`` call."""
         solo = [
             qx.operator_norm(T, tol=tol, witness=False, rng=RngSpec(31, b).generator())
             for b, T in enumerate(ops)
@@ -320,7 +320,8 @@ class TestLockstep:
         left = np.stack([T.left.mats for T in ops[: 1 if shared_left else len(ops)]])
         right = np.stack([T.right.mats for T in ops])
         gens = [RngSpec(31, b).generator() for b in range(len(ops))]
-        return solo, superop._norms(left, right, ops[0].restrict_h0, gens, tol)
+        values, applies, _, converged, *_ = superop._solve(left, right, ops[0].restrict_h0, gens, tol)
+        return solo, (values, applies, converged)
 
     def check_three_kinds(self, N, method, tol=1e-10):
         """Restricted Haar unitary sums, unrestricted Ginibre sums and unitary pairs
@@ -358,7 +359,7 @@ class TestLockstep:
         gen = RngSpec(30, 13).generator()
         ops = [qx.SuperOperator.conjugation(qx.haar_tuple(4, 13, gen)) for _ in range(5)]
         solve = superop._solve
-        monkeypatch.setattr(superop, "_solve", lambda *args: solve(*args[:-2], 40, args[-1]))
+        monkeypatch.setattr(superop, "_solve", lambda *args, **kw: solve(*args, **{**kw, "max_iter": 40}))
         solo, (values, applies, converged) = self.solo_and_lockstep(ops, 1e-6)
         assert list(applies) == [rep.iterations for rep in solo] == [37, 37, 40, 40, 40]
         assert [rep.single_applies for rep in solo] == [36, 36, 39, 39, 39]
@@ -370,6 +371,18 @@ class TestLockstep:
 
     def test_dense_batch_matches_solo_runs(self):
         assert self.check_three_kinds(6, "dense") == {1}
+
+    def test_default_solver_is_auto_dense(self):
+        # dense=None picks the solver by auto_dense(kN^2): a batch of two is
+        # solved densely at kN^2 = 144 and by Lanczos at 169
+        for N, method in ((12, "dense"), (13, "lanczos")):
+            gen = RngSpec(35, N).generator()
+            ops = [qx.SuperOperator(qx.haar_tuple(3, N, gen), qx.haar_tuple(3, N, gen)) for _ in range(2)]
+            solo, (values, applies, converged) = self.solo_and_lockstep(ops, 1e-10)
+            assert [rep.method for rep in solo] == [method] * 2
+            assert list(values) == [rep.value for rep in solo]
+            assert list(applies) == [rep.iterations for rep in solo]
+            assert converged.all() and (applies == 1).all() == (method == "dense")
 
     def test_breakdown_and_cap_stop_each_run_on_its_own(self, monkeypatch):
         # one batch of n = 1 operators: a single unitary (T*T = I, breakdown at the
@@ -411,7 +424,7 @@ class TestLockstep:
             left = np.stack([T.left.mats for T in ops])
             right = np.stack([T.right.mats for T in ops])
             gens = [RngSpec(34, b).generator() for b in range(4)]
-            values, applies, converged = superop._norms(left, right, restrict_h0, gens, tol)
+            values, applies, _, converged, *_ = superop._solve(left, right, restrict_h0, gens, tol)
             assert converged.all() and applies.min() > 1
             counts.update(applies)
             for T, value in zip(ops, values):

@@ -188,16 +188,16 @@ def run_solves():
             report(f"cap/N={N},tol={tol}", qx.operator_norm(T, "lanczos", tol=tol, max_iter=7, rng=gen))
         report(f"gap/N={N}", qx.spectral_gap(u, tol=1e-6, rng=gen))
     report("gap/N=32", qx.spectral_gap(qx.haar_tuple(4, 32, gen), tol=1e-6, rng=gen))
-    # lockstep batches of _norms, dense and Lanczos, shared and per-operator left stacks
+    # lockstep batches of _solve, dense and Lanczos, shared and per-operator left stacks
     for N, tol in ((4, 1e-8), (13, 1e-8), (13, 1e-6), (16, 1e-6)):
         for restrict in (False, True):
             left = np.stack([qx.haar_tuple(3, N, gen).mats for _ in range(4)])
             right = np.stack([qx.haar_tuple(3, N, gen).mats for _ in range(4)])
             for lt in (left, left[:1]):
                 rngs = [qx.RngSpec(5, b).generator() for b in range(4)]
-                batch = qx.superop._norms(lt, right, restrict, rngs, tol)
+                values, applies, _, converged, *_ = qx.superop._solve(lt, right, restrict, rngs, tol)
                 emit(f"norms/N={N},tol={tol},restrict={restrict},left={len(lt)}",
-                     dict(zip(("values", "applies", "converged"), (a.tolist() for a in batch))))
+                     dict(values=values.tolist(), applies=applies.tolist(), converged=converged.tolist()))
     # Monte Carlo statistics: dense and Lanczos, scalar and k = 2 block coefficients
     for N in (8, 13, 16):
         for fn in (qx.unitary_sum_norm, qx.gaussian_decoupled_norm):
