@@ -2,10 +2,15 @@
 
 Every command handler is a pure function of its seed and its params, which
 are its keyword-only arguments: the command's one param declaration, each
-with its default or none if required (``appendix`` has one handler per
-``experiment``); ``qex CMD --help`` lists them. A handler returns its files
-as ``{file name: content}`` plus a summary, and fixed seeds reproduce all
+annotated with its type (``int``, ``float`` or ``str``) and given its
+default or none if required (``appendix`` has one handler per
+``experiment``); ``qex CMD --help`` lists them, and ``-p`` values are
+parsed to the declared types. A handler returns its files as
+``{file name: content}`` plus a summary, and fixed seeds reproduce all
 numeric outputs bit-exactly: no environment variable changes a result.
+Handlers load tuple files through ``_tuples``, whose error line names the
+file and the param of a tuple without the unitary flag its command needs
+or of a shape other than its partner's.
 ``ExperimentConfig`` checks each config against the declaration when it is
 built, before any output directory exists: an unknown command or undeclared
 key, a missing required key, or a mistyped or non-finite value is a
@@ -74,28 +79,19 @@ from .randmat import (
 )
 from .superop import spectral_gap
 
-_PARAM_TYPES = {
-    "n": int, "N": int, "k": int, "steps": int, "samples": int, "restarts": int,
-    "max_samples": int,
-    "eps": float, "delta": float, "delta_strong": float, "overlap": float,
-    "radius": float, "tol": float,
-    "tuple": str, "u": str, "v": str, "x0": str, "group": str, "tuples": str,
-    "metric": str, "method": str, "experiment": str, "coeffs": str,
-    "eps_grid": str, "delta_grid": str,
-}
 _REQUIRED = inspect.Parameter.empty  # the default of a declared param that has none
 
 
 @functools.cache
 def _declared(handler) -> dict:
-    """A handler's params: its keyword-only arguments and their defaults (or _REQUIRED)."""
-    params = inspect.signature(handler).parameters.values()
-    return {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
+    """A handler's params: each keyword-only argument's (type, default or _REQUIRED)."""
+    params = inspect.signature(handler, eval_str=True).parameters.values()
+    return {p.name: (p.annotation, p.default) for p in params if p.kind is p.KEYWORD_ONLY}
 
 
 def _resolve(command: str, params: Mapping) -> tuple:
     """The handler that runs ``command`` on ``params``, and every param declared
-    for it: its value as given, else its default (``_REQUIRED`` if it has none).
+    for it as (type, default or _REQUIRED).
 
     ``appendix`` has one handler per experiment, picked by its required
     ``experiment`` param.
@@ -108,9 +104,8 @@ def _resolve(command: str, params: Mapping) -> tuple:
                 f"command {command!r} requires param 'experiment'" if experiment is None
                 else f"unknown {command} experiment {experiment!r}"
             )
-        handler, declared = handler[experiment], {"experiment": _REQUIRED}
-    declared.update(_declared(handler))
-    return handler, {key: params.get(key, default) for key, default in declared.items()}
+        handler, declared = handler[experiment], {"experiment": (str, _REQUIRED)}
+    return handler, {**declared, **_declared(handler)}
 
 
 @dataclass(frozen=True)
@@ -130,17 +125,17 @@ class ExperimentConfig:
         if not isinstance(self.params, Mapping):
             raise ConfigError("params must be an object")
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
-        _, resolved = _resolve(self.command, self.params)
+        _, declared = _resolve(self.command, self.params)
         for key, val in self.params.items():
-            if key not in resolved:
+            if key not in declared:
                 raise ConfigError(f"command {self.command!r} does not take param {key!r}")
-            want = _PARAM_TYPES[key]
+            want = declared[key][0]
             if not isinstance(val, (int, float) if want is float else want) or isinstance(val, bool):
                 raise ConfigError(f"param {key!r} must be {want.__name__}, got {val!r}")
             if isinstance(val, float) and not math.isfinite(val):
                 raise ConfigError(f"param {key!r} must be finite, got {val!r}")
-        for key, val in resolved.items():
-            if val is _REQUIRED:
+        for key, (_, default) in declared.items():
+            if default is _REQUIRED and key not in self.params:
                 raise ConfigError(f"command {self.command!r} requires param {key!r}")
         if not isinstance(self.seed, RngSpec):
             raise ConfigError(f"seed must be an RngSpec, got {self.seed!r}")
@@ -150,7 +145,8 @@ class ExperimentConfig:
     @property
     def resolved_params(self) -> dict:
         """Every param declared for this run: its value as given, else its default."""
-        return _resolve(self.command, self.params)[1]
+        declared = _resolve(self.command, self.params)[1]
+        return {key: self.params.get(key, default) for key, (_, default) in declared.items()}
 
     def to_json(self) -> dict:
         return {
@@ -207,18 +203,37 @@ def _now() -> str:
 # --- command handlers: each takes the seed and its declared params, and
 # returns ({file name: content}, summary dict) ---------------------------------
 
-def _cmd_sample_haar(seed, *, n, N):
+def _tuples(*files) -> list:
+    """The tuple in each file, given as (param, path, unitary), checked before
+    any number is computed: a file marked unitary must hold a tuple flagged
+    unitary, and every tuple must have the shape of the first. The error
+    line names the file and its param."""
+    out = []
+    for key, path, unitary in files:
+        t = load_tuple(path)
+        if unitary and not t.unitary:
+            raise ConfigError(f"{path}: param {key!r} needs a unitary tuple (unitary flag unset)")
+        if out and (t.n, t.dim) != (out[0].n, out[0].dim):
+            (key0, path0, _), t0 = files[0], out[0]
+            raise DimensionMismatch(f"{path0} (param {key0!r}) has shape ({t0.n}, {t0.dim}) "
+                                    f"but {path} (param {key!r}) has shape ({t.n}, {t.dim})")
+        out.append(t)
+    return out
+
+
+def _cmd_sample_haar(seed, *, n: int, N: int):
     t = haar_tuple(n, N, seed.generator())
     return {"tuple.json": t}, {"n": n, "N": N, "unitarity_residual": t.unitarity_residual()}
 
 
-def _cmd_cayley(seed, *, group):
+def _cmd_cayley(seed, *, group: str):
     g = GroupPresentation.load(group)
     return {"tuple.json": cayley_regular_tuple(g)}, {"n": g.n, "N": g.order, "classical_gap": classical_gap(g)}
 
 
-def _cmd_certify(seed, *, tuple, tol=1e-10, method="auto"):
-    cert = certify(load_tuple(tuple), tol=tol, method=method, rng=seed.generator())
+def _cmd_certify(seed, *, tuple: str, tol: float = 1e-10, method: str = "auto"):
+    [t] = _tuples(("tuple", tuple, True))
+    cert = certify(t, tol=tol, method=method, rng=seed.generator())
     return {"certificate.json": cert.to_json()}, {
         "epsilon": cert.epsilon,
         "ramanujan_slack": cert.ramanujan_slack,
@@ -226,16 +241,17 @@ def _cmd_certify(seed, *, tuple, tol=1e-10, method="auto"):
     }
 
 
-def _cmd_gap(seed, *, tuple, method="auto", tol=1e-10):
-    rep = spectral_gap(load_tuple(tuple), method=method, tol=tol, rng=seed.generator())
+def _cmd_gap(seed, *, tuple: str, method: str = "auto", tol: float = 1e-10):
+    [t] = _tuples(("tuple", tuple, True))
+    rep = spectral_gap(t, method=method, tol=tol, rng=seed.generator())
     files = {"gap.json": rep.to_json()}
     if rep.top_vector is not None:
         files["witness.json"] = MatrixTuple(rep.top_vector[None])
     return files, {"value": rep.value, "method": rep.method}
 
 
-def _cmd_mix(seed, *, tuple, steps=50, x0=None):
-    t = load_tuple(tuple)
+def _cmd_mix(seed, *, tuple: str, steps: int = 50, x0: str = None):
+    [t] = _tuples(("tuple", tuple, True))
     if x0 is not None:
         start = load_tuple(x0)
         if start.n != 1:
@@ -251,13 +267,15 @@ def _cmd_mix(seed, *, tuple, steps=50, x0=None):
     return {"mix.csv": rows}, {"steps": steps, "final_residual": float(curve[-1])}
 
 
-def _cmd_separate(seed, *, u, v, method="auto"):
-    rep = separation(load_tuple(u), load_tuple(v), method=method, rng=seed.generator())
+def _cmd_separate(seed, *, u: str, v: str, method: str = "auto"):
+    u, v = _tuples(("u", u, False), ("v", v, False))
+    rep = separation(u, v, method=method, rng=seed.generator())
     return {"separation.json": rep.to_json()}, {"delta": rep.delta, "norm_value": rep.norm_value}
 
 
-def _cmd_orbit_dist(seed, *, u, v, restarts=20):
-    rep = orbit_distance(load_tuple(u), load_tuple(v), restarts=restarts, rng=seed.generator())
+def _cmd_orbit_dist(seed, *, u: str, v: str, restarts: int = 20):
+    u, v = _tuples(("u", u, True), ("v", v, True))
+    rep = orbit_distance(u, v, restarts=restarts, rng=seed.generator())
     return {"orbit.json": rep.to_json()}, {
         "upper": rep.upper,
         "lower": rep.lower,
@@ -266,10 +284,9 @@ def _cmd_orbit_dist(seed, *, u, v, restarts=20):
     }
 
 
-def _cmd_strong_sep(seed, *, u, v, restarts=20):
-    est = strong_separation_estimate(
-        load_tuple(u), load_tuple(v), restarts=restarts, rng=seed.generator()
-    )
+def _cmd_strong_sep(seed, *, u: str, v: str, restarts: int = 20):
+    u, v = _tuples(("u", u, True), ("v", v, False))
+    est = strong_separation_estimate(u, v, restarts=restarts, rng=seed.generator())
     payload = {
         "estimate_norm_over_n": est,
         "estimated_strong_delta": max(1.0 - est, 0.0),
@@ -278,8 +295,8 @@ def _cmd_strong_sep(seed, *, u, v, restarts=20):
     return {"strong.json": payload}, payload
 
 
-def _cmd_norming(seed, *, tuple, restarts=20):
-    x = load_tuple(tuple)
+def _cmd_norming(seed, *, tuple: str, restarts: int = 20):
+    [x] = _tuples(("tuple", tuple, True))
     v, attained = find_norming_tuple(x, restarts=restarts, rng=seed.generator())
     return {
         "norming_witness.json": v,
@@ -287,13 +304,13 @@ def _cmd_norming(seed, *, tuple, restarts=20):
     }, {"attained": attained}
 
 
-def _cmd_delta_overlap(seed, *, tuple):
+def _cmd_delta_overlap(seed, *, tuple: str):
     t = load_tuple(tuple)
     val = delta_overlap(t)
     return {"overlap.json": {"overlap": val, "n": t.n, "N": t.dim}}, {"overlap": val}
 
 
-def _cmd_dcb_bound(seed, *, delta_strong, overlap, n):
+def _cmd_dcb_bound(seed, *, delta_strong: float, overlap: float, n: int):
     bound = dcb_lower_bound(delta_strong, overlap, n)
     payload = {
         "bound": bound,
@@ -304,25 +321,31 @@ def _cmd_dcb_bound(seed, *, delta_strong, overlap, n):
     return {"dcb.json": payload}, {"bound": bound}
 
 
-def _cmd_pack(seed, *, n, N, eps, delta, max_samples):
+def _cmd_pack(seed, *, n: int, N: int, eps: float, delta: float, max_samples: int):
     fam = greedy_pack(n, N, eps, delta, max_samples, seed)
     return fam.files(), fam.counts()
 
 
-def _cmd_cover(seed, *, tuples, radius, metric="d"):
+def _cmd_cover(seed, *, tuples: str, radius: float, metric: str = "d"):
     files = sorted(map(Path, glob.glob(tuples, recursive=True))) if any(
         ch in tuples for ch in "*?["
     ) else sorted(Path(tuples).glob("*.json"))
-    points = [load_tuple(p) for p in files if p.name not in ("meta.json", "run.json")]
+    points = _tuples(*[("tuples", p, metric == "d_prime") for p in files
+                       if p.name not in ("meta.json", "run.json")])
     if not points:
         raise ConfigError(f"no tuple files matched {tuples!r}")
     est = greedy_cover(points, radius, metric=metric, rng=seed.generator())
     return {"cover.json": est.to_json()}, {"count": est.count, "radius": radius}
 
 
-def _cmd_bounds(seed, *, n, N, eps_grid="0.1,0.3,0.5,0.7", delta_grid="0.01,0.05,0.1,0.2,0.5"):
+def _cmd_bounds(seed, *, n: int, N: int, eps_grid: str = "0.1,0.3,0.5,0.7",
+                delta_grid: str = "0.01,0.05,0.1,0.2,0.5"):
     eps_grid = _entries("eps_grid", eps_grid, float)
     delta_grid = _entries("delta_grid", delta_grid, float)
+    for key, grid in (("eps_grid", eps_grid), ("delta_grid", delta_grid)):
+        for x in grid:
+            if not 0.0 < x < 1.0:
+                raise ConfigError(f"param {key!r}: entry {x} is not in (0, 1)")
     files = {
         "radius.csv": [["eps", "delta", "value"]] + [
             [e, d, near_norming_radius(e, d)]
@@ -345,7 +368,7 @@ def _cmd_bounds(seed, *, n, N, eps_grid="0.1,0.3,0.5,0.7", delta_grid="0.01,0.05
     }
 
 
-def _cmd_subgauss(seed, *, n, N, samples):
+def _cmd_subgauss(seed, *, n: int, N: int, samples: int):
     rep = subgaussian_tail_check(n, N, samples, seed)
     return {"subgauss.csv": rep.to_csv_rows()}, {
         "b_n": rep.b_n,
@@ -366,7 +389,7 @@ def _parse_coeffs(raw, n):
     return vals
 
 
-def _apx_chi(seed, *, N=16, samples=100):
+def _apx_chi(seed, *, N: int = 16, samples: int = 100):
     rep = chi_n_estimate(N, samples, seed)
     rows = [
         ["N", "samples", "estimate", "ci_lo", "ci_hi"],
@@ -375,12 +398,12 @@ def _apx_chi(seed, *, N=16, samples=100):
     return {"chi.csv": rows}, {"estimate": rep.value, "ci_lo": rep.ci_lo, "ci_hi": rep.ci_hi}
 
 
-def _apx_twirl(seed, *, N=8, samples=20):
+def _apx_twirl(seed, *, N: int = 8, samples: int = 20):
     rep = twirl_identity_check(N, samples, seed)
     return {"twirl.json": rep.to_json()}, rep.to_json()
 
 
-def _apx_hastings(seed, *, n=4, N=16, samples=20, coeffs=None):
+def _apx_hastings(seed, *, n: int = 4, N: int = 16, samples: int = 20, coeffs: str = None):
     uni = unitary_sum_norm(_parse_coeffs(coeffs, n), N, samples, seed.stream(1))
     rows = [["sample", "unitary_norm"]] + [[i, v] for i, v in enumerate(uni.values)]
     return {"hastings.csv": rows}, {
@@ -390,7 +413,7 @@ def _apx_hastings(seed, *, n=4, N=16, samples=20, coeffs=None):
     }
 
 
-def _apx_dominance(seed, *, n=4, N=16, samples=20, coeffs=None):
+def _apx_dominance(seed, *, n: int = 4, N: int = 16, samples: int = 20, coeffs: str = None):
     coeffs = _parse_coeffs(coeffs, n)
     uni = unitary_sum_norm(coeffs, N, samples, seed.stream(1))
     gau = gaussian_decoupled_norm(coeffs, N, samples, seed.stream(2))
@@ -410,7 +433,8 @@ def _apx_dominance(seed, *, n=4, N=16, samples=20, coeffs=None):
     }
 
 
-def _apx_matrix_coeff(seed, *, n=4, N=16, samples=20, coeffs=None, k=2):
+def _apx_matrix_coeff(seed, *, n: int = 4, N: int = 16, samples: int = 20, coeffs: str = None,
+                      k: int = 2):
     blocks = [np.eye(k) * c for c in _parse_coeffs(coeffs, n)]
     rep = matrix_coefficient_sum(blocks, N, samples, seed)
     return {"matrix_coeff.json": rep.to_json()}, {
@@ -418,7 +442,7 @@ def _apx_matrix_coeff(seed, *, n=4, N=16, samples=20, coeffs=None, k=2):
     }
 
 
-def _cmd_validate(seed, *, tuple):
+def _cmd_validate(seed, *, tuple: str):
     t = load_tuple(tuple)
     report = {
         "n": t.n,
@@ -463,7 +487,8 @@ def run(config: ExperimentConfig) -> RunRecord:
     float on its way into any file, the ok run.json included) is re-raised
     after a run.json with status "failed" and the error line is written.
     """
-    handler, resolved = _resolve(config.command, config.params)
+    handler = _resolve(config.command, config.params)[0]
+    resolved = config.resolved_params
     claim = COMMANDS[config.command][1]
     out = _make_dir(config.out_dir)
     started = _now()
@@ -494,7 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
         lines = [
             (f"experiment={exp}: " if exp else "") + ", ".join(
                 key if default is _REQUIRED else f"{key}={default}"
-                for key, default in _declared(h).items()
+                for key, (_, default) in _declared(h).items()
             ) for exp, h in handlers
         ]
         p = sub.add_parser(name, help=claim, description=claim,
@@ -530,8 +555,12 @@ def config_from_args(args) -> ExperimentConfig:
         if "=" not in item:
             raise ConfigError(f"--param expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
-        # the type check is ExperimentConfig's; an unknown key stays a string for it
-        params[key] = _coerce(key, raw, _PARAM_TYPES.get(key, str))
+        params[key] = raw
+    # each value takes its param's declared type; an undeclared key stays a
+    # string, and ExperimentConfig rejects it
+    declared = _resolve(args.command, params)[1]
+    params = {key: _coerce(key, raw, declared[key][0]) if key in declared else raw
+              for key, raw in params.items()}
     try:
         seed = RngSpec(args.seed, args.stream_id)
     except ValueError as exc:

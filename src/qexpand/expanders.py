@@ -17,7 +17,6 @@ from .linalg import MatrixTuple, _JsonFields, _haar_stack, _load_json, as_genera
 from .superop import GapReport, _gemm_operands, _product, _scale_to_unit, center, spectral_gap
 
 __all__ = [
-    "PAULI",
     "GroupPresentation",
     "ExpanderCertificate",
     "haar_tuple",

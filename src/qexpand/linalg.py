@@ -23,17 +23,13 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, QexError, TupleFormatError, UnitarityError
 
 __all__ = [
-    "UNITARY_TOL",
     "RngSpec",
     "MatrixTuple",
-    "as_generator",
-    "as_square_matrix",
     "normalized_trace",
     "hs_norm",
     "svd",
     "polar_unitary",
     "trace_norm",
-    "spectral_norm",
     "sample_ginibre",
     "sample_haar_unitary",
     "ginibre_singular_mean",

@@ -28,8 +28,6 @@ from .superop import SuperOperator, _batch_size, _solve, operator_norm
 __all__ = [
     "PackingFamily",
     "CoverEstimate",
-    "TailRow",
-    "TailReport",
     "greedy_pack",
     "greedy_cover",
     "packing_upper_bound",

@@ -27,7 +27,6 @@ __all__ = [
     "chi_n_estimate",
     "twirl_identity_check",
     "matrix_coefficient_sum",
-    "bootstrap_mean_ci",
 ]
 
 

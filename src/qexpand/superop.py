@@ -48,11 +48,8 @@ from .linalg import MatrixTuple, _JsonFields, as_generator
 __all__ = [
     "SuperOperator",
     "GapReport",
-    "dense_cap",
-    "center",
     "apply",
     "materialize",
-    "auto_dense",
     "operator_norm",
     "spectral_gap",
 ]

@@ -8,7 +8,6 @@ import pytest
 
 import qexpand as qx
 from qexpand.cli import (
-    _PARAM_TYPES,
     _REQUIRED,
     COMMANDS,
     ExperimentConfig,
@@ -72,9 +71,13 @@ def flags(params):
 
 def declared(command, params):
     """Each param declared for ``command`` run on ``params``, with its default (or _REQUIRED)."""
-    handler, resolved = _resolve(command, params)
-    selector = {"experiment": _REQUIRED} if "experiment" in resolved else {}
-    return {**selector, **_declared(handler)}
+    return {key: default for key, (_, default) in _resolve(command, params)[1].items()}
+
+
+def handlers():
+    """Every command handler, for appendix one per experiment."""
+    return [h for h, _ in COMMANDS.values() if not isinstance(h, dict)] + list(
+        COMMANDS["appendix"][0].values())
 
 
 def one_error_line(capsys):
@@ -650,6 +653,64 @@ class TestMain:
         rec = json.loads((out / "run.json").read_text())
         assert rec["status"] == "failed" and rec["error"] == err[len("error: "):]
 
+    @pytest.mark.parametrize("command, key", [
+        ("gap", "tuple"), ("certify", "tuple"), ("mix", "tuple"), ("norming", "tuple"),
+        ("orbit-dist", "u"), ("orbit-dist", "v"), ("strong-sep", "u"), ("cover", "tuples"),
+    ])
+    def test_non_unitary_tuple_file_names_the_file_and_param(self, tmp_path, capsys, command,
+                                                             key):
+        # these once read "operation requires a unitary tuple (unitary flag unset)"
+        inputs, out = tmp_path / "in", tmp_path / "o"
+        inputs.mkdir()
+        upath, nupath = tmp_path / "u.json", inputs / "nu.json"
+        u = qx.haar_tuple(3, 4, RngSpec(1, 0).generator())
+        qx.save_tuple(upath, u)
+        qx.save_tuple(nupath, qx.MatrixTuple(u.mats))
+        params = {
+            "tuple": {"tuple": nupath},
+            "u": {"u": nupath, "v": upath},
+            "v": {"u": upath, "v": nupath},
+            "tuples": {"tuples": inputs, "radius": 0.5, "metric": "d_prime"},
+        }[key]
+        assert main(["--out", str(out), command, *flags(params)]) == 1
+        err = one_error_line(capsys)
+        assert err == f"error: {nupath}: param {key!r} needs a unitary tuple (unitary flag unset)"
+        rec = json.loads((out / "run.json").read_text())
+        assert rec["status"] == "failed" and rec["error"] == err[len("error: "):]
+
+    @pytest.mark.parametrize("command, shape", [
+        ("separate", (3, 5)), ("orbit-dist", (3, 5)), ("strong-sep", (3, 5)), ("cover", (2, 4)),
+    ])
+    def test_tuple_files_of_two_shapes_name_both_files(self, tmp_path, capsys, command, shape):
+        # these once read "tuples have shapes (3, 4) and (3, 5)"
+        inputs, out = tmp_path / "in", tmp_path / "o"
+        inputs.mkdir()
+        a, b = inputs / "a.json", inputs / "b.json"
+        gen = RngSpec(1, 0).generator()
+        qx.save_tuple(a, qx.haar_tuple(3, 4, gen))
+        qx.save_tuple(b, qx.haar_tuple(*shape, gen))
+        params = {"tuples": inputs, "radius": 0.5} if command == "cover" else {"u": a, "v": b}
+        ka, kb = ("tuples", "tuples") if command == "cover" else ("u", "v")
+        assert main(["--out", str(out), command, *flags(params)]) == 1
+        err = one_error_line(capsys)
+        assert err == (f"error: {a} (param {ka!r}) has shape (3, 4) "
+                       f"but {b} (param {kb!r}) has shape {shape}")
+        rec = json.loads((out / "run.json").read_text())
+        assert rec["status"] == "failed" and rec["error"] == err[len("error: "):]
+
+    @pytest.mark.parametrize("key, grid, entry", [
+        ("delta_grid", "0", "0.0"), ("eps_grid", "0.3,nan", "nan"), ("eps_grid", "0.5,1", "1.0"),
+    ], ids=["delta-zero", "eps-nan", "eps-one"])
+    def test_grid_entry_out_of_range_names_the_param(self, tmp_path, capsys, key, grid, entry):
+        # these once read "delta must be in (0, 1), got 0.0", from the formulas
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "bounds", "-p", "n=2", "-p", "N=2",
+                     "-p", f"{key}={grid}"]) == 1
+        err = one_error_line(capsys)
+        assert err == f"error: param {key!r}: entry {entry} is not in (0, 1)"
+        rec = json.loads((out / "run.json").read_text())
+        assert rec["status"] == "failed" and rec["artifacts"] == []
+
     @pytest.mark.parametrize("argv, want", [
         (["appendix", "-p", "experiment=hastings", "-p", "coeffs=1,x,1,1"],
          "param 'coeffs': cannot parse 'x' as complex"),
@@ -825,7 +886,7 @@ class TestMain:
     def test_non_finite_output_fails_the_run(self, tmp_path, monkeypatch, capsys, bad_file):
         # a NaN in the summary (so in run.json) or in a CSV cell is one error line
         # and a failed run.json, like a non-finite number in a JSON artifact
-        def handler(seed, *, tuple):
+        def handler(seed, *, tuple: str):
             if bad_file == "run.json":
                 return {"validate.json": {"n": 1}}, {"value": float("nan")}
             return {"bad.csv": [["x"], [1.0], [np.float64("nan")]]}, {"value": 1.0}
@@ -860,22 +921,19 @@ class TestDeclaredParams:
         want |= {("appendix", exp) for exp in COMMANDS["appendix"][0] if exp != "dominance"}
         assert cases == want
 
-    def test_type_table_and_declarations_cover_the_same_keys(self):
-        handlers = [h for h, _ in COMMANDS.values() if not isinstance(h, dict)]
-        handlers += list(COMMANDS["appendix"][0].values())
-        keys = {"experiment"}
-        for handler in handlers:
-            for key, default in _declared(handler).items():
-                keys.add(key)
+    def test_every_param_is_annotated_with_its_type(self):
+        for handler in handlers():
+            for key, (want, default) in _declared(handler).items():
+                assert want in (int, float, str), (handler, key)
                 if default is not _REQUIRED and default is not None:
-                    assert isinstance(default, _PARAM_TYPES[key]), (handler, key)
-        assert keys == set(_PARAM_TYPES)
+                    assert isinstance(default, want), (handler, key)
 
     @pytest.mark.parametrize("case", SMALL_CASES)
     def test_undeclared_key_is_one_line_error(self, tmp_path, capsys, case):
         command = case.split(":")[0]
         params = small_params(tmp_path, case)
-        other = next(key for key in _PARAM_TYPES if key not in declared(command, params))
+        keys = sorted({key for handler in handlers() for key in _declared(handler)})
+        other = next(key for key in keys if key not in declared(command, params))
         for key in (other, "bogus"):
             out = tmp_path / "o"
             assert main(["--out", str(out), command, *flags(params), "-p", f"{key}=1"]) == 1
@@ -1001,7 +1059,7 @@ class TestDeclaredParams:
         handler = COMMANDS[command][0]
         for exp, h in handler.items() if isinstance(handler, dict) else [(None, handler)]:
             listed = ", ".join(key if default is _REQUIRED else f"{key}={default}"
-                               for key, default in _declared(h).items())
+                               for key, (_, default) in _declared(h).items())
             assert (f"experiment={exp}: {listed}" if exp else listed) in lines
 
     @pytest.mark.parametrize("coeffs", ["nan,1,1,1", "1e400,1,1,1"])
